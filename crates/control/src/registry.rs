@@ -39,8 +39,8 @@ impl std::error::Error for ControlError {}
 /// lifetime hint onto the retention-class ladder with the declared margin.
 ///
 /// This is *the* placement decision that used to live in
-/// `PlacementPolicy::retention_for`; `mrm-tiering` now shims to it (lint
-/// rule D7 confines callers to this crate and that shim).
+/// `PlacementPolicy::retention_for` (lint rule D7 confines the decision
+/// API to this crate).
 pub fn retention_decision(
     managed_tier: bool,
     dcm: bool,

@@ -101,7 +101,7 @@ fn ws_d9_fixture_matches_golden_with_full_chain() {
         violations.iter().any(|v| v.rule == RuleId::D9),
         "workspace fixture must trigger D9: {actual}"
     );
-    // The acceptance criterion: the golden encodes a full chain, entry
+    // The acceptance check: the golden encodes a full chain, entry
     // point -> helper -> forbidden sink, with file:line hops.
     let d9 = violations
         .iter()
@@ -325,7 +325,7 @@ fn baseline_absorbs_debt_blocks_growth_and_flags_stale() {
 
 #[test]
 fn fixture_corpus_fails_deny_when_walked() {
-    // The acceptance criterion: pointing the lint at the violation corpus
+    // The acceptance check: pointing the lint at the violation corpus
     // exits nonzero. Copy the fixtures into a scratch workspace laid out so
     // every rule's gate applies (sim-path / telemetry / library).
     let ws = Scratch::new("corpus");
@@ -359,7 +359,7 @@ fn fixture_corpus_fails_deny_when_walked() {
 
 #[test]
 fn transitive_wall_clock_fails_deny_while_direct_helper_is_invisible_lexically() {
-    // The acceptance criterion for D9: a sim entry point whose helper chain
+    // The acceptance check for D9: a sim entry point whose helper chain
     // crosses into a non-sim crate and reads the wall clock there must fail
     // `--deny`, with the full chain in the diagnostic. The same helper with
     // no path from an entry point stays clean (reachability, not presence).

@@ -18,8 +18,9 @@
 //!
 //! Exports: [`Profiler::folded`] emits `inferno`/`flamegraph.pl`-ready
 //! folded stacks (`mrm;dispatch;decode_iter 1234` lines, self wall-ns
-//! values), and [`Profiler::report`] the top-N hot-handler table
-//! embedded in perf_suite output.
+//! values), and [`Profiler::report`] the top-N hot-handler table that
+//! the experiment bins write under `--profile` and `simbench`'s traced
+//! run turns into per-layer metrics.
 //!
 //! Wall-clock readings make this the one deliberately nondeterministic
 //! surface in the workspace: `mrm-obs` is *not* a sim-path crate (lint

@@ -8,9 +8,10 @@
 //!   `LogHistogram`-backed histograms behind small copyable handle types.
 //!   Plain `u64`/`f64` slots, no locks — cheap enough for the hot path of a
 //!   single-threaded simulation loop.
-//! - [`SimSpan`]/[`TelemetryEvent`]: spans and point events timestamped
-//!   with [`SimTime`](mrm_sim::time::SimTime) (never wall-clock), recorded
-//!   into the existing [`mrm_sim::trace::Trace`] ring buffer.
+//! - [`TelemetryEvent`]: named point events timestamped with
+//!   [`SimTime`](mrm_sim::time::SimTime) (never wall-clock), recorded into
+//!   the existing [`mrm_sim::trace::Trace`] ring buffer. Causal spans live
+//!   in `mrm-obs`.
 //! - Exporters ([`export`]): JSONL time-series snapshots taken at a
 //!   configurable sim-time interval, a Prometheus-style text dump, and CSV
 //!   via [`TraceRecord`](mrm_sim::trace::TraceRecord).
@@ -34,4 +35,4 @@ pub mod span;
 
 pub use registry::{CounterId, GaugeId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
 pub use sink::{NullSink, SimTelemetry, TelemetrySink};
-pub use span::{SimSpan, TelemetryEvent};
+pub use span::TelemetryEvent;

@@ -1,12 +1,9 @@
-//! Sim-time spans and point events.
+//! Point events recorded into the telemetry event ring.
 
-use mrm_sim::time::SimTime;
 use mrm_sim::trace::{csv_field, TraceRecord};
 
-use crate::sink::TelemetrySink;
-
 /// A named point event with one numeric payload (bytes moved, class index,
-/// span duration…), timestamped by the [`Trace`](mrm_sim::trace::Trace) it
+/// duration…), timestamped by the [`Trace`](mrm_sim::trace::Trace) it
 /// is pushed into.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TelemetryEvent {
@@ -27,100 +24,9 @@ impl TraceRecord for TelemetryEvent {
     }
 }
 
-/// An in-flight span of simulated time.
-///
-/// Spans are manual and allocation-free: [`SimSpan::begin`] captures the
-/// start instant, [`SimSpan::end`] emits one [`TelemetryEvent`] carrying
-/// the span's duration in nanoseconds, timestamped at the start. The
-/// consuming `end` makes dangling spans a compile-time borrow error rather
-/// than a silent accounting hole.
-///
-/// # Examples
-///
-/// ```
-/// use mrm_telemetry::{NullSink, SimSpan};
-/// use mrm_sim::time::SimTime;
-///
-/// let span = SimSpan::begin("gc_pass", SimTime::from_nanos(100));
-/// // ... simulate the GC pass ...
-/// let mut sink = NullSink;
-/// span.end(SimTime::from_nanos(350), &mut sink); // event value: 250 ns
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct SimSpan {
-    name: &'static str,
-    start: SimTime,
-}
-
-impl SimSpan {
-    /// Opens a span named `name` starting at `at`.
-    pub fn begin(name: &'static str, at: SimTime) -> Self {
-        SimSpan { name, start: at }
-    }
-
-    /// The span's start instant.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// Closes the span at `at`, emitting its duration (ns) as an event
-    /// timestamped at the span's start.
-    pub fn end(self, at: SimTime, sink: &mut dyn TelemetrySink) {
-        let dur = at.duration_since(self.start);
-        sink.event(self.start, self.name, dur.as_nanos() as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::SimTelemetry;
-    use mrm_sim::time::SimDuration;
-
-    #[test]
-    fn span_emits_duration_event_at_start_time() {
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        let span = SimSpan::begin("gc_pass", SimTime::from_nanos(1_000));
-        span.end(SimTime::from_nanos(1_750), &mut t);
-        assert_eq!(t.events().total_pushed(), 1);
-        let (at, ev) = t.events().iter().next().unwrap();
-        assert_eq!(at.as_nanos(), 1_000);
-        assert_eq!(ev.name, "gc_pass");
-        // Integer nanoseconds convert exactly into f64 here.
-        assert_eq!(ev.value.to_bits(), 750.0f64.to_bits());
-    }
-
-    #[test]
-    fn nested_spans_account_independently() {
-        // Spans are plain values: an inner span opened while an outer one
-        // is in flight closes on its own clock, and each emits exactly one
-        // duration event timestamped at its own start.
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        let outer = SimSpan::begin("sweep", SimTime::from_nanos(100));
-        let inner = SimSpan::begin("refresh", SimTime::from_nanos(150));
-        inner.end(SimTime::from_nanos(250), &mut t);
-        outer.end(SimTime::from_nanos(600), &mut t);
-        let recs: Vec<(u64, &'static str, f64)> = t
-            .events()
-            .iter()
-            .map(|(at, ev)| (at.as_nanos(), ev.name, ev.value))
-            .collect();
-        // Events land in close order but carry begin timestamps, so the
-        // nesting is reconstructible: inner ⊂ [outer.start, outer.end].
-        assert_eq!(recs, vec![(150, "refresh", 100.0), (100, "sweep", 500.0)]);
-    }
-
-    #[test]
-    fn zero_width_and_reopened_spans_are_distinct_events() {
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        let s = SimSpan::begin("plan", SimTime::from_nanos(10));
-        s.end(SimTime::from_nanos(10), &mut t); // zero-duration is legal
-        let again = SimSpan::begin("plan", SimTime::from_nanos(20));
-        again.end(SimTime::from_nanos(35), &mut t);
-        assert_eq!(t.events().total_pushed(), 2);
-        let vals: Vec<f64> = t.events().iter().map(|(_, ev)| ev.value).collect();
-        assert_eq!(vals, vec![0.0, 15.0]);
-    }
 
     #[test]
     fn event_csv_shape() {

@@ -16,8 +16,6 @@
 //! * [`placement`] — placement policies: HBM-only, HBM+LPDDR cold tier,
 //!   HBM+MRM, HBM+MRM with DCM.
 //! * [`prefix`] — vLLM-style prefix caching over chunk hashes (§2.2 \[54\]).
-//! * [`refresh`] — re-export shim: the expiration tracker and the refresh /
-//!   migrate / drop decision now live in `mrm-control`.
 //! * [`wear`] — software wear-levelling evaluation under sustained KV write
 //!   load (device lifetime in years).
 //! * [`cluster`] — the discrete-event inference-cluster simulation:
@@ -28,7 +26,6 @@ pub mod cluster;
 pub mod lifetime;
 pub mod placement;
 pub mod prefix;
-pub mod refresh;
 pub mod tier;
 pub mod wear;
 
@@ -38,6 +35,4 @@ pub use cluster::{
 };
 pub use lifetime::LifetimeEstimator;
 pub use placement::PlacementPolicy;
-// mrm-lint: allow(D7) re-export shim for pre-control-plane import paths
-pub use refresh::{ExpiryAction, ExpiryTracker};
 pub use tier::{Tier, TierKind};

@@ -111,32 +111,6 @@ impl SessionSampler {
     /// Draws one session. The context cap truncates later turns.
     pub fn sample(&self, rng: &mut SimRng) -> Session {
         let mut turns = Vec::new();
-        self.sample_with(rng, |p, o, gap| {
-            turns.push(Turn {
-                prompt_tokens: p,
-                output_tokens: o,
-                gap,
-            });
-        });
-        Session { turns }
-    }
-
-    /// Draws `n` sessions straight into a dense [`SessionBatch`]. Consumes
-    /// the RNG stream exactly as `n` consecutive [`sample`](Self::sample)
-    /// calls would (both run through the same generative core), so the two
-    /// representations are interchangeable under a shared seed.
-    pub fn sample_batch(&self, rng: &mut SimRng, n: usize) -> SessionBatch {
-        let mut batch = SessionBatch::with_capacity(n);
-        for _ in 0..n {
-            batch.push_session(self, rng);
-        }
-        batch
-    }
-
-    /// The generative core: draws one session's turns and hands each to
-    /// `push`. Every public sampling entry point delegates here, which is
-    /// what makes AoS and SoA outputs draw-for-draw identical.
-    fn sample_with(&self, rng: &mut SimRng, mut push: impl FnMut(u32, u32, SimDuration)) {
         let mut context = 0u32;
         for turn_idx in 0..self.max_turns {
             let (p, o) = self.sampler.sample(rng);
@@ -152,12 +126,17 @@ impl SessionSampler {
             } else {
                 SimDuration::from_secs_f64(self.think_time.sample(rng))
             };
-            push(p, o, gap);
+            turns.push(Turn {
+                prompt_tokens: p,
+                output_tokens: o,
+                gap,
+            });
             context += p + o;
             if !rng.gen_bool(self.continue_prob) {
                 break;
             }
         }
+        Session { turns }
     }
 
     /// Mean turns per session in closed form (truncated geometric).
@@ -166,131 +145,6 @@ impl SessionSampler {
         let n = self.max_turns as i32;
         // Sum_{k=1..n} k * P(turns = k) for truncated geometric.
         (1.0 - p.powi(n)) / (1.0 - p)
-    }
-}
-
-/// A population of sessions in struct-of-arrays layout.
-///
-/// Admission and expiry decisions scan *one field* across every turn of
-/// every session (gaps for retention-class coverage, token counts for
-/// recompute cost), so the hot loops walk dense homogeneous columns
-/// instead of striding through `Vec<Session>` → `Vec<Turn>` pointer
-/// chains. Turns of all sessions are concatenated; session `i` owns the
-/// half-open turn range `offsets[i]..offsets[i+1]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionBatch {
-    /// New user tokens per turn, all sessions concatenated.
-    prompt_tokens: Vec<u32>,
-    /// Model output tokens per turn, all sessions concatenated.
-    output_tokens: Vec<u32>,
-    /// Think-time gap before each turn (zero for every first turn).
-    gap: Vec<SimDuration>,
-    /// Per-session turn-range starts; `offsets[len()]` is the total turn
-    /// count, so the vector always holds `len() + 1` entries.
-    offsets: Vec<u32>,
-}
-
-impl Default for SessionBatch {
-    fn default() -> Self {
-        SessionBatch::with_capacity(0)
-    }
-}
-
-impl SessionBatch {
-    /// An empty batch expecting about `sessions` sessions.
-    pub fn with_capacity(sessions: usize) -> Self {
-        // ~2.5 turns per conversation session on average.
-        let turns = sessions.saturating_mul(3);
-        let mut offsets = Vec::with_capacity(sessions + 1);
-        offsets.push(0);
-        SessionBatch {
-            prompt_tokens: Vec::with_capacity(turns),
-            output_tokens: Vec::with_capacity(turns),
-            gap: Vec::with_capacity(turns),
-            offsets,
-        }
-    }
-
-    /// Draws one more session from `sampler` and appends it.
-    pub fn push_session(&mut self, sampler: &SessionSampler, rng: &mut SimRng) {
-        sampler.sample_with(rng, |p, o, gap| {
-            self.prompt_tokens.push(p);
-            self.output_tokens.push(o);
-            self.gap.push(gap);
-        });
-        self.offsets.push(self.prompt_tokens.len() as u32);
-    }
-
-    /// Number of sessions in the batch.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True when the batch holds no sessions.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.len() == 1
-    }
-
-    /// Total turns across all sessions.
-    pub fn turn_count(&self) -> usize {
-        self.prompt_tokens.len()
-    }
-
-    /// The turn-index range owned by session `i`.
-    pub fn turn_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
-    }
-
-    /// Dense per-turn prompt-token column.
-    pub fn prompt_tokens(&self) -> &[u32] {
-        &self.prompt_tokens
-    }
-
-    /// Dense per-turn output-token column.
-    pub fn output_tokens(&self) -> &[u32] {
-        &self.output_tokens
-    }
-
-    /// Dense per-turn think-time column.
-    pub fn gaps(&self) -> &[SimDuration] {
-        &self.gap
-    }
-
-    /// Per-session turn-range starts (`len() + 1` entries, last = total).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Context size after session `i`'s last turn, tokens.
-    pub fn final_context_tokens(&self, i: usize) -> u64 {
-        let r = self.turn_range(i);
-        self.prompt_tokens[r.clone()]
-            .iter()
-            .zip(&self.output_tokens[r])
-            .map(|(&p, &o)| u64::from(p) + u64::from(o))
-            .sum()
-    }
-
-    /// Longest inter-turn gap of session `i` — its retention requirement.
-    pub fn max_gap(&self, i: usize) -> SimDuration {
-        self.gap[self.turn_range(i)]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Materializes session `i` back into the AoS representation.
-    pub fn session(&self, i: usize) -> Session {
-        let r = self.turn_range(i);
-        let turns = r
-            .map(|t| Turn {
-                prompt_tokens: self.prompt_tokens[t],
-                output_tokens: self.output_tokens[t],
-                gap: self.gap[t],
-            })
-            .collect();
-        Session { turns }
     }
 }
 
@@ -379,56 +233,6 @@ mod tests {
         // Hours-class retention covers the overwhelming majority of think
         // times — the paper's hours-to-days sweet spot again.
         assert!(f64::from(covered_by_1h) > 0.95 * f64::from(sessions));
-    }
-
-    #[test]
-    fn batch_is_draw_identical_to_scalar_sampling() {
-        let s = sampler();
-        let mut rng_a = SimRng::seed_from(77);
-        let mut rng_b = SimRng::seed_from(77);
-        let n = 500;
-        let scalar: Vec<Session> = (0..n).map(|_| s.sample(&mut rng_a)).collect();
-        let batch = s.sample_batch(&mut rng_b, n);
-        assert_eq!(batch.len(), n);
-        assert_eq!(
-            batch.turn_count(),
-            scalar.iter().map(|x| x.turns.len()).sum::<usize>()
-        );
-        for (i, sess) in scalar.iter().enumerate() {
-            assert_eq!(&batch.session(i), sess, "session {i}");
-            assert_eq!(
-                batch.final_context_tokens(i),
-                sess.final_context_tokens(),
-                "session {i}"
-            );
-            assert_eq!(batch.max_gap(i), sess.max_gap(), "session {i}");
-        }
-        // And the RNGs are in the same state afterwards.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
-    fn batch_offsets_are_monotone_and_cover_all_turns() {
-        let s = sampler();
-        let mut rng = SimRng::seed_from(6);
-        let batch = s.sample_batch(&mut rng, 200);
-        let off = batch.offsets();
-        assert_eq!(off.len(), batch.len() + 1);
-        assert_eq!(off[0], 0);
-        assert!(off.windows(2).all(|w| w[0] < w[1]), "every session ≥1 turn");
-        assert_eq!(*off.last().unwrap() as usize, batch.turn_count());
-        assert_eq!(batch.prompt_tokens().len(), batch.turn_count());
-        assert_eq!(batch.output_tokens().len(), batch.turn_count());
-        assert_eq!(batch.gaps().len(), batch.turn_count());
-        // Every first turn has no gap.
-        for i in 0..batch.len() {
-            assert_eq!(batch.gaps()[batch.turn_range(i).start], SimDuration::ZERO);
-        }
-        assert!(!batch.is_empty());
-        let empty = SessionBatch::default();
-        assert!(empty.is_empty());
-        assert_eq!(empty.len(), 0);
-        assert_eq!(empty.offsets(), &[0]);
     }
 
     #[test]

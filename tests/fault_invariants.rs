@@ -15,6 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mrm::control::expiry::{ExpiryAction, ExpiryTracker};
 use mrm::control::{AuditAction, RetentionRegistry};
 use mrm::controller::ftl::{Ftl, FtlConfig};
 use mrm::controller::mrm_block::{MrmBlockController, ZoneError, ZoneId, ZoneState};
@@ -23,7 +24,6 @@ use mrm::device::tech::presets;
 use mrm::faults::{FaultConfig, FaultModel};
 use mrm::sim::time::{SimDuration, SimTime};
 use mrm::sim::units::MIB;
-use mrm::tiering::refresh::{ExpiryAction, ExpiryTracker};
 use mrm::tiering::{run_cluster_with_audit, ClusterConfig, PlacementPolicy};
 use proptest::prelude::*;
 use proptest::TestCaseError;
