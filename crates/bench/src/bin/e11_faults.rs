@@ -24,11 +24,9 @@ use mrm_bench::{check, heading, save_artifact, save_json, save_telemetry, Output
 use mrm_faults::FaultConfig;
 use mrm_obs::{perfetto, profile, slo, Obs};
 use mrm_sim::time::SimDuration;
-use mrm_sweep::{flag_value_from_args, threads_from_args, Grid, Sweep};
+use mrm_sweep::{seed_from_args, threads_from_args, Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
-use mrm_tiering::cluster::{
-    run_cluster, run_cluster_observed, run_cluster_with_telemetry, ClusterConfig, ClusterReport,
-};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use serde::{Serialize, Value};
 
@@ -64,16 +62,10 @@ fn config(policy: PlacementPolicy, margin: f64, secs: u64, seed: u64) -> Cluster
 fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
     let secs = if quick { 45 } else { 90 };
-    let seed = flag_value_from_args("--seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0xC1A5_7E12);
+    let seed = seed_from_args(0xC1A5_7E12);
     let threads = threads_from_args();
     let out = OutputPaths::from_args();
     let observe = out.trace.is_some() || out.profile.is_some();
-    // Snapshots are always collected: the SLO watchdog below reads them,
-    // and the sink is observe-only (the saved JSON the chaos-smoke job
-    // byte-compares is unchanged).
-    let collect = true;
 
     heading(&format!(
         "E11-faults — retention margin sweep: {}x..{}x data lifetime, seed {seed}, {secs} s \
@@ -89,23 +81,23 @@ fn main() {
         .map(|(p, m)| (p, m, config(p, m, secs, seed)));
     let points: Vec<(FaultSweepRecord, Vec<Snapshot>, Option<Box<Obs>>)> =
         Sweep::new(grid, move |(p, m, cfg), _rng| {
-            let record = |report| FaultSweepRecord {
+            // Snapshots are always collected: the SLO watchdog below reads
+            // them, and the sink is observe-only (the saved JSON the
+            // chaos-smoke job byte-compares is unchanged).
+            let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
+            let mut obs = observe.then(|| Box::new(Obs::new(cfg.seed)));
+            let mut sim = ClusterSim::new(cfg.clone());
+            sim.attach_telemetry(&mut tele);
+            if let Some(o) = obs.as_deref_mut() {
+                sim.attach_obs(o);
+            }
+            let (report, _audit) = sim.run_with_audit();
+            let record = FaultSweepRecord {
                 policy: p.label().to_string(),
                 margin: *m,
                 report,
             };
-            if observe {
-                let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-                let mut obs = Box::new(Obs::new(cfg.seed));
-                let (report, _audit) = run_cluster_observed(cfg.clone(), &mut tele, &mut obs);
-                (record(report), tele.into_snapshots(), Some(obs))
-            } else if collect {
-                let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-                let report = run_cluster_with_telemetry(cfg.clone(), &mut tele);
-                (record(report), tele.into_snapshots(), None)
-            } else {
-                (record(run_cluster(cfg.clone())), Vec::new(), None)
-            }
+            (record, tele.into_snapshots(), obs)
         })
         .run_parallel(threads);
     let results: Vec<&FaultSweepRecord> = points.iter().map(|(r, _, _)| r).collect();

@@ -29,7 +29,7 @@ use mrm_control::AuditAction;
 use mrm_faults::FaultConfig;
 use mrm_obs::{perfetto, profile, slo, validate_chrome_trace, Obs, SpanKind};
 use mrm_sim::time::SimDuration;
-use mrm_sweep::{flag_value_from_args, threads_from_args, Grid, Sweep};
+use mrm_sweep::{seed_from_args, threads_from_args, Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
 use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
@@ -140,9 +140,7 @@ fn append_series(out: &mut String, point: usize, policy: &str, regime: &str, sna
 fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
     let secs = if quick { 45 } else { 90 };
-    let seed = flag_value_from_args("--seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0xC0_47_01);
+    let seed = seed_from_args(0xC0_47_01);
     let threads = threads_from_args();
     let out = OutputPaths::from_args();
     let observe = out.trace.is_some() || out.profile.is_some();

@@ -83,7 +83,6 @@ fn main() {
     let mut tele = telemetry_path
         .as_ref()
         .map(|_| SimTelemetry::new(SimDuration::from_millis(100)));
-    let mut last_reconfigs = 0u64;
     for (i, &lt) in lifetimes.iter().enumerate() {
         let addr = (i as u64 * write_bytes) % (cap - write_bytes);
         dcm.write(SimTime::ZERO, addr, write_bytes, lt).unwrap();
@@ -95,11 +94,6 @@ fn main() {
             .unwrap();
         if let Some(tele) = tele.as_mut() {
             let now = SimTime::ZERO + SimDuration::from_millis(i as u64 + 1);
-            let reconfigs = dcm.reconfigs();
-            if reconfigs > last_reconfigs {
-                tele.event(now, "dcm_reconfig", reconfigs as f64);
-                last_reconfigs = reconfigs;
-            }
             while let Some(at) = tele.snapshot_due(now) {
                 dcm.emit_telemetry(tele);
                 tele.gauge("dcm_write_j", dcm.energy().write_j);

@@ -21,9 +21,7 @@ use mrm_sim::time::SimDuration;
 use mrm_sim::units::format_bytes;
 use mrm_sweep::{threads_from_args, Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
-use mrm_tiering::cluster::{
-    run_cluster, run_cluster_observed, run_cluster_with_telemetry, ClusterConfig, ClusterReport,
-};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use serde::Value;
 
@@ -47,18 +45,18 @@ fn run_grid(
     observe: bool,
 ) -> Vec<(ClusterReport, Vec<Snapshot>, Option<Box<Obs>>)> {
     Sweep::new(grid, move |cfg: &ClusterConfig, _rng| {
-        if observe {
-            let mut tele = SimTelemetry::new(SNAPSHOT_EVERY);
-            let mut obs = Box::new(Obs::new(cfg.seed));
-            let (report, _audit) = run_cluster_observed(cfg.clone(), &mut tele, &mut obs);
-            (report, tele.into_snapshots(), Some(obs))
-        } else if collect {
-            let mut tele = SimTelemetry::new(SNAPSHOT_EVERY);
-            let report = run_cluster_with_telemetry(cfg.clone(), &mut tele);
-            (report, tele.into_snapshots(), None)
-        } else {
-            (run_cluster(cfg.clone()), Vec::new(), None)
+        let mut tele = collect.then(|| SimTelemetry::new(SNAPSHOT_EVERY));
+        let mut obs = observe.then(|| Box::new(Obs::new(cfg.seed)));
+        let mut sim = ClusterSim::new(cfg.clone());
+        if let Some(t) = tele.as_mut() {
+            sim.attach_telemetry(t);
         }
+        if let Some(o) = obs.as_deref_mut() {
+            sim.attach_obs(o);
+        }
+        let (report, _audit) = sim.run_with_audit();
+        let snaps = tele.map(SimTelemetry::into_snapshots).unwrap_or_default();
+        (report, snaps, obs)
     })
     .run_parallel(threads)
 }

@@ -130,12 +130,6 @@ fn preflight_writable(path: &Path) -> std::io::Result<()> {
     fs::write(path, "")
 }
 
-/// Parses `--telemetry <path>` (or `--telemetry=<path>`) from `argv`:
-/// where the experiment binaries write their JSONL time-series export.
-pub fn telemetry_path_from_args() -> Option<PathBuf> {
-    output_path_from_args("--telemetry")
-}
-
 /// Writes an observation artifact (telemetry/trace/profile), labelled in
 /// the progress line; failure is a warning, not an abort — the printed
 /// tables remain the primary artifact of a run.

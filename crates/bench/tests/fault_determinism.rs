@@ -7,7 +7,7 @@
 use mrm_faults::FaultConfig;
 use mrm_sim::time::SimDuration;
 use mrm_sweep::{Grid, Sweep};
-use mrm_tiering::cluster::{run_cluster, ClusterConfig, ClusterReport};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 
 fn faulted_cfg(policy: PlacementPolicy, margin: f64, seed: u64) -> ClusterConfig {
@@ -40,7 +40,9 @@ fn faulted_sweep(
     let grid = Grid::axis([PlacementPolicy::HbmMrm, PlacementPolicy::HbmMrmDcm])
         .cross([4.0, 1.0, 0.25])
         .map(move |(policy, margin)| faulted_cfg(policy, margin, seed));
-    Sweep::new(grid, |cfg: &ClusterConfig, _rng| run_cluster(cfg.clone()))
+    Sweep::new(grid, |cfg: &ClusterConfig, _rng| {
+        ClusterSim::new(cfg.clone()).run_with_audit().0
+    })
 }
 
 #[test]
@@ -68,8 +70,12 @@ fn faulted_reports_are_byte_identical_across_thread_counts() {
 fn distinct_seeds_flip_distinct_bits() {
     // Determinism must come from the seed, not from a fixed error script:
     // two seeds at the same grid point diverge in the fault stream itself.
-    let a = run_cluster(faulted_cfg(PlacementPolicy::HbmMrm, 1.0, 1));
-    let b = run_cluster(faulted_cfg(PlacementPolicy::HbmMrm, 1.0, 2));
+    let a = ClusterSim::new(faulted_cfg(PlacementPolicy::HbmMrm, 1.0, 1))
+        .run_with_audit()
+        .0;
+    let b = ClusterSim::new(faulted_cfg(PlacementPolicy::HbmMrm, 1.0, 2))
+        .run_with_audit()
+        .0;
     assert!(a.faults.raw_flips > 0 && b.faults.raw_flips > 0);
     assert_ne!(
         serde_json::to_string(&a.faults).unwrap(),

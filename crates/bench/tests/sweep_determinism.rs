@@ -3,7 +3,7 @@
 
 use mrm_sim::time::SimDuration;
 use mrm_sweep::{Grid, Sweep};
-use mrm_tiering::cluster::{run_cluster, ClusterConfig, ClusterReport};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 
 fn cluster_sweep() -> Sweep<
@@ -19,7 +19,9 @@ fn cluster_sweep() -> Sweep<
             cfg.duration = SimDuration::from_secs(15);
             cfg
         });
-    Sweep::new(grid, |cfg: &ClusterConfig, _rng| run_cluster(cfg.clone()))
+    Sweep::new(grid, |cfg: &ClusterConfig, _rng| {
+        ClusterSim::new(cfg.clone()).run_with_audit().0
+    })
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use mrm_sim::time::SimDuration;
 use mrm_sweep::{Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
-use mrm_tiering::cluster::{run_cluster, run_cluster_with_telemetry, ClusterConfig, ClusterReport};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use serde::Value;
 
@@ -29,7 +29,9 @@ fn sweep_jsonl(threads: usize) -> String {
     let results: Vec<(ClusterReport, Vec<Snapshot>)> =
         Sweep::new(grid(), |cfg: &ClusterConfig, _rng| {
             let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-            let report = run_cluster_with_telemetry(cfg.clone(), &mut tele);
+            let mut sim = ClusterSim::new(cfg.clone());
+            sim.attach_telemetry(&mut tele);
+            let (report, _audit) = sim.run_with_audit();
             (report, tele.into_snapshots())
         })
         .run_parallel(threads);
@@ -59,21 +61,15 @@ fn swept_jsonl_is_byte_identical_across_thread_counts() {
 fn telemetry_sink_leaves_report_unchanged() {
     let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrmDcm, 2, 8.0);
     cfg.duration = SimDuration::from_secs(20);
-    let plain = run_cluster(cfg.clone());
+    let (plain, _) = ClusterSim::new(cfg.clone()).run_with_audit();
     let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-    let traced = run_cluster_with_telemetry(cfg, &mut tele);
-    assert_eq!(plain.tokens, traced.tokens);
-    assert_eq!(plain.completions, traced.completions);
-    assert_eq!(plain.cache_hits, traced.cache_hits);
-    assert_eq!(plain.scrubs, traced.scrubs);
-    // Telemetry must be a pure observer: bit-identical results.
+    let mut sim = ClusterSim::new(cfg);
+    sim.attach_telemetry(&mut tele);
+    let (traced, _) = sim.run_with_audit();
+    // Telemetry must be a pure observer: the whole report is byte-identical.
     assert_eq!(
-        plain.energy_total_j.to_bits(),
-        traced.energy_total_j.to_bits()
-    );
-    assert_eq!(
-        plain.p99_latency_ms.map(f64::to_bits),
-        traced.p99_latency_ms.map(f64::to_bits)
+        serde_json::to_string(&plain).unwrap(),
+        serde_json::to_string(&traced).unwrap()
     );
     assert!(!tele.snapshots().is_empty());
 }

@@ -5,9 +5,9 @@
 //! sim-time. The log is the oracle the chaos tests interrogate: under
 //! fault injection at full recovery-ladder depth, *no `Required`-class
 //! object may be dropped without a preceding re-fetch/recompute record*
-//! (REQUIRED-DURABLE). It also flows through `mrm-telemetry` as `control_*`
-//! counters and `audit_*` events — observe-only, so a run with or without
-//! a sink attached is byte-identical.
+//! (REQUIRED-DURABLE). Its per-action totals flow through `mrm-telemetry`
+//! as `control_*` counters — observe-only, so a run with or without a sink
+//! attached is byte-identical.
 
 use std::collections::BTreeSet;
 
@@ -60,8 +60,7 @@ impl AuditAction {
         ]
     }
 
-    /// Stable label (also the suffix of the `control_*` counter and
-    /// `audit_*` event names).
+    /// Stable label (also the suffix of the `control_*` counter names).
     pub fn label(self) -> &'static str {
         match self {
             AuditAction::Store => "store",
@@ -73,21 +72,6 @@ impl AuditAction {
             AuditAction::Escalate => "escalate",
             AuditAction::Refetch => "refetch",
             AuditAction::Recompute => "recompute",
-        }
-    }
-
-    /// Telemetry event name (static, one per action).
-    fn event_name(self) -> &'static str {
-        match self {
-            AuditAction::Store => "audit_store",
-            AuditAction::Refresh => "audit_refresh",
-            AuditAction::Migrate => "audit_migrate",
-            AuditAction::Drop => "audit_drop",
-            AuditAction::Evict => "audit_evict",
-            AuditAction::Retire => "audit_retire",
-            AuditAction::Escalate => "audit_escalate",
-            AuditAction::Refetch => "audit_refetch",
-            AuditAction::Recompute => "audit_recompute",
         }
     }
 
@@ -151,12 +135,11 @@ pub struct AuditRecord {
     pub bytes: u64,
 }
 
-/// Append-only decision log with per-action counts and a telemetry cursor.
+/// Append-only decision log with per-action counts.
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
     records: Vec<AuditRecord>,
     counts: [u64; 9],
-    emitted: usize,
 }
 
 impl AuditLog {
@@ -235,19 +218,13 @@ impl AuditLog {
         violations
     }
 
-    /// Emits `control_*` counters (monotone totals) plus one `audit_*`
-    /// event per record appended since the previous call. Observe-only:
-    /// with no sink attached the cursor simply never advances and
-    /// simulation state is untouched.
-    pub fn emit_telemetry(&mut self, sink: &mut dyn TelemetrySink) {
+    /// Emits the `control_*` counters (monotone totals). Observe-only:
+    /// republishing is idempotent.
+    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
         sink.count_to("control_audit_records", self.records.len() as u64);
         for action in AuditAction::all() {
             sink.count_to(action.counter_name(), self.count(action));
         }
-        for r in &self.records[self.emitted..] {
-            sink.event(r.at, r.action.event_name(), r.bytes as f64);
-        }
-        self.emitted = self.records.len();
     }
 }
 
@@ -389,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_and_events_flow() {
+    fn telemetry_counters_flow() {
         use mrm_telemetry::sink::SimTelemetry;
 
         fn counter(sink: &mut SimTelemetry, at: SimTime, name: &str) -> Option<u64> {
@@ -424,8 +401,6 @@ mod tests {
         assert_eq!(counter(&mut sink, t(2), "control_store"), Some(1));
         assert_eq!(counter(&mut sink, t(2), "control_refresh"), Some(1));
         assert_eq!(counter(&mut sink, t(2), "control_drop"), Some(0));
-        assert_eq!(sink.events().total_pushed(), 2);
-        // Cursor: a second emit adds only new records' events.
         log.record(
             t(3),
             ControlClass::KvPrefix,
@@ -437,7 +412,6 @@ mod tests {
         log.emit_telemetry(&mut sink);
         assert_eq!(counter(&mut sink, t(3), "control_audit_records"), Some(3));
         assert_eq!(counter(&mut sink, t(3), "control_drop"), Some(1));
-        assert_eq!(sink.events().total_pushed(), 3);
     }
 
     #[test]

@@ -164,8 +164,9 @@ impl ControlPlane {
             .unwrap_or(false)
     }
 
-    /// Emits `control_*` counters and `audit_*` events into a sink.
-    pub fn emit_telemetry(&mut self, sink: &mut dyn TelemetrySink) {
+    /// Emits the `control_*` counters and the required-drop gauge into a
+    /// sink.
+    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
         sink.gauge(
             "control_required_drop_violations",
             self.audit.required_drop_violations(&self.registry).len() as f64,

@@ -3,8 +3,7 @@
 //! The substrate under every other crate in the `mrm` workspace: a
 //! deterministic discrete-event simulation core with nanosecond-resolution
 //! virtual time, a splittable pseudo-random number generator, the probability
-//! distributions used by the workload generators, streaming statistics, and a
-//! lightweight trace facility.
+//! distributions used by the workload generators, and streaming statistics.
 //!
 //! Design goals:
 //!
@@ -38,7 +37,6 @@ pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 pub use dist::{Distribution, Empirical, Exponential, LogNormal, Zipf};

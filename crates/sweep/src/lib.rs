@@ -252,6 +252,28 @@ fn threads_from(args: impl IntoIterator<Item = String>) -> usize {
         })
 }
 
+/// Reads the base seed from CLI args: `--seed N` or `--seed=N`, `default`
+/// when the flag is absent.
+///
+/// A value that is not a `u64` is fatal: it prints one `error: --seed ...`
+/// line and exits with status 2 before any simulation, so a typo can never
+/// silently rerun the default seed.
+pub fn seed_from_args(default: u64) -> u64 {
+    seed_from(default, std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn seed_from(default: u64, args: impl IntoIterator<Item = String>) -> Result<u64, String> {
+    match flag_value("--seed", args) {
+        None => Ok(default),
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|e| format!("--seed value {v:?} is not a u64: {e}")),
+    }
+}
+
 /// Reads the value of `--flag VALUE` or `--flag=VALUE` from the process
 /// arguments (`None` when absent). Bench binaries share this for optional
 /// outputs like `--telemetry <path>`.
@@ -415,5 +437,18 @@ mod tests {
         // Absent or malformed flags fall back to available parallelism (>=1).
         assert!(threads_from(args(&[])) >= 1);
         assert!(threads_from(args(&["--threads", "zebra"])) >= 1);
+    }
+
+    #[test]
+    fn seed_flag_parsing() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(seed_from(9, args(&["--seed", "7"])), Ok(7));
+        assert_eq!(seed_from(9, args(&["--quick", "--seed=7"])), Ok(7));
+        assert_eq!(seed_from(9, args(&["--quick"])), Ok(9));
+        // Garbage is an error, never a silent fallback to the default.
+        for bad in ["abc", "-1", ""] {
+            let err = seed_from(9, args(&["--seed", bad])).unwrap_err();
+            assert!(err.starts_with("--seed value"), "{err}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! # `mrm-telemetry` — sim-time-aware metrics and tracing
+//! # `mrm-telemetry` — sim-time-aware metrics
 //!
 //! The paper's argument turns on *housekeeping* — DRAM refresh, flash GC,
 //! MRM scrubbing, tier migration — and housekeeping is invisible in an
@@ -8,16 +8,17 @@
 //!   `LogHistogram`-backed histograms behind small copyable handle types.
 //!   Plain `u64`/`f64` slots, no locks — cheap enough for the hot path of a
 //!   single-threaded simulation loop.
-//! - [`TelemetryEvent`]: named point events timestamped with
-//!   [`SimTime`](mrm_sim::time::SimTime) (never wall-clock), recorded into
-//!   the existing [`mrm_sim::trace::Trace`] ring buffer. Causal spans live
-//!   in `mrm-obs`.
 //! - Exporters ([`export`]): JSONL time-series snapshots taken at a
-//!   configurable sim-time interval, a Prometheus-style text dump, and CSV
-//!   via [`TraceRecord`](mrm_sim::trace::TraceRecord).
+//!   configurable sim-time interval (stamped in
+//!   [`SimTime`](mrm_sim::time::SimTime), never wall-clock) and a
+//!   Prometheus-style text dump.
 //! - [`TelemetrySink`]: the instrumentation-facing trait. Every method has
 //!   a no-op default and [`NullSink`] overrides nothing, so disabled
 //!   instrumentation compiles down to empty inlinable calls.
+//!
+//! Individual decisions are not recorded here: the control plane's audit
+//! log (`mrm-control`) is their one record, and causal spans live in
+//! `mrm-obs`.
 //!
 //! ## Determinism contract
 //!
@@ -31,8 +32,6 @@
 pub mod export;
 pub mod registry;
 pub mod sink;
-pub mod span;
 
 pub use registry::{CounterId, GaugeId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
 pub use sink::{NullSink, SimTelemetry, TelemetrySink};
-pub use span::TelemetryEvent;

@@ -2,11 +2,9 @@
 //! recording implementation used by the simulators.
 
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_sim::trace::Trace;
 
 use crate::export;
 use crate::registry::{MetricsRegistry, Snapshot};
-use crate::span::TelemetryEvent;
 
 /// Where instrumented code sends its measurements.
 ///
@@ -47,9 +45,6 @@ pub trait TelemetrySink {
     /// Records one observation into histogram `name`.
     fn observe(&mut self, _name: &'static str, _value: f64) {}
 
-    /// Records a point event at sim time `at`.
-    fn event(&mut self, _at: SimTime, _name: &'static str, _value: f64) {}
-
     /// If a snapshot boundary has been reached by `now`, the boundary's
     /// timestamp; `None` otherwise. Call in a loop: multiple boundaries
     /// may be due after a long event gap.
@@ -67,11 +62,8 @@ pub struct NullSink;
 
 impl TelemetrySink for NullSink {}
 
-/// Default capacity of the event ring buffer.
-const DEFAULT_EVENT_CAPACITY: usize = 4096;
-
 /// The recording sink: a [`MetricsRegistry`] snapshotted on a fixed
-/// sim-time cadence, plus an event ring buffer.
+/// sim-time cadence.
 ///
 /// # Examples
 ///
@@ -93,33 +85,21 @@ pub struct SimTelemetry {
     interval: SimDuration,
     next_snapshot: SimTime,
     snapshots: Vec<Snapshot>,
-    events: EventTrace,
 }
 
-/// The event buffer type: a bounded ring of [`TelemetryEvent`]s.
-pub type EventTrace = Trace<TelemetryEvent>;
-
 impl SimTelemetry {
-    /// Creates a sink snapshotting every `interval` of sim time, with the
-    /// default event-buffer capacity.
+    /// Creates a sink snapshotting every `interval` of sim time.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero (the pump loop could never terminate).
     pub fn new(interval: SimDuration) -> Self {
-        Self::with_event_capacity(interval, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Creates a sink with an explicit event-buffer capacity (0 keeps
-    /// event counts but retains no event records).
-    pub fn with_event_capacity(interval: SimDuration, events: usize) -> Self {
         assert!(!interval.is_zero(), "snapshot interval must be non-zero");
         SimTelemetry {
             registry: MetricsRegistry::new(),
             interval,
             next_snapshot: SimTime::ZERO + interval,
             snapshots: Vec::new(),
-            events: Trace::with_capacity(events),
         }
     }
 
@@ -133,11 +113,6 @@ impl SimTelemetry {
         &self.registry
     }
 
-    /// Mutably borrows the metric registry (for handle-based hot paths).
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// The snapshots captured so far, oldest first.
     pub fn snapshots(&self) -> &[Snapshot] {
         &self.snapshots
@@ -146,11 +121,6 @@ impl SimTelemetry {
     /// Consumes the sink, yielding its snapshots.
     pub fn into_snapshots(self) -> Vec<Snapshot> {
         self.snapshots
-    }
-
-    /// Borrows the recorded events.
-    pub fn events(&self) -> &EventTrace {
-        &self.events
     }
 
     /// Takes one final snapshot stamped `end` unless the latest snapshot
@@ -170,11 +140,6 @@ impl SimTelemetry {
     /// Exports the current registry state in Prometheus text format.
     pub fn to_prometheus(&self) -> String {
         export::prometheus(&self.registry)
-    }
-
-    /// Exports the retained events as CSV (`time_ns,event,value`).
-    pub fn events_csv(&self) -> String {
-        self.events.to_csv()
     }
 }
 
@@ -203,10 +168,6 @@ impl TelemetrySink for SimTelemetry {
         self.registry.observe(id, value);
     }
 
-    fn event(&mut self, at: SimTime, name: &'static str, value: f64) {
-        self.events.push(at, TelemetryEvent { name, value });
-    }
-
     fn snapshot_due(&self, now: SimTime) -> Option<SimTime> {
         (now >= self.next_snapshot).then_some(self.next_snapshot)
     }
@@ -232,7 +193,6 @@ mod tests {
         s.count("x", 1);
         s.gauge("y", 2.0);
         s.observe("z", 3.0);
-        s.event(SimTime::ZERO, "e", 0.0);
         assert_eq!(s.snapshot_due(SimTime::MAX), None);
         s.snapshot(SimTime::ZERO);
     }
@@ -275,19 +235,6 @@ mod tests {
         t.snapshot(SimTime::ZERO + SimDuration::from_millis(200));
         assert_eq!(t.snapshots()[0].counters[0], ("ops".to_string(), 2));
         assert_eq!(t.snapshots()[1].counters[0], ("ops".to_string(), 5));
-    }
-
-    #[test]
-    fn events_record_into_ring_buffer() {
-        let mut t = SimTelemetry::with_event_capacity(SimDuration::from_secs(1), 2);
-        t.event(SimTime::from_nanos(1), "gc", 4.0);
-        t.event(SimTime::from_nanos(2), "gc", 5.0);
-        t.event(SimTime::from_nanos(3), "scrub", 6.0);
-        assert_eq!(t.events().total_pushed(), 3);
-        assert_eq!(t.events().len(), 2);
-        let csv = t.events_csv();
-        assert!(csv.starts_with("time_ns,event,value\n"), "{csv}");
-        assert!(csv.contains("3,scrub,6"), "{csv}");
     }
 
     #[test]

@@ -42,10 +42,6 @@ use crate::lifetime::LifetimeEstimator;
 use crate::placement::PlacementPolicy;
 use crate::tier::{Tier, TierKind};
 
-/// Alias kept for the public API: the memory system *is* the placement
-/// policy.
-pub type MemorySystemKind = PlacementPolicy;
-
 /// Cluster configuration.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -503,9 +499,11 @@ fn tier_index(kind: TierKind) -> usize {
 
 /// The cluster simulator.
 ///
-/// The lifetime parameter is the borrow of an optionally attached
-/// [`TelemetrySink`] (see [`ClusterSim::attach_telemetry`]); plain
-/// `ClusterSim::new(cfg).run()` callers never see it.
+/// Build it with [`ClusterSim::new`], optionally attach observers
+/// ([`ClusterSim::attach_telemetry`], [`ClusterSim::attach_obs`]), then
+/// [`ClusterSim::run_with_audit`]. The lifetime parameter is the borrow of
+/// those observers; a bare `ClusterSim::new(cfg).run_with_audit()` never
+/// sees it.
 pub struct ClusterSim<'t> {
     cfg: ClusterConfig,
     accels: Vec<Accel>,
@@ -1099,11 +1097,6 @@ impl<'t> ClusterSim<'t> {
         }
     }
 
-    /// Runs to completion and produces the report.
-    pub fn run(self) -> ClusterReport {
-        self.run_with_audit().0
-    }
-
     /// Runs to completion and returns the report together with the full
     /// audit log — the chaos suite's oracle.
     pub fn run_with_audit(mut self) -> (ClusterReport, AuditLog) {
@@ -1160,9 +1153,8 @@ impl<'t> ClusterSim<'t> {
     }
 
     /// Publishes the simulation's current counters and occupancy into a
-    /// sink. Observe-only with respect to the simulated state: the only
-    /// mutation is the audit log's export cursor.
-    fn sample_into(&mut self, sink: &mut dyn TelemetrySink) {
+    /// sink. Observe-only: nothing in the simulation changes.
+    fn sample_into(&self, sink: &mut dyn TelemetrySink) {
         sink.count_to("cluster_arrivals", self.arrivals);
         sink.count_to("cluster_completions", self.completions);
         sink.count_to("cluster_tokens", self.tokens);
@@ -1565,9 +1557,6 @@ impl<'t> ClusterSim<'t> {
                     .weights_tier(policy)
                     .stream_write(weights_bytes, w_ret);
                 self.accels[acc].weights_written_at = now;
-                if let Some(sink) = self.telemetry.as_deref_mut() {
-                    sink.event(now, "fault_refetch", weights_bytes as f64);
-                }
             }
         }
         // KV: all active contexts read; one vector appended per context;
@@ -1754,9 +1743,6 @@ impl<'t> ClusterSim<'t> {
                 if !hit_survived {
                     self.fault_recomputes += 1;
                     fault_span = self.obs_fault(now, acc, ctx, probe.0);
-                    if let Some(sink) = self.telemetry.as_deref_mut() {
-                        sink.event(now, "fault_recompute", probe.0 as f64);
-                    }
                 }
             }
         }
@@ -1982,9 +1968,6 @@ impl<'t> ClusterSim<'t> {
                             );
                             self.scrubs += 1;
                             self.scrub_bytes += bytes;
-                            if let Some(sink) = self.telemetry.as_deref_mut() {
-                                sink.event(now, "scrub", bytes as f64);
-                            }
                         } else {
                             self.fault_escalations += 1;
                             let fault = self.obs_fault(now, acc, ctx, bytes);
@@ -2027,9 +2010,6 @@ impl<'t> ClusterSim<'t> {
                             );
                             self.migrations += 1;
                             self.migration_bytes += bytes;
-                            if let Some(sink) = self.telemetry.as_deref_mut() {
-                                sink.event(now, "fault_escalation", bytes as f64);
-                            }
                         }
                     }
                     WorkKind::Migrate { to } => {
@@ -2062,9 +2042,6 @@ impl<'t> ClusterSim<'t> {
                         );
                         self.migrations += 1;
                         self.migration_bytes += bytes;
-                        if let Some(sink) = self.telemetry.as_deref_mut() {
-                            sink.event(now, "migrate", bytes as f64);
-                        }
                     }
                     WorkKind::RecomputeDrop | WorkKind::Retire => {
                         // Need lapsed. No recompute happens *now* — the
@@ -2108,9 +2085,6 @@ impl<'t> ClusterSim<'t> {
                         );
                         self.free_cached(acc, ctx);
                         self.drops += 1;
-                        if let Some(sink) = self.telemetry.as_deref_mut() {
-                            sink.event(now, "drop", bytes as f64);
-                        }
                     }
                     WorkKind::Refetch => unreachable!("plan never emits refetch"),
                 }
@@ -2281,30 +2255,8 @@ impl<'t> ClusterSim<'t> {
     }
 }
 
-/// Convenience: build and run in one call.
-pub fn run_cluster(cfg: ClusterConfig) -> ClusterReport {
-    ClusterSim::new(cfg).run()
-}
-
-/// [`run_cluster`], also returning the audit log for oracle checks.
-pub fn run_cluster_with_audit(cfg: ClusterConfig) -> (ClusterReport, AuditLog) {
-    ClusterSim::new(cfg).run_with_audit()
-}
-
-/// [`run_cluster`] with a telemetry sink attached. Produces the exact same
-/// report as [`run_cluster`] on the same config: the sink is observe-only
-/// (see [`ClusterSim::attach_telemetry`]).
-pub fn run_cluster_with_telemetry(
-    cfg: ClusterConfig,
-    sink: &mut dyn TelemetrySink,
-) -> ClusterReport {
-    let mut sim = ClusterSim::new(cfg);
-    sim.attach_telemetry(sink);
-    sim.run()
-}
-
-/// Fully-observed run: telemetry sink, causal tracer + profiler, and the
-/// audit log all come back alongside the report. The obs bundle obeys the
+/// Fully-observed run: [`ClusterSim::new`], both `attach_*` calls, then
+/// [`ClusterSim::run_with_audit`]. The obs bundle obeys the
 /// same contract as the sink — observe-only, byte-identical report (see
 /// [`ClusterSim::attach_obs`] and lint rule D8).
 pub fn run_cluster_observed(
@@ -2321,11 +2273,16 @@ pub fn run_cluster_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrm_telemetry::SimTelemetry;
+
+    fn run(cfg: ClusterConfig) -> ClusterReport {
+        ClusterSim::new(cfg).run_with_audit().0
+    }
 
     fn quick(policy: PlacementPolicy) -> ClusterReport {
         let mut cfg = ClusterConfig::llama70b(policy, 2, 8.0);
         cfg.duration = SimDuration::from_secs(30);
-        run_cluster(cfg)
+        run(cfg)
     }
 
     #[test]
@@ -2348,7 +2305,7 @@ mod tests {
         // `LogHistogram::percentile`.
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 2, 0.0);
         cfg.duration = SimDuration::from_secs(30);
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert_eq!(r.completions, 0);
         assert_eq!(r.tokens, 0);
         assert_eq!(r.p50_latency_ms, None);
@@ -2357,52 +2314,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sink_does_not_perturb_report() {
-        let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 2, 8.0);
-        cfg.duration = SimDuration::from_secs(30);
-        let plain = run_cluster(cfg.clone());
-        let mut tele = mrm_telemetry::SimTelemetry::new(SimDuration::from_secs(5));
-        let traced = run_cluster_with_telemetry(cfg, &mut tele);
-
-        // The report must be bit-identical with the sink attached.
-        assert_eq!(plain.tokens, traced.tokens);
-        assert_eq!(plain.completions, traced.completions);
-        assert_eq!(plain.cache_hits, traced.cache_hits);
-        assert_eq!(plain.scrubs, traced.scrubs);
-        assert_eq!(plain.migrations, traced.migrations);
-        assert_eq!(plain.evictions, traced.evictions);
-        // Telemetry must be a pure observer: bit-identical results.
-        assert_eq!(
-            plain.energy_total_j.to_bits(),
-            traced.energy_total_j.to_bits()
-        );
-        assert_eq!(
-            plain.p99_latency_ms.map(f64::to_bits),
-            traced.p99_latency_ms.map(f64::to_bits)
-        );
-
-        // 30 s pumped at 5 s → exactly 6 boundary-stamped snapshots.
-        let snaps = tele.snapshots();
-        assert_eq!(snaps.len(), 6);
-        for (k, s) in snaps.iter().enumerate() {
-            assert_eq!(s.sim_time_ns, (k as u64 + 1) * 5_000_000_000);
-        }
-        let reg = tele.registry();
-        assert_eq!(reg.counter_value("cluster_tokens"), Some(traced.tokens));
-        assert_eq!(reg.counter_value("cluster_scrubs"), Some(traced.scrubs));
-        // Under HbmMrm the weights and KV live in MRM; HBM only streams
-        // activations, so its occupancy gauge exists but may read zero.
-        assert!(reg.gauge_value("tier_hbm_occupancy").is_some());
-        assert!(reg.gauge_value("tier_mrm_occupancy").unwrap() > 0.0);
-        let lat = reg.histogram_by_name("latency_ms").expect("latency hist");
-        assert_eq!(lat.count(), traced.completions);
-    }
-
-    #[test]
-    fn obs_bundle_does_not_perturb_report() {
-        // The central mrm-obs contract: attaching the tracer + profiler
-        // changes NOTHING about the simulation — report and audit log are
-        // byte-identical, even with the fault layer (and its RNG) active.
+    fn observers_do_not_perturb_report_or_audit() {
+        // The observe-only contract, over every attachment combination:
+        // neither the telemetry sink nor the tracer + profiler bundle may
+        // change the report or add, drop or reorder a control decision,
+        // even with the fault layer (and its RNG) active.
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrmDcm, 2, 8.0);
         cfg.duration = SimDuration::from_secs(30);
         cfg.faults = FaultConfig {
@@ -2410,56 +2326,63 @@ mod tests {
             provision_margin: Some(1.0),
             ..FaultConfig::mrm()
         };
-        let (plain, plain_audit) = run_cluster_with_audit(cfg.clone());
+        let (plain, plain_audit) = ClusterSim::new(cfg.clone()).run_with_audit();
+        let plain_json = serde_json::to_string(&plain).unwrap();
+        for (with_tele, with_obs) in [(true, false), (false, true), (true, true)] {
+            let mut tele = with_tele.then(|| SimTelemetry::new(SimDuration::from_secs(5)));
+            let mut obs = with_obs.then(|| Obs::new(cfg.seed));
+            let mut sim = ClusterSim::new(cfg.clone());
+            if let Some(t) = tele.as_mut() {
+                sim.attach_telemetry(t);
+            }
+            if let Some(o) = obs.as_mut() {
+                sim.attach_obs(o);
+            }
+            let (observed, audit) = sim.run_with_audit();
+            let which = format!("telemetry={with_tele} obs={with_obs}");
+            assert_eq!(
+                serde_json::to_string(&observed).unwrap(),
+                plain_json,
+                "{which}"
+            );
+            assert_eq!(audit.records(), plain_audit.records(), "{which}");
 
-        let mut tele = mrm_telemetry::SimTelemetry::new(SimDuration::from_secs(5));
-        let mut obs = Obs::new(cfg.seed);
-        let (observed, obs_audit) = run_cluster_observed(cfg, &mut tele, &mut obs);
-
-        assert_eq!(plain.tokens, observed.tokens);
-        assert_eq!(plain.completions, observed.completions);
-        assert_eq!(plain.cache_hits, observed.cache_hits);
-        assert_eq!(plain.recomputes, observed.recomputes);
-        assert_eq!(plain.scrubs, observed.scrubs);
-        assert_eq!(plain.migrations, observed.migrations);
-        assert_eq!(plain.evictions, observed.evictions);
-        assert_eq!(plain.faults, observed.faults);
-        assert_eq!(
-            plain.energy_total_j.to_bits(),
-            observed.energy_total_j.to_bits()
-        );
-        assert_eq!(
-            plain.p99_latency_ms.map(f64::to_bits),
-            observed.p99_latency_ms.map(f64::to_bits)
-        );
-        assert_eq!(
-            plain.p99_ttft_ms.map(f64::to_bits),
-            observed.p99_ttft_ms.map(f64::to_bits)
-        );
-        // Audit logs identical entry-for-entry: obs never adds, drops, or
-        // reorders control decisions.
-        assert_eq!(plain_audit.len(), obs_audit.len());
-        for (a, b) in plain_audit.records().iter().zip(obs_audit.records().iter()) {
-            assert_eq!(a.at, b.at);
-            assert_eq!(a.reason, b.reason);
-            assert_eq!(a.bytes, b.bytes);
+            if let Some(tele) = &tele {
+                // 30 s pumped at 5 s → exactly 6 boundary-stamped snapshots.
+                let snaps = tele.snapshots();
+                assert_eq!(snaps.len(), 6);
+                for (k, s) in snaps.iter().enumerate() {
+                    assert_eq!(s.sim_time_ns, (k as u64 + 1) * 5_000_000_000);
+                }
+                let reg = tele.registry();
+                assert_eq!(reg.counter_value("cluster_tokens"), Some(plain.tokens));
+                assert_eq!(reg.counter_value("cluster_scrubs"), Some(plain.scrubs));
+                // Under HbmMrmDcm the weights and KV live in MRM; HBM only
+                // streams activations, so its occupancy gauge exists but
+                // may read zero.
+                assert!(reg.gauge_value("tier_hbm_occupancy").is_some());
+                assert!(reg.gauge_value("tier_mrm_occupancy").unwrap() > 0.0);
+                let lat = reg.histogram_by_name("latency_ms").expect("latency hist");
+                assert_eq!(lat.count(), plain.completions);
+            }
+            if let Some(obs) = &obs {
+                // And the trace actually observed something.
+                assert!(obs.tracer.total() > 0, "tracer recorded no spans");
+                assert!(
+                    obs.tracer.spans().any(|s| s.kind == SpanKind::Admission),
+                    "no admission spans"
+                );
+                assert!(
+                    obs.tracer.spans().any(|s| s.kind == SpanKind::DecodeIter),
+                    "no decode-iteration slices"
+                );
+                let prof = obs.profiler.report(5);
+                assert!(
+                    prof.top.iter().any(|h| h.name == "iter_done"),
+                    "profiler missed the decode handler"
+                );
+            }
         }
-
-        // And the trace actually observed something.
-        assert!(obs.tracer.total() > 0, "tracer recorded no spans");
-        assert!(
-            obs.tracer.spans().any(|s| s.kind == SpanKind::Admission),
-            "no admission spans"
-        );
-        assert!(
-            obs.tracer.spans().any(|s| s.kind == SpanKind::DecodeIter),
-            "no decode-iteration slices"
-        );
-        let prof = obs.profiler.report(5);
-        assert!(
-            prof.top.iter().any(|h| h.name == "iter_done"),
-            "profiler missed the decode handler"
-        );
     }
 
     #[test]
@@ -2475,8 +2398,8 @@ mod tests {
             ber_scale: 0.0,
             ..FaultConfig::mrm()
         };
-        let mut plain = run_cluster(base);
-        let mut zero = run_cluster(zeroed);
+        let mut plain = run(base);
+        let mut zero = run(zeroed);
         // Only the `enabled` flag may differ; blank the summaries and
         // compare everything else byte for byte through serde.
         plain.faults = FaultSummary::default();
@@ -2507,8 +2430,8 @@ mod tests {
 
     #[test]
     fn seeded_faults_are_deterministic() {
-        let a = run_cluster(chaos_cfg());
-        let b = run_cluster(chaos_cfg());
+        let a = run(chaos_cfg());
+        let b = run(chaos_cfg());
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -2518,7 +2441,7 @@ mod tests {
 
     #[test]
     fn tight_margin_engages_recovery_and_blocks_sdc() {
-        let r = run_cluster(chaos_cfg());
+        let r = run(chaos_cfg());
         assert!(r.faults.enabled);
         assert!(r.faults.reads > 0, "injection must have run");
         assert!(r.faults.raw_flips > 0, "margin 1 at 40x BER must flip bits");
@@ -2559,7 +2482,7 @@ mod tests {
             provision_margin: Some(0.25),
             ..FaultConfig::mrm()
         };
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert!(
             r.faults.scrub_escalations > 0,
             "failed verification reads must escalate: {:?}",
@@ -2574,8 +2497,10 @@ mod tests {
 
     #[test]
     fn fault_telemetry_reaches_the_sink() {
-        let mut tele = mrm_telemetry::SimTelemetry::new(SimDuration::from_secs(5));
-        let r = run_cluster_with_telemetry(chaos_cfg(), &mut tele);
+        let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
+        let mut sim = ClusterSim::new(chaos_cfg());
+        sim.attach_telemetry(&mut tele);
+        let (r, _audit) = sim.run_with_audit();
         let reg = tele.registry();
         assert_eq!(
             reg.counter_value("cluster_fault_reads"),
@@ -2670,7 +2595,7 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 2, 8.0);
         cfg.duration = SimDuration::from_secs(60);
         cfg.followup_prob = 0.8;
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert!(r.cache_hits > 0, "expected follow-up cache hits");
     }
 
@@ -2689,7 +2614,7 @@ mod tests {
         cfg.followup_window = SimDuration::from_mins(30);
         cfg.followup_prob = 0.0; // isolate the maintenance path
         cfg.maintenance_period = SimDuration::from_secs(30);
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert!(
             r.scrubs + r.migrations > 0,
             "under-provisioned retention must trigger control-plane action"
@@ -2706,7 +2631,7 @@ mod tests {
         cfg.followup_window = SimDuration::from_hours(2);
         cfg.followup_prob = 0.0;
         cfg.maintenance_period = SimDuration::from_secs(30);
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert!(
             r.migrations > 0,
             "long-lived cached data must migrate to a longer class"
@@ -2723,7 +2648,7 @@ mod tests {
             cfg.followup_prob = 0.9;
             cfg.scrub_enabled = scrub;
             cfg.maintenance_period = SimDuration::from_secs(30);
-            run_cluster(cfg)
+            run(cfg)
         };
         let with = mk(true);
         let without = mk(false);
@@ -2740,9 +2665,9 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 1, 4.0);
         cfg.duration = SimDuration::from_secs(120);
         cfg.weight_redeploy_period = Some(SimDuration::from_secs(30));
-        let with = run_cluster(cfg.clone());
+        let with = run(cfg.clone());
         cfg.weight_redeploy_period = None;
-        let without = run_cluster(cfg);
+        let without = run(cfg);
         assert_eq!(with.redeploys, 4, "one redeploy per 30 s per accelerator");
         let w_mrm = with.tiers.iter().find(|t| t.tier == "MRM").unwrap();
         let wo_mrm = without.tiers.iter().find(|t| t.tier == "MRM").unwrap();
@@ -2763,7 +2688,7 @@ mod tests {
             let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 2, 999.0);
             cfg.duration = SimDuration::from_secs(40);
             cfg.trace = Some(trace);
-            run_cluster(cfg)
+            run(cfg)
         };
         let a = run(trace.clone());
         let b = run(trace.clone());
@@ -2814,7 +2739,7 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 1, 999.0);
         cfg.duration = SimDuration::from_secs(20);
         cfg.trace = Some(trace);
-        let r = run_cluster(cfg);
+        let r = run(cfg);
         assert_eq!(r.arrivals, 3);
         assert_eq!(r.completions, 3, "zero-output requests must still finish");
         // Each zero-output request yields exactly one decode token.

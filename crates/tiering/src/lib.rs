@@ -29,10 +29,7 @@ pub mod prefix;
 pub mod tier;
 pub mod wear;
 
-pub use cluster::{
-    run_cluster, run_cluster_with_audit, run_cluster_with_telemetry, ClusterConfig, ClusterReport,
-    ClusterSim, FaultSummary, MemorySystemKind,
-};
+pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, FaultSummary};
 pub use lifetime::LifetimeEstimator;
 pub use placement::PlacementPolicy;
 pub use tier::{Tier, TierKind};

@@ -8,7 +8,6 @@
 use serde::{Deserialize, Serialize};
 
 use mrm_sim::time::SimDuration;
-use mrm_sim::trace::TraceRecord;
 
 use crate::request::RequestId;
 
@@ -115,23 +114,6 @@ impl MemOp {
     }
 }
 
-impl TraceRecord for MemOp {
-    fn csv_header() -> &'static str {
-        "kind,class,request,bytes,lifetime_ns"
-    }
-
-    fn csv_row(&self) -> String {
-        format!(
-            "{:?},{},{},{},{}",
-            self.kind,
-            self.class.label(),
-            self.request.map(|r| r.0.to_string()).unwrap_or_default(),
-            self.bytes,
-            self.lifetime_hint.as_nanos()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +146,5 @@ mod tests {
         assert!(!DataClass::KvCache.in_place_updates());
         assert!(DataClass::Activation.in_place_updates());
         assert_eq!(DataClass::KvCache.label(), "kv-cache");
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let op = MemOp::append(
-            DataClass::KvCache,
-            RequestId(7),
-            320,
-            SimDuration::from_nanos(42),
-        );
-        assert_eq!(op.csv_row(), "Append,kv-cache,7,320,42");
-        let op = MemOp::read(DataClass::Weights, 5);
-        assert!(op.csv_row().starts_with("Read,weights,,5,"));
     }
 }

@@ -11,7 +11,7 @@
 use mrm::analysis::report::Table;
 use mrm::sim::time::SimDuration;
 use mrm::sim::units::format_bytes;
-use mrm::tiering::cluster::{run_cluster, ClusterConfig};
+use mrm::tiering::cluster::{ClusterConfig, ClusterSim};
 use mrm::tiering::placement::PlacementPolicy;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
     for policy in PlacementPolicy::all() {
         let mut cfg = ClusterConfig::llama70b(policy, accelerators, arrivals);
         cfg.duration = SimDuration::from_secs(secs);
-        let r = run_cluster(cfg);
+        let (r, _audit) = ClusterSim::new(cfg).run_with_audit();
         t.row(&[
             &r.policy,
             &format!("{:.0}", r.tokens_per_s),

@@ -4,7 +4,7 @@
 use mrm::sim::rng::SimRng;
 use mrm::sim::time::SimDuration;
 use mrm::sim::units::MIB;
-use mrm::tiering::cluster::{run_cluster, ClusterConfig};
+use mrm::tiering::cluster::{ClusterConfig, ClusterSim};
 use mrm::tiering::placement::PlacementPolicy;
 use mrm::tiering::wear::{simulate_wear, WearPolicy};
 use mrm::workload::traces::TraceMix;
@@ -18,8 +18,8 @@ fn quick_cfg(seed: u64) -> ClusterConfig {
 
 #[test]
 fn cluster_sim_is_reproducible() {
-    let a = run_cluster(quick_cfg(1234));
-    let b = run_cluster(quick_cfg(1234));
+    let a = ClusterSim::new(quick_cfg(1234)).run_with_audit().0;
+    let b = ClusterSim::new(quick_cfg(1234)).run_with_audit().0;
     assert_eq!(a.tokens, b.tokens);
     assert_eq!(a.arrivals, b.arrivals);
     assert_eq!(a.completions, b.completions);
@@ -34,8 +34,8 @@ fn cluster_sim_is_reproducible() {
 
 #[test]
 fn cluster_sim_depends_on_seed() {
-    let a = run_cluster(quick_cfg(1));
-    let b = run_cluster(quick_cfg(2));
+    let a = ClusterSim::new(quick_cfg(1)).run_with_audit().0;
+    let b = ClusterSim::new(quick_cfg(2)).run_with_audit().0;
     // Different arrival draws => different token counts (astronomically
     // unlikely to collide exactly along with arrivals).
     assert!(a.tokens != b.tokens || a.arrivals != b.arrivals);

@@ -24,7 +24,7 @@ use mrm::device::tech::presets;
 use mrm::faults::{FaultConfig, FaultModel};
 use mrm::sim::time::{SimDuration, SimTime};
 use mrm::sim::units::MIB;
-use mrm::tiering::{run_cluster_with_audit, ClusterConfig, PlacementPolicy};
+use mrm::tiering::{ClusterConfig, ClusterSim, PlacementPolicy};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -388,7 +388,7 @@ proptest! {
     ) {
         let cfg = chaos_cluster_cfg(seed, margin_q);
         let registry = RetentionRegistry::serving_default(cfg.followup_window);
-        let (report, audit) = run_cluster_with_audit(cfg);
+        let (report, audit) = ClusterSim::new(cfg).run_with_audit();
 
         // The ladder actually engaged — otherwise the oracle is vacuous.
         prop_assert!(report.faults.enabled);
