@@ -12,7 +12,6 @@ use mrm_device::bank::{Bank, BankTiming, RowOutcome};
 /// 8192 tREFI-spaced REF commands, each occupying the bank for tRFC.
 pub const REF_COMMANDS_PER_PASS: u64 = 8192;
 use mrm_device::geometry::DeviceGeometry;
-use mrm_faults::{FaultModel, FaultStats, ReadFaults, RecoveryAction};
 use mrm_sim::time::{SimDuration, SimTime};
 use mrm_telemetry::TelemetrySink;
 
@@ -33,10 +32,6 @@ pub struct DramStats {
     pub refresh_busy: SimDuration,
     /// Refresh energy consumed, joules.
     pub refresh_energy_j: f64,
-    /// Checked reads that needed a retry after a detected UE.
-    pub read_retries: u64,
-    /// Rows retired (post-package-repair style) after persistent UEs.
-    pub rows_retired: u64,
 }
 
 impl DramStats {
@@ -78,11 +73,6 @@ pub struct DramController {
     /// Bytes per burst transfer.
     burst_bytes: u32,
     stats: DramStats,
-    /// Optional fault-injection layer (SECDED) for checked reads.
-    faults: Option<FaultModel>,
-    /// Constant soft-error RBER for checked reads: refresh holds DRAM's
-    /// error rate flat, so unlike MRM it does not grow with data age.
-    soft_rber: f64,
 }
 
 impl DramController {
@@ -106,22 +96,7 @@ impl DramController {
             refresh_j_per_bit: refresh_pj_per_bit * 1e-12,
             burst_bytes: burst_bytes.max(1),
             stats: DramStats::default(),
-            faults: None,
-            soft_rber: 0.0,
         }
-    }
-
-    /// Attaches a fault-injection layer; [`DramController::read_checked`]
-    /// runs reads through it at the constant `soft_rber` and retries /
-    /// retires rows on detected uncorrectables.
-    pub fn attach_faults(&mut self, model: FaultModel, soft_rber: f64) {
-        self.faults = Some(model);
-        self.soft_rber = soft_rber.max(0.0);
-    }
-
-    /// Cumulative fault-layer totals, if a layer is attached.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.stats())
     }
 
     /// HBM3-like controller: 32 ms retention, 0.15 pJ/bit refresh, 64 B
@@ -216,42 +191,6 @@ impl DramController {
         self.service(now, addr, len)
     }
 
-    /// Reads through the SECDED fault layer at the attached soft-error
-    /// rate. Single-bit errors correct inline; a detected double-bit error
-    /// triggers one retry re-read (costing real bank time), and a UE that
-    /// survives the retry retires the row (post-package-repair style) —
-    /// the caller must restore the data from elsewhere.
-    ///
-    /// Without an attached fault layer this is [`DramController::read`].
-    pub fn read_checked(
-        &mut self,
-        now: SimTime,
-        addr: u64,
-        len: u64,
-    ) -> (SimTime, ReadFaults, RecoveryAction) {
-        let mut done = self.read(now, addr, len);
-        let rber = self.soft_rber;
-        let Some(model) = self.faults.as_mut() else {
-            return (done, ReadFaults::default(), RecoveryAction::None);
-        };
-        let mut faults = model.inject_read(len, rber);
-        if !faults.uncorrectable() {
-            return (done, faults, RecoveryAction::None);
-        }
-        // Retry: the re-read occupies the banks again.
-        self.stats.read_retries += 1;
-        done = self.read(done, addr, len);
-        let model = self.faults.as_mut().expect("fault layer attached");
-        let again = model.inject_read(len, rber);
-        let cleared = !again.uncorrectable();
-        faults.merge(&again);
-        if cleared {
-            return (done, faults, RecoveryAction::Retried);
-        }
-        self.stats.rows_retired += 1;
-        (done, faults, RecoveryAction::Retired)
-    }
-
     /// Fraction of total bank-time stolen by refresh over `elapsed`.
     pub fn refresh_time_fraction(&self, elapsed: SimDuration) -> f64 {
         if elapsed.is_zero() {
@@ -287,16 +226,6 @@ impl DramController {
         sink.count_to("dram_row_misses", self.stats.row_misses);
         sink.count_to("dram_row_conflicts", self.stats.row_conflicts);
         sink.count_to("dram_refreshes", self.stats.refreshes);
-        sink.count_to("dram_read_retries", self.stats.read_retries);
-        sink.count_to("dram_rows_retired", self.stats.rows_retired);
-        if let Some(fs) = self.fault_stats() {
-            sink.count_to("dram_fault_raw_flips", fs.raw_flips);
-            sink.count_to("dram_fault_corrected", fs.corrected);
-            sink.count_to("dram_fault_detected_ue", fs.detected_ue);
-            sink.count_to("dram_fault_miscorrected", fs.miscorrected);
-            sink.count_to("dram_fault_silent", fs.silent);
-            sink.gauge("dram_fault_raw_ber", fs.raw_ber());
-        }
         sink.gauge("dram_row_hit_rate", self.stats.hit_rate());
         sink.gauge("dram_refresh_busy_s", self.stats.refresh_busy.as_secs_f64());
         sink.gauge("dram_refresh_energy_j", self.stats.refresh_energy_j);
@@ -405,83 +334,6 @@ mod tests {
     #[should_panic(expected = "zero-length access")]
     fn zero_len_panics() {
         ctrl().read(SimTime::ZERO, 0, 0);
-    }
-
-    #[test]
-    fn read_checked_without_faults_is_plain_read() {
-        let mut c = ctrl();
-        let (done, faults, action) = c.read_checked(SimTime::ZERO, 0, 64);
-        assert!(done > SimTime::ZERO);
-        assert_eq!(faults, ReadFaults::default());
-        assert_eq!(action, RecoveryAction::None);
-        assert_eq!(c.fault_stats(), None);
-    }
-
-    #[test]
-    fn quiet_soft_error_rate_corrects_inline() {
-        use mrm_faults::FaultConfig;
-        let mut c = ctrl();
-        c.attach_faults(FaultModel::new(FaultConfig::dram(), 21), 1e-9);
-        for i in 0..32 {
-            let (_, faults, action) = c.read_checked(SimTime::ZERO, i * 4096, 4096);
-            assert_eq!(action, RecoveryAction::None);
-            // SECDED absorbs the rare single-bit flip silently.
-            assert_eq!(faults.detected_ue + faults.miscorrected + faults.silent, 0);
-        }
-        assert_eq!(c.stats().read_retries, 0);
-        assert_eq!(c.stats().rows_retired, 0);
-    }
-
-    #[test]
-    fn ue_storm_retries_then_retires_rows() {
-        use mrm_faults::FaultConfig;
-        let mut c = ctrl();
-        // An absurd soft-error rate: double-bit errors in nearly every
-        // word, so the retry ladder must exhaust and retire rows.
-        let mut cfg = FaultConfig::dram();
-        cfg.decoder_probes = 16;
-        c.attach_faults(FaultModel::new(cfg, 13), 1e-2);
-        let mut retired = 0;
-        for i in 0..16 {
-            let before = c.read(SimTime::ZERO, i * 4096, 64);
-            let (done, faults, action) = c.read_checked(SimTime::ZERO, i * 4096, 64 * 1024);
-            assert!(faults.raw_flips > 0);
-            if action == RecoveryAction::Retired {
-                retired += 1;
-                // The retry re-read consumed extra bank time.
-                assert!(done > before);
-            }
-            // SECDED never lets corruption through silently.
-            assert_eq!(faults.silent, 0);
-        }
-        assert!(retired > 0, "expected row retirements under a UE storm");
-        assert_eq!(c.stats().rows_retired, retired);
-        assert!(c.stats().read_retries >= retired);
-    }
-
-    #[test]
-    fn fault_telemetry_is_published() {
-        use mrm_faults::FaultConfig;
-        use mrm_telemetry::SimTelemetry;
-        let mut c = ctrl();
-        c.attach_faults(FaultModel::new(FaultConfig::dram(), 3), 1e-4);
-        for _ in 0..8 {
-            c.read_checked(SimTime::ZERO, 0, 64 * 1024);
-        }
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        c.emit_telemetry(SimDuration::from_secs(1), &mut t);
-        let r = t.registry();
-        let fs = *c.fault_stats().unwrap();
-        assert_eq!(r.counter_value("dram_fault_raw_flips"), Some(fs.raw_flips));
-        assert_eq!(
-            r.counter_value("dram_read_retries"),
-            Some(c.stats().read_retries)
-        );
-        assert_eq!(
-            r.counter_value("dram_rows_retired"),
-            Some(c.stats().rows_retired)
-        );
-        assert!(r.gauge_value("dram_fault_raw_ber").unwrap() > 0.0);
     }
 
     #[test]

@@ -1,40 +1,19 @@
-//! # `mrm-core` — the Managed-Retention Memory public API
+//! # `mrm-core` — the range allocator under every memory tier
 //!
-//! The crate a downstream system adopts. It binds the device physics
-//! (`mrm-device`), the lightweight block controller and DCM (`mrm-controller`)
-//! and retention-aware ECC (`mrm-ecc`) into one coherent device abstraction:
+//! [`pool::Pool`] is a first-fit, coalescing range allocator over one
+//! [`mrm_device::MemoryDevice`]. The tiering control plane composes one
+//! pool per tier (HBM, MRM, LPDDR) and forwards timed, retention-hinted
+//! reads and writes through it to the device. Free ranges live in an
+//! address-keyed treap (`FreeTree`) and live allocations in a deterministic
+//! open-addressing index (`LiveMap`), so allocation and free are O(log n)
+//! while staying byte-identical to the flat-`Vec` first-fit allocator kept
+//! as [`pool::LegacyVecPool`] (the oracle for the property tests, the
+//! `pool` fuzz target and the `perf_suite` pool-churn scenario).
 //!
-//! * [`config::MrmConfig`] — capacity, retention class ladder, ECC target,
-//!   scrub margin; presets for the paper's design points.
-//! * [`device::MrmDevice`] — append-only *streams* (one per KV cache, one
-//!   per weight shard) over zones, with per-stream retention programmed from
-//!   lifetime hints (DCM), retention-deadline queries for the control plane,
-//!   software scrubbing, and ECC-qualified reads that report whether data is
-//!   trustworthy, degraded, or lost.
-//! * [`pool`] — a first-fit range allocator over any
-//!   [`mrm_device::MemoryDevice`], the building block the tiering control
-//!   plane composes into HBM/MRM/LPDDR tiers.
-//!
-//! # Examples
-//!
-//! ```
-//! use mrm_core::config::MrmConfig;
-//! use mrm_core::device::{MrmDevice, ReadIntegrity};
-//! use mrm_sim::time::{SimDuration, SimTime};
-//!
-//! let mut dev = MrmDevice::new(MrmConfig::hours_class(1 << 30));
-//! let now = SimTime::ZERO;
-//! // A KV-cache stream expected to live ~30 minutes.
-//! let stream = dev.create_stream(SimDuration::from_mins(30)).unwrap();
-//! dev.append(now, stream, 2 << 20).unwrap();
-//! let r = dev.read(now + SimDuration::from_mins(10), stream, 0, 2 << 20).unwrap();
-//! assert_eq!(r.integrity, ReadIntegrity::Clean);
-//! ```
+//! The zoned MRM device interface itself (append-only zones, per-write
+//! retention, the deadline registry and checked reads through the fault
+//! model) lives in `mrm-controller`.
 
-pub mod config;
-pub mod device;
 pub mod pool;
 
-pub use config::{EccConfig, MrmConfig};
-pub use device::{MrmDevice, MrmError, ReadIntegrity, ReadReceipt, StreamId};
 pub use pool::{Allocation, Pool, PoolError};

@@ -7,7 +7,7 @@
 //!
 //! * [`FaultModel`] maps a device operating point (its raw bit error rate
 //!   from the `mrm-device` age/wear curves) to sampled error counts and
-//!   pushes representative codewords through the real `mrm-ecc` decoders,
+//!   pushes representative codewords through the real `mrm-ecc` BCH decoder,
 //!   yielding corrected / detected-uncorrectable / silent outcomes;
 //! * [`FaultRng`] is the dedicated randomness stream those samples come
 //!   from — never the scheduling stream (`mrm-lint` rule D6), so the same
@@ -20,6 +20,6 @@ pub mod model;
 pub mod rng;
 pub mod stats;
 
-pub use model::{CodecKind, FaultConfig, FaultModel, ReadFaults, RecoveryAction};
+pub use model::{FaultConfig, FaultModel, ReadFaults, RecoveryAction};
 pub use rng::FaultRng;
 pub use stats::FaultStats;

@@ -5,8 +5,8 @@
 //! codewords. The *number* of raw flips and the per-codeword outcome
 //! classes are sampled exactly from their binomial laws using
 //! `mrm_ecc::analysis::codeword_failure_prob`, and a bounded number of
-//! uncorrectable candidates are pushed through the *real* decoder
-//! (`mrm_ecc::Bch` or `mrm_ecc::Hamming`) on adversarially flipped
+//! uncorrectable candidates are pushed through the *real* BCH decoder
+//! (`mrm_ecc::Bch`, t = 2 over 512 data bits) on adversarially flipped
 //! codewords, so detected-vs-miscorrected is decided by actual decoder
 //! behaviour, not by an assumed rate.
 //!
@@ -24,20 +24,14 @@
 //! runs and thread counts (the hard-determinism contract).
 
 use mrm_ecc::analysis::codeword_failure_prob;
-use mrm_ecc::{Bch, Hamming, HammingOutcome};
+use mrm_ecc::Bch;
 
 use crate::rng::FaultRng;
 use crate::stats::FaultStats;
 
-/// Which inner code guards a controller's reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CodecKind {
-    /// DRAM-style SECDED(72,64): corrects 1 bit per word, detects 2.
-    Secded72,
-    /// Shortened binary BCH correcting `t` errors over `data_bits` data
-    /// bits (field size is chosen automatically).
-    Bch { data_bits: u32, t: u32 },
-}
+/// Uncorrectable-candidate codewords per read classified by a real
+/// decoder probe; candidates beyond the cap count as detected.
+const DECODER_PROBES: u64 = 4;
 
 /// Fault-injection configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,11 +41,6 @@ pub struct FaultConfig {
     /// Multiplier on the device-model RBER (0 disables injection while
     /// keeping the layer constructed — used by the differential tests).
     pub ber_scale: f64,
-    /// Inner code the injected errors are decoded against.
-    pub codec: CodecKind,
-    /// Uncorrectable-candidate codewords per read classified by a real
-    /// decoder probe; candidates beyond the cap count as detected.
-    pub decoder_probes: u32,
     /// Whether an outer CRC catches decoder miscorrections, demoting
     /// silent corruption to a detected UE (standard storage practice).
     pub outer_crc: bool,
@@ -69,11 +58,6 @@ impl FaultConfig {
         FaultConfig {
             enabled: false,
             ber_scale: 1.0,
-            codec: CodecKind::Bch {
-                data_bits: 512,
-                t: 2,
-            },
-            decoder_probes: 4,
             outer_crc: true,
             provision_margin: None,
         }
@@ -84,15 +68,6 @@ impl FaultConfig {
     pub fn mrm() -> Self {
         FaultConfig {
             enabled: true,
-            ..FaultConfig::disabled()
-        }
-    }
-
-    /// The standard DRAM configuration: SECDED(72,64) per word.
-    pub fn dram() -> Self {
-        FaultConfig {
-            enabled: true,
-            codec: CodecKind::Secded72,
             ..FaultConfig::disabled()
         }
     }
@@ -156,12 +131,6 @@ pub enum RecoveryAction {
     Retired,
 }
 
-#[derive(Clone, Debug)]
-enum Codec {
-    Secded(Hamming),
-    Bch(Bch),
-}
-
 enum Probe {
     Corrected,
     Detected,
@@ -179,7 +148,9 @@ struct ProbeInput {
 #[derive(Clone, Debug)]
 pub struct FaultModel {
     cfg: FaultConfig,
-    codec: Codec,
+    /// The inner code: shortened BCH, t = 2 over 512 data bits in
+    /// GF(2^10) (532-bit codewords).
+    codec: Bch,
     /// Codeword bits (data + parity).
     n: u64,
     /// Data bits per codeword.
@@ -194,23 +165,8 @@ impl FaultModel {
     /// Builds the model; `sim_seed` is the *simulation* seed (the fault
     /// stream is salted away from the scheduling stream internally).
     pub fn new(cfg: FaultConfig, sim_seed: u64) -> Self {
-        let codec = match cfg.codec {
-            CodecKind::Secded72 => Codec::Secded(Hamming::secded_72_64()),
-            CodecKind::Bch { data_bits, t } => {
-                let data = data_bits.max(1) as usize;
-                let t = t.max(1) as usize;
-                // Smallest field with room for data + parity: 2^m - 1 >= k + m t.
-                let mut m = 4u32;
-                while (1u64 << m) - 1 < data as u64 + u64::from(m) * t as u64 {
-                    m += 1;
-                }
-                Codec::Bch(Bch::with_data_len(m, t, data))
-            }
-        };
-        let (n, k, t) = match &codec {
-            Codec::Secded(h) => (h.codeword_len() as u64, h.data_len() as u64, 1),
-            Codec::Bch(c) => (c.n() as u64, c.k() as u64, c.t() as u64),
-        };
+        let codec = Bch::with_data_len(10, 2, 512);
+        let (n, k, t) = (codec.n() as u64, codec.k() as u64, codec.t() as u64);
         FaultModel {
             cfg,
             codec,
@@ -294,7 +250,7 @@ impl FaultModel {
             // Inputs are drawn sequentially (decoding consumes no RNG, so
             // the stream is identical to a draw/decode interleave) and the
             // whole ladder is decoded in one batch.
-            let probes = ue.min(u64::from(self.cfg.decoder_probes));
+            let probes = ue.min(DECODER_PROBES);
             out.detected_ue = ue - probes;
             let inputs: Vec<ProbeInput> =
                 (0..probes).map(|_| self.probe_input(self.t + 1)).collect();
@@ -347,10 +303,7 @@ impl FaultModel {
                 w >>= 1;
             }
         }
-        let mut cw = match &self.codec {
-            Codec::Secded(h) => h.encode(&data),
-            Codec::Bch(c) => c.encode(&data),
-        };
+        let mut cw = self.codec.encode(&data);
         let mut flipped: Vec<usize> = Vec::with_capacity(errors as usize);
         while (flipped.len() as u64) < errors.min(self.n) {
             let i = self.rng.gen_index(n);
@@ -366,28 +319,16 @@ impl FaultModel {
     /// and classifies each outcome. RNG-free.
     fn classify_batch(&self, inputs: &[ProbeInput]) -> Vec<Probe> {
         let refs: Vec<&[u8]> = inputs.iter().map(|p| p.cw.as_slice()).collect();
-        match &self.codec {
-            Codec::Secded(h) => h
-                .decode_batch(&refs)
-                .into_iter()
-                .zip(inputs)
-                .map(|((out, outcome), p)| match outcome {
-                    HammingOutcome::DoubleError => Probe::Detected,
-                    _ if out == p.data => Probe::Corrected,
-                    _ => Probe::Miscorrected,
-                })
-                .collect(),
-            Codec::Bch(c) => c
-                .decode_batch(&refs)
-                .into_iter()
-                .zip(inputs)
-                .map(|(res, p)| match res {
-                    Err(_) => Probe::Detected,
-                    Ok((out, _)) if out == p.data => Probe::Corrected,
-                    Ok(_) => Probe::Miscorrected,
-                })
-                .collect(),
-        }
+        self.codec
+            .decode_batch(&refs)
+            .into_iter()
+            .zip(inputs)
+            .map(|(res, p)| match res {
+                Err(_) => Probe::Detected,
+                Ok((out, _)) if out == p.data => Probe::Corrected,
+                Ok(_) => Probe::Miscorrected,
+            })
+            .collect()
     }
 }
 
@@ -540,14 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn secded_geometry() {
-        let m = FaultModel::new(FaultConfig::dram(), 0);
-        assert_eq!(m.codeword_bits(), 72);
-        assert_eq!(m.data_bits(), 64);
-        assert_eq!(m.t(), 1);
-    }
-
-    #[test]
     fn injection_is_deterministic_per_seed() {
         let run = |seed| {
             let mut m = FaultModel::new(FaultConfig::mrm(), seed);
@@ -585,7 +518,6 @@ mod tests {
     fn without_outer_crc_miscorrections_go_silent() {
         let mut cfg = FaultConfig::mrm();
         cfg.outer_crc = false;
-        cfg.decoder_probes = 64;
         let mut m = FaultModel::new(cfg, 11);
         let mut silent = 0;
         let mut caught = 0;
@@ -598,20 +530,6 @@ mod tests {
         // BCH t=2 miscorrects some t+1 patterns onto other codewords;
         // without the CRC those are SDC.
         assert!(silent > 0, "expected some silent corruption");
-    }
-
-    #[test]
-    fn secded_detects_double_errors() {
-        let mut cfg = FaultConfig::dram();
-        cfg.decoder_probes = 32;
-        let mut m = FaultModel::new(cfg, 5);
-        let mut ue = 0;
-        for _ in 0..100 {
-            let r = m.inject_read(MIB, 1e-3);
-            ue += r.detected_ue + r.miscorrected;
-            assert_eq!(r.silent, 0, "SECDED guarantees double detection");
-        }
-        assert!(ue > 0);
     }
 
     #[test]

@@ -137,6 +137,16 @@ impl ClusterConfig {
                         live in HBM)"
                 .to_string());
         }
+        if self.maintenance_period.is_zero() {
+            return Err("maintenance_period must be positive (a zero period \
+                        reschedules the sweep at the same instant forever)"
+                .to_string());
+        }
+        if self.weight_redeploy_period.is_some_and(|p| p.is_zero()) {
+            return Err("weight_redeploy_period must be positive when set (a \
+                        zero period reschedules the redeploy forever)"
+                .to_string());
+        }
         let (alt_name, alt_packages) = match self.policy {
             PlacementPolicy::HbmOnly => return Ok(()),
             PlacementPolicy::HbmLpddr => ("lpddr_packages", self.lpddr_packages),
@@ -2770,6 +2780,17 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmLpddr, 2, 8.0);
         cfg.lpddr_packages = 0;
         assert!(cfg.validate().unwrap_err().contains("lpddr_packages"));
+
+        let mut cfg = ok.clone();
+        cfg.maintenance_period = SimDuration::ZERO;
+        assert!(cfg.validate().unwrap_err().contains("maintenance_period"));
+
+        let mut cfg = ok.clone();
+        cfg.weight_redeploy_period = Some(SimDuration::ZERO);
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .contains("weight_redeploy_period"));
     }
 
     #[test]

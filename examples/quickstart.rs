@@ -1,83 +1,115 @@
-//! Quickstart: the MRM device API in five minutes.
+//! Quickstart: the MRM stack in five minutes.
 //!
-//! Creates an hours-class Managed-Retention Memory device, writes a KV-cache
-//! stream with a lifetime hint (DCM picks the retention class), reads it back
-//! with ECC-qualified integrity, watches it degrade toward its retention
-//! deadline, scrubs it, and deletes it.
+//! Builds an hours-class Managed-Retention Memory device behind the paper's
+//! lightweight zoned block controller (§4) with the BCH fault model
+//! attached, writes a KV cache into a zone at the retention class DCM picks
+//! from its lifetime hint, reads it back through the checked ECC path,
+//! watches its deadline reach the control plane's work list, scrubs it, and
+//! drops it by resetting the zone.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mrm::core::config::MrmConfig;
-use mrm::core::device::{MrmDevice, ReadIntegrity};
+use mrm::controller::dcm::RetentionClass;
+use mrm::controller::mrm_block::MrmBlockController;
+use mrm::device::device::MemoryDevice;
+use mrm::device::tech::presets;
+use mrm::faults::{FaultConfig, FaultModel, RecoveryAction};
 use mrm::sim::time::{SimDuration, SimTime};
 use mrm::sim::units::{format_bytes, GIB, MIB};
 
 fn main() {
-    // A 4 GiB hours-class MRM device (12 h native retention, DCM enabled,
-    // large-block BCH ECC).
-    let mut dev = MrmDevice::new(MrmConfig::hours_class(4 * GIB));
+    // A 4 GiB hours-class MRM device (12 h native retention) in 64 MiB
+    // append-only zones. Every checked read decodes through BCH t=2 over
+    // 512-bit data words behind an outer CRC.
+    let mut tech = presets::mrm_hours();
+    tech.capacity_bytes = 4 * GIB;
+    let mut ctrl = MrmBlockController::new(MemoryDevice::new(tech), 64 * MIB);
+    let faults = FaultModel::new(FaultConfig::mrm(), 1);
     println!(
-        "device: {} capacity, retention class ladder via DCM, ECC overhead {:.2}%",
-        format_bytes(dev.stats().capacity_bytes),
-        dev.config().ecc.overhead() * 100.0
+        "device: {} in {} zones of {}, ECC: BCH t={} over {}-bit codewords",
+        format_bytes(ctrl.device().capacity_bytes()),
+        ctrl.zone_count(),
+        format_bytes(ctrl.zone_bytes()),
+        faults.t(),
+        faults.codeword_bits()
     );
+    ctrl.attach_faults(faults);
 
     // A KV cache expected to live ~25 minutes (decode tail + follow-up
-    // window). DCM quantizes the hint onto the hardware retention ladder.
+    // window). DCM quantizes the hint, with a 25% safety margin, onto the
+    // hardware retention ladder.
     let t0 = SimTime::ZERO;
-    let stream = dev.create_stream(SimDuration::from_mins(25)).unwrap();
+    let class = RetentionClass::for_lifetime(SimDuration::from_mins(25), 1.25);
+    let retention = class.duration();
+    let zone = ctrl.open_zone_least_worn().unwrap();
     println!(
-        "\ncreated stream at retention class {:?}",
-        dev.stream_class(stream).unwrap()
+        "\n25 min lifetime hint -> {} class, zone {}",
+        class.label(),
+        zone.0
     );
 
     // Append self-attention vectors as decode proceeds.
     for _ in 0..8 {
-        dev.append(t0, stream, 4 * MIB).unwrap();
+        ctrl.append(t0, zone, 4 * MIB, retention).unwrap();
     }
-    println!("appended {}", format_bytes(dev.stream_len(stream).unwrap()));
-
-    // Read during the healthy window: clean.
-    let r = dev
-        .read(t0 + SimDuration::from_mins(10), stream, 0, 16 * MIB)
-        .unwrap();
     println!(
-        "read @10min: integrity {:?}, rber {:.1e}, codeword failure {:.1e}",
-        r.integrity, r.rber, r.cw_fail_prob
-    );
-    assert_eq!(r.integrity, ReadIntegrity::Clean);
-
-    // Near the deadline the control plane sees it degraded (scrub overdue).
-    let late = t0 + SimDuration::from_mins(50); // 1 h class, 70% margin
-    let r = dev.read(late, stream, 0, 16 * MIB).unwrap();
-    println!(
-        "read @50min: integrity {:?} — scrub is overdue",
-        r.integrity
+        "appended {}",
+        format_bytes(ctrl.write_pointer(zone).unwrap())
     );
 
-    // The deadline registry drives the §4 refresh decision.
-    let expiring = dev.streams_expiring_before(t0 + SimDuration::from_hours(2));
-    println!("expiring before t+2h: {expiring:?}");
-
-    // Scrub re-arms retention (charged as housekeeping, visible in stats).
-    let bytes = dev.scrub_stream(late, stream).unwrap();
-    let r = dev
-        .read(late + SimDuration::from_mins(10), stream, 0, 16 * MIB)
+    // Read during the healthy window: every codeword decodes.
+    let r = ctrl
+        .read_checked(
+            t0 + SimDuration::from_mins(10),
+            zone,
+            0,
+            16 * MIB,
+            retention,
+        )
         .unwrap();
     println!(
-        "scrubbed {} -> integrity {:?}",
+        "read @10min: rber {:.1e}, {} raw flips over {} codewords, recovery {:?}",
+        r.op.rber, r.faults.raw_flips, r.faults.codewords, r.action
+    );
+    assert_eq!(r.action, RecoveryAction::None);
+
+    // The deadline registry is the control plane's refresh work list: at
+    // 50 minutes the zone is within 30% of its retention of expiring.
+    let late = t0 + SimDuration::from_mins(50);
+    let due = ctrl.zones_expiring_before(late + retention.mul_f64(0.3));
+    assert_eq!(due, vec![(zone, t0 + retention)]);
+    println!(
+        "due for scrub at 50min: zone {} (deadline {})",
+        zone.0, due[0].1
+    );
+
+    // Scrub re-arms retention (software refresh, charged as housekeeping).
+    let bytes = ctrl.scrub_zone(late, zone, retention).unwrap();
+    let r = ctrl
+        .read_checked(
+            late + SimDuration::from_mins(10),
+            zone,
+            0,
+            16 * MIB,
+            retention,
+        )
+        .unwrap();
+    println!(
+        "scrubbed {} -> deadline moves to {}, read @60min recovery {:?}",
         format_bytes(bytes),
-        r.integrity
+        ctrl.deadline(zone).unwrap(),
+        r.action
     );
+    assert!(!r.op.expired);
 
-    // Soft state: dropping a stream is free — cells just get reused.
-    dev.delete_stream(stream).unwrap();
-    let s = dev.stats();
+    // Soft state: dropping data is free — the zone is simply reused.
+    ctrl.reset_zone(zone).unwrap();
+    let e = ctrl.energy();
     println!(
-        "\nfinal stats: {} live, {} scrubs, energy: {:.3} mJ demand write, {:.3} mJ housekeeping",
-        format_bytes(s.live_bytes),
-        s.scrubs,
-        s.energy.write_j * 1e3,
-        s.energy.housekeeping_j * 1e3
+        "\nfinal: zone {} reset after {} write cycles, energy: {:.3} mJ demand write, {:.3} mJ housekeeping",
+        zone.0,
+        ctrl.write_cycles(zone).unwrap(),
+        e.write_j * 1e3,
+        e.housekeeping_j * 1e3
     );
 }

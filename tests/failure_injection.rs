@@ -1,12 +1,15 @@
 //! Failure injection across the stack: bit errors vs. the ECC path, aged
-//! data vs. the integrity qualifier, and allocator/controller abuse.
+//! data vs. the fault model, and worn-out cells vs. the device read path.
 
-use mrm::core::config::{EccConfig, MrmConfig};
-use mrm::core::device::{MrmDevice, ReadIntegrity};
+use mrm::controller::dcm::RetentionClass;
+use mrm::controller::mrm_block::MrmBlockController;
+use mrm::device::device::MemoryDevice;
+use mrm::device::tech::presets;
 use mrm::ecc::analysis::codeword_failure_prob;
 use mrm::ecc::bch::{Bch, BchError};
 use mrm::ecc::hamming::{Hamming, HammingOutcome};
 use mrm::ecc::interleave::Interleaver;
+use mrm::faults::{FaultConfig, FaultModel};
 use mrm::sim::rng::SimRng;
 use mrm::sim::time::{SimDuration, SimTime};
 use mrm::sim::units::{GIB, MIB};
@@ -43,30 +46,49 @@ fn measured_bch_failure_rate_matches_analysis() {
     );
 }
 
-/// The aged-device → RBER → ECC pipeline: a device read's reported RBER,
-/// pushed through the analytic model, must explain the integrity verdicts
-/// the MrmDevice returns.
+/// The aged-device → RBER → ECC pipeline: the RBER a zone read reports
+/// for aged data, pushed through the analytic binomial tail, must predict
+/// the uncorrectable codewords the fault model samples at that rate, and
+/// expiry must match the programmed class.
 #[test]
 fn aged_reads_rber_is_consistent_with_integrity() {
-    let mut dev = MrmDevice::new(MrmConfig::hours_class(GIB));
+    let mut tech = presets::mrm_hours();
+    tech.capacity_bytes = GIB;
+    let mut ctrl = MrmBlockController::new(MemoryDevice::new(tech), 64 * MIB);
     let t0 = SimTime::ZERO;
-    let s = dev.create_stream(SimDuration::from_mins(8)).unwrap(); // 10m class
-    dev.append(t0, s, 32 * MIB).unwrap();
+    let retention = RetentionClass::for_lifetime(SimDuration::from_mins(8), 1.25).duration();
+    let zone = ctrl.open_zone_least_worn().unwrap();
+    ctrl.append(t0, zone, 32 * MIB, retention).unwrap(); // 10m class
 
-    let ecc: EccConfig = dev.config().ecc;
+    let mut model = FaultModel::new(FaultConfig::mrm(), 3);
+    let mut last_rber = 0.0;
     for mins in [1u64, 5, 9, 15] {
-        let r = dev
-            .read(t0 + SimDuration::from_mins(mins), s, 0, 32 * MIB)
+        let op = ctrl
+            .read(t0 + SimDuration::from_mins(mins), zone, 0, 32 * MIB)
             .unwrap();
-        let recomputed = codeword_failure_prob(ecc.codeword_bits() as u64, ecc.t as u64, r.rber);
         assert!(
-            (recomputed - r.cw_fail_prob).abs() <= recomputed * 1e-9 + 1e-300,
-            "minute {mins}: device and analysis disagree"
+            op.rber > last_rber,
+            "minute {mins}: RBER must grow with age"
         );
-        match r.integrity {
-            ReadIntegrity::Clean => assert!(r.cw_fail_prob <= ecc.target_cw_fail),
-            ReadIntegrity::Degraded => assert!(r.cw_fail_prob < 1e-3),
-            ReadIntegrity::Expired => assert!(mins >= 10),
+        last_rber = op.rber;
+        assert_eq!(op.expired, mins >= 10, "minute {mins}: expiry vs class");
+
+        let r = model.inject_read(32 * MIB, op.rber);
+        let p_fail = codeword_failure_prob(model.codeword_bits(), model.t(), op.rber);
+        let expected = p_fail * r.codewords as f64;
+        // A t+1 pattern never decodes to the written data, so every
+        // uncorrectable codeword is detected or (CRC-caught) miscorrected.
+        let ue = (r.detected_ue + r.miscorrected + r.silent) as f64;
+        assert!(
+            (ue - expected).abs() <= 5.0 * expected.sqrt() + 1.0,
+            "minute {mins}: sampled {ue} UEs vs predicted {expected:.2}"
+        );
+        assert_eq!(r.silent, 0, "the outer CRC leaves nothing silent");
+        if mins == 1 {
+            assert!(!r.uncorrectable(), "fresh data must decode: {r:?}");
+        }
+        if op.expired {
+            assert!(r.uncorrectable(), "expired data must break through: {r:?}");
         }
     }
 }
@@ -128,8 +150,7 @@ fn secded_triple_error_does_not_panic() {
 /// Worn-out cells surface through the device read path.
 #[test]
 fn wearout_is_reported_not_hidden() {
-    use mrm::device::device::MemoryDevice;
-    let mut tech = mrm::device::tech::presets::rram_product();
+    let mut tech = presets::rram_product();
     tech.endurance = 5.0;
     tech.capacity_bytes = MIB;
     let mut dev = MemoryDevice::new(tech);
