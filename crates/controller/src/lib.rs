@@ -22,13 +22,11 @@
 //!   housekeeping.
 //! * [`dcm`] — per-write programmable retention on top of the block
 //!   controller.
-//! * [`sched`] — shared request-queue machinery.
 
 pub mod dcm;
 pub mod dram;
 pub mod ftl;
 pub mod mrm_block;
-pub mod sched;
 
 pub use dcm::{DcmController, RetentionClass};
 pub use dram::DramController;

@@ -6,9 +6,9 @@
 //! placement. This crate supplies the failure half of that loop:
 //!
 //! * [`FaultModel`] maps a device operating point (its raw bit error rate
-//!   from the `mrm-device` age/wear curves) to sampled error counts and
-//!   pushes representative codewords through the real `mrm-ecc` BCH decoder,
-//!   yielding corrected / detected-uncorrectable / silent outcomes;
+//!   from the `mrm-device` age/wear curves) to outcome counts sampled from
+//!   their binomial laws, and pushes uncorrectable candidates through the
+//!   real `mrm-ecc` BCH decoder to split detected from miscorrected;
 //! * [`FaultRng`] is the dedicated randomness stream those samples come
 //!   from — never the scheduling stream (`mrm-lint` rule D6), so the same
 //!   seed flips the same bits at any thread count;

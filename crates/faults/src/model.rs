@@ -12,16 +12,17 @@
 //!
 //! Outcome taxonomy (DESIGN.md §9):
 //!
-//! * **corrected** — the decoder returned the written data;
+//! * **corrected** — at most t errors, which the inner code fixes;
 //! * **detected UE** — the decoder flagged the codeword uncorrectable
 //!   (recovery machinery takes over);
 //! * **miscorrected** — the decoder returned *wrong* data believing it
 //!   corrected; with an outer CRC configured this is caught and demoted to
 //!   a detected UE, otherwise it is **silent** data corruption.
 //!
-//! Every sample draws from the dedicated [`FaultRng`] stream with a
-//! bounded number of draws per read, so the stream stays aligned across
-//! runs and thread counts (the hard-determinism contract).
+//! Every sample draws from the dedicated [`FaultRng`] stream, and the
+//! draws a read makes are fixed by the seed and the sampled classes, so
+//! the stream stays aligned across runs and thread counts (the
+//! hard-determinism contract).
 
 use mrm_ecc::analysis::codeword_failure_prob;
 use mrm_ecc::Bch;
@@ -129,12 +130,6 @@ pub enum RecoveryAction {
     Scrubbed,
     /// Scrubbing did not clear it (or the region wore out): retired.
     Retired,
-}
-
-enum Probe {
-    Corrected,
-    Detected,
-    Miscorrected,
 }
 
 /// Pre-drawn input for one decoder probe: the written data and the
@@ -249,38 +244,20 @@ impl FaultModel {
             // adversarially flipped codewords (t+1 distinct positions).
             // Inputs are drawn sequentially (decoding consumes no RNG, so
             // the stream is identical to a draw/decode interleave) and the
-            // whole ladder is decoded in one batch.
+            // whole ladder is decoded in one batch. Correctable codewords
+            // are counted, never decoded: the codec's ≤t guarantee is
+            // proven by the `mrm-ecc` adversarial and differential tests.
             let probes = ue.min(DECODER_PROBES);
             out.detected_ue = ue - probes;
-            let inputs: Vec<ProbeInput> =
-                (0..probes).map(|_| self.probe_input(self.t + 1)).collect();
-            for p in self.classify_batch(&inputs) {
-                match p {
-                    Probe::Detected => out.detected_ue += 1,
-                    Probe::Corrected => out.corrected += 1,
-                    Probe::Miscorrected => {
-                        if self.cfg.outer_crc {
-                            out.miscorrected += 1;
-                        } else {
-                            out.silent += 1;
-                        }
-                    }
-                }
-            }
-            // Exercise the corrected path with one real ≤t decode; a
-            // failure here is an ECC bug and is surfaced, not hidden.
-            if out.corrected > 0 {
-                let e = 1 + self.rng.gen_range_u64(self.t);
-                let input = self.probe_input(e);
-                match self.classify_batch(std::slice::from_ref(&input))[0] {
-                    Probe::Corrected => {}
-                    Probe::Detected => {
-                        out.corrected -= 1;
-                        out.detected_ue += 1;
-                    }
-                    Probe::Miscorrected => {
-                        out.corrected -= 1;
-                        out.silent += 1;
+            if probes > 0 {
+                let inputs: Vec<ProbeInput> = (0..probes).map(|_| self.probe_input()).collect();
+                let cws: Vec<&[u8]> = inputs.iter().map(|p| p.cw.as_slice()).collect();
+                for (res, input) in self.codec.decode_batch(&cws).into_iter().zip(&inputs) {
+                    match res {
+                        Err(_) => out.detected_ue += 1,
+                        Ok((data, _)) if data == input.data => out.corrected += 1,
+                        Ok(_) if self.cfg.outer_crc => out.miscorrected += 1,
+                        Ok(_) => out.silent += 1,
                     }
                 }
             }
@@ -289,11 +266,11 @@ impl FaultModel {
         out
     }
 
-    /// Draws one probe's input: encodes random data and flips `errors`
+    /// Draws one probe's input: encodes random data and flips t+1
     /// distinct bits. This is the *only* RNG-consuming half of a probe —
-    /// classification is pure, so inputs can be drawn up front and decoded
-    /// as one batch without moving a single draw.
-    fn probe_input(&mut self, errors: u64) -> ProbeInput {
+    /// decoding is pure, so inputs can be drawn up front and decoded as one
+    /// batch without moving a single draw.
+    fn probe_input(&mut self) -> ProbeInput {
         let n = self.n as usize;
         let mut data = vec![0u8; self.k as usize];
         for chunk in data.chunks_mut(64) {
@@ -304,8 +281,9 @@ impl FaultModel {
             }
         }
         let mut cw = self.codec.encode(&data);
-        let mut flipped: Vec<usize> = Vec::with_capacity(errors as usize);
-        while (flipped.len() as u64) < errors.min(self.n) {
+        let errors = (self.t + 1) as usize;
+        let mut flipped: Vec<usize> = Vec::with_capacity(errors);
+        while flipped.len() < errors {
             let i = self.rng.gen_index(n);
             if !flipped.contains(&i) {
                 flipped.push(i);
@@ -313,22 +291,6 @@ impl FaultModel {
             }
         }
         ProbeInput { data, cw }
-    }
-
-    /// Decodes a slice of probe inputs through the batched inner decoder
-    /// and classifies each outcome. RNG-free.
-    fn classify_batch(&self, inputs: &[ProbeInput]) -> Vec<Probe> {
-        let refs: Vec<&[u8]> = inputs.iter().map(|p| p.cw.as_slice()).collect();
-        self.codec
-            .decode_batch(&refs)
-            .into_iter()
-            .zip(inputs)
-            .map(|(res, p)| match res {
-                Err(_) => Probe::Detected,
-                Ok((out, _)) if out == p.data => Probe::Corrected,
-                Ok(_) => Probe::Miscorrected,
-            })
-            .collect()
     }
 }
 
@@ -530,6 +492,32 @@ mod tests {
         // BCH t=2 miscorrects some t+1 patterns onto other codewords;
         // without the CRC those are SDC.
         assert!(silent > 0, "expected some silent corruption");
+    }
+
+    #[test]
+    fn outcome_classes_track_the_binomial_law() {
+        // No decode checks the corrected class, so its mean is held to the
+        // law it is sampled from, and the UE total to `codeword_failure_prob`.
+        let p = 1e-4;
+        let mut m = FaultModel::new(FaultConfig::mrm(), 5);
+        let (mut codewords, mut corrected, mut ue) = (0u64, 0u64, 0u64);
+        for _ in 0..256 {
+            let r = m.inject_read(8 * MIB, p);
+            codewords += r.codewords;
+            corrected += r.corrected;
+            ue += r.detected_ue + r.miscorrected + r.silent;
+        }
+        let n = m.codeword_bits() as f64;
+        let p_any = -(n * (-p).ln_1p()).exp_m1();
+        let p_ue = codeword_failure_prob(m.codeword_bits(), m.t(), p);
+        for (class, got, q) in [("corrected", corrected, p_any - p_ue), ("ue", ue, p_ue)] {
+            let expect = codewords as f64 * q;
+            let sd = (codewords as f64 * q * (1.0 - q)).sqrt();
+            assert!(
+                (got as f64 - expect).abs() < 5.0 * sd,
+                "{class}: {got} vs {expect:.1} (sd {sd:.1})"
+            );
+        }
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl FaultRng {
         self.inner.next_f64()
     }
 
-    /// Uniform integer in `[0, bound)` (0 when `bound` is 0).
-    pub fn gen_range_u64(&mut self, bound: u64) -> u64 {
-        self.inner.gen_range_u64(bound)
-    }
-
     /// Uniform index into a collection of `len` elements.
     pub fn gen_index(&mut self, len: usize) -> usize {
         self.inner.gen_index(len)

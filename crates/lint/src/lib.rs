@@ -19,9 +19,8 @@
 //!   a per-function RNG-taint pass (D10), and propagates unit-suffix
 //!   dimensions through bindings and call boundaries (U2).
 //!
-//! See [`rules`] for the catalogue, [`baseline`] for the D5 adoption
-//! ratchet, [`sarif`] for the SARIF 2.1.0 reporter, and the `mrm-lint`
-//! binary for the CLI.
+//! See [`rules`] for the catalogue, [`sarif`] for the SARIF 2.1.0
+//! reporter, and the `mrm-lint` binary for the CLI.
 //!
 //! ```
 //! use mrm_lint::rules::{lint_source, FileCtx, RuleId};
@@ -31,7 +30,6 @@
 //! assert_eq!(report.violations[0].rule, RuleId::D2);
 //! ```
 
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;

@@ -6,7 +6,6 @@
 //! cargo run -p mrm-lint -- --format sarif  # SARIF 2.1.0 log on stdout
 //! cargo run -p mrm-lint -- --explain D9
 //! cargo run -p mrm-lint -- --dump-callgraph > callgraph.dot
-//! cargo run -p mrm-lint -- --update-baseline
 //! cargo run -p mrm-lint -- --rules
 //! ```
 
@@ -14,7 +13,6 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mrm_lint::baseline::Baseline;
 use mrm_lint::rules::{RuleId, Severity};
 use mrm_lint::{analyze_workspace, sarif, walk};
 
@@ -24,11 +22,8 @@ mrm-lint: workspace determinism & unit-safety auditor
 USAGE: mrm-lint [OPTIONS]
 
 OPTIONS:
-  --deny               Exit nonzero when violations (or a stale baseline) remain
+  --deny               Exit nonzero when violations remain
   --root <DIR>         Workspace root (default: nearest ancestor with [workspace])
-  --baseline <FILE>    Baseline file (default: <root>/lint-baseline.txt)
-  --update-baseline    Rewrite the baseline from the current D5 debt
-                       (deletes the file when the debt is zero)
   --format <FMT>       Output format: text (default) or sarif (SARIF 2.1.0)
   --explain <RULE>     Print the extended explanation for one rule and exit
   --dump-callgraph     Print the sim-reachable call graph as DOT and exit
@@ -47,8 +42,6 @@ enum Format {
 struct Args {
     deny: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     rules: bool,
     format: Format,
     explain: Option<String>,
@@ -59,8 +52,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deny: false,
         root: None,
-        baseline: None,
-        update_baseline: false,
         rules: false,
         format: Format::Text,
         explain: None,
@@ -70,17 +61,11 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deny" => args.deny = true,
-            "--update-baseline" => args.update_baseline = true,
             "--rules" => args.rules = true,
             "--dump-callgraph" => args.dump_callgraph = true,
             "--root" => {
                 args.root = Some(PathBuf::from(
                     it.next().ok_or("--root needs a directory argument")?,
-                ))
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a file argument")?,
                 ))
             }
             "--format" => {
@@ -153,9 +138,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
 
     let analysis = match analyze_workspace(&root) {
         Ok(a) => a,
@@ -169,50 +151,8 @@ fn main() -> ExitCode {
         print!("{}", analysis.callgraph_dot());
         return ExitCode::SUCCESS;
     }
-    let violations = analysis.violations;
-
-    if args.update_baseline {
-        let rendered = Baseline::render_from(&violations);
-        let entries = rendered.lines().filter(|l| l.starts_with("D5 ")).count();
-        if entries == 0 {
-            // The backlog is gone: the baseline file's presence is optional
-            // when empty, so remove it rather than leaving a husk behind.
-            match std::fs::remove_file(&baseline_path) {
-                Ok(()) => println!(
-                    "mrm-lint: D5 debt is zero — removed {}",
-                    baseline_path.display()
-                ),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    println!("mrm-lint: D5 debt is zero — no baseline file needed")
-                }
-                Err(e) => {
-                    eprintln!("mrm-lint: cannot remove {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            if let Err(e) = std::fs::write(&baseline_path, &rendered) {
-                eprintln!("mrm-lint: cannot write {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "mrm-lint: wrote {} ({entries} D5 entries)",
-                baseline_path.display()
-            );
-        }
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mrm-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = baseline.apply(violations);
-
-    let mut kept = outcome.kept;
-    kept.sort_by(|a, b| {
+    let mut violations = analysis.violations;
+    violations.sort_by(|a, b| {
         (a.rule.severity(), &a.path, a.line, a.rule).cmp(&(
             b.rule.severity(),
             &b.path,
@@ -223,41 +163,22 @@ fn main() -> ExitCode {
 
     match args.format {
         Format::Text => {
-            for v in &kept {
+            for v in &violations {
                 println!("{}", v.render());
             }
-            for (file, allowed, actual) in &outcome.stale {
-                println!(
-                    "{file}: stale baseline: D5 allowance is {allowed} but only {actual} remain — \
-                     run `cargo run -p mrm-lint -- --update-baseline` to tighten the ratchet"
-                );
-            }
-            let errors = kept
+            let errors = violations
                 .iter()
                 .filter(|v| v.rule.severity() == Severity::Error)
                 .count();
-            let warns = kept.len() - errors;
-            println!(
-                "mrm-lint: {} error(s), {} warning(s), {} baselined, {} stale baseline entr{}",
-                errors,
-                warns,
-                outcome.suppressed,
-                outcome.stale.len(),
-                if outcome.stale.len() == 1 { "y" } else { "ies" }
-            );
+            let warns = violations.len() - errors;
+            println!("mrm-lint: {errors} error(s), {warns} warning(s)");
         }
         Format::Sarif => {
-            // stdout carries pure JSON; human-facing notes go to stderr.
-            print!("{}", sarif::render(&kept));
-            for (file, allowed, actual) in &outcome.stale {
-                eprintln!(
-                    "{file}: stale baseline: D5 allowance is {allowed} but only {actual} remain"
-                );
-            }
+            print!("{}", sarif::render(&violations));
         }
     }
 
-    if args.deny && (!kept.is_empty() || !outcome.stale.is_empty()) {
+    if args.deny && !violations.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -80,12 +80,12 @@ pub enum RuleId {
     /// through a let-binding or across a call boundary meets a conflicting
     /// dimension.
     U2,
-    /// Malformed `mrm-lint` annotation (cannot be allowed or baselined).
+    /// Malformed `mrm-lint` annotation (cannot be allowed).
     Meta,
 }
 
 /// How bad a violation is. `Error` rules are hard invariants; `Warn` rules
-/// (D5) carry a pre-existing backlog tracked in the baseline file.
+/// (D5) are code hygiene. `--deny` fails on either.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     Error,
@@ -238,9 +238,7 @@ impl RuleId {
                  A panic mid-sweep takes out the whole parallel run with no\n\
                  actionable message. Return a typed error, or use\n\
                  `expect(\"which invariant failed and why it cannot\")`. D5 is a\n\
-                 warning with a shrink-only baseline (`lint-baseline.txt`); new debt\n\
-                 fails `--deny`, paid-down debt must tighten the ratchet via\n\
-                 `--update-baseline` (the file is deleted when the debt hits zero)."
+                 warning, but `--deny` fails on any site."
             }
             RuleId::D6 => {
                 "D6 — fault injection draws only from the dedicated FaultRng.\n\n\

@@ -5,7 +5,7 @@
 //! skipping `vendor/` (offline stand-ins for external crates are not held to
 //! workspace invariants), `target/` (build output), `fixtures/` (the lint's
 //! own violation corpora must not fail the lint), and VCS metadata. Files
-//! come back sorted so diagnostics and the baseline are stable across runs
+//! come back sorted so diagnostics and SARIF output are stable across runs
 //! and machines.
 
 use std::fs;

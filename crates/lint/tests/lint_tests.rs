@@ -1,5 +1,5 @@
 //! Integration tests for `mrm-lint`: fixture corpora with golden output,
-//! suppression via annotations and baseline, end-to-end `--deny` exit codes,
+//! suppression via annotations, end-to-end `--deny` exit codes,
 //! and the self-check that the lint is clean on its own sources.
 //!
 //! Fixtures live under `tests/fixtures/` (excluded from the workspace walk)
@@ -279,48 +279,18 @@ fn deny_exits_nonzero_on_violations_and_zero_when_clean() {
     );
     let (ok, text) = clean.run(&["--deny"]);
     assert!(ok, "clean workspace must pass --deny:\n{text}");
-}
 
-#[test]
-fn baseline_absorbs_debt_blocks_growth_and_flags_stale() {
-    let ws = Scratch::new("baseline");
-    ws.file(
-        "crates/foo/src/lib.rs",
-        "pub fn a(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         pub fn b(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
-    // Debt exactly covered: --deny passes.
-    ws.file("lint-baseline.txt", "D5 crates/foo/src/lib.rs 2\n");
-    let (ok, text) = ws.run(&["--deny"]);
-    assert!(ok, "baselined debt must pass --deny:\n{text}");
-    assert!(text.contains("2 baselined"), "{text}");
-
-    // New debt beyond the allowance: fails, every site reported.
-    ws.file(
-        "crates/foo/src/lib.rs",
-        "pub fn a(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         pub fn b(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         pub fn c(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
-    let (ok, text) = ws.run(&["--deny"]);
-    assert!(!ok, "debt growth must fail --deny:\n{text}");
-    assert!(text.contains("D5"), "{text}");
-
-    // Debt paid down below the allowance: stale ratchet fails until updated.
-    ws.file(
+    // A single warning-severity D5 site fails --deny: there is no debt
+    // allowance.
+    let d5 = Scratch::new("single-d5");
+    d5.file(
         "crates/foo/src/lib.rs",
         "pub fn a(x: Option<u32>) -> u32 { x.unwrap() }\n",
     );
-    let (ok, text) = ws.run(&["--deny"]);
-    assert!(!ok, "stale baseline must fail --deny:\n{text}");
-    assert!(text.contains("stale baseline"), "{text}");
-    let (ok, text) = ws.run(&["--update-baseline", "--deny"]);
-    assert!(ok, "--update-baseline tightens the ratchet:\n{text}");
-    let rewritten = read(&ws.root.join("lint-baseline.txt"));
-    assert!(
-        rewritten.contains("D5 crates/foo/src/lib.rs 1"),
-        "{rewritten}"
-    );
+    let (ok, text) = d5.run(&["--deny"]);
+    assert!(!ok, "one D5 site must fail --deny:\n{text}");
+    assert!(text.contains("D5"), "expected a D5 diagnostic:\n{text}");
+    assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
 }
 
 #[test]
@@ -456,30 +426,6 @@ fn explain_and_dump_callgraph_flags() {
     );
 }
 
-#[test]
-fn update_baseline_deletes_file_when_debt_reaches_zero() {
-    let ws = Scratch::new("zero-debt");
-    ws.file(
-        "crates/foo/src/lib.rs",
-        "pub fn a(x: u32) -> u32 { x + 1 }\n",
-    );
-    ws.file("lint-baseline.txt", "D5 crates/foo/src/lib.rs 3\n");
-    let (ok, text) = ws.run(&["--deny"]);
-    assert!(!ok, "stale baseline must fail --deny:\n{text}");
-    let (ok, text) = ws.run(&["--update-baseline"]);
-    assert!(ok, "--update-baseline succeeds at zero debt:\n{text}");
-    assert!(
-        !ws.root.join("lint-baseline.txt").exists(),
-        "baseline file must be deleted when the debt reaches zero"
-    );
-    // And the workspace passes --deny with no baseline file at all.
-    let (ok, text) = ws.run(&["--deny"]);
-    assert!(
-        ok,
-        "zero-debt workspace passes --deny without a baseline:\n{text}"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Self-checks against the real workspace
 // ---------------------------------------------------------------------------
@@ -534,7 +480,7 @@ fn workspace_is_interprocedurally_clean() {
 }
 
 #[test]
-fn workspace_passes_deny_with_checked_in_baseline() {
+fn workspace_passes_deny() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("lint crate lives inside the workspace");
     let out = Command::new(env!("CARGO_BIN_EXE_mrm-lint"))
@@ -545,7 +491,7 @@ fn workspace_passes_deny_with_checked_in_baseline() {
         .expect("spawn mrm-lint");
     assert!(
         out.status.success(),
-        "the workspace must pass `mrm-lint --deny` with the checked-in baseline:\n{}{}",
+        "the workspace must pass `mrm-lint --deny`:\n{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );

@@ -147,6 +147,20 @@ impl ClusterConfig {
                         zero period reschedules the redeploy forever)"
                 .to_string());
         }
+        let ber_scale = self.faults.ber_scale;
+        if !(ber_scale.is_finite() && ber_scale >= 0.0) {
+            return Err(format!(
+                "faults.ber_scale must be finite and non-negative, got {ber_scale} \
+                 (a NaN scale counts reads but never injects a flip)"
+            ));
+        }
+        if let Some(m) = self.faults.provision_margin {
+            if !(m.is_finite() && m > 0.0) {
+                return Err(format!(
+                    "faults.provision_margin must be finite and positive when set, got {m}"
+                ));
+            }
+        }
         let (alt_name, alt_packages) = match self.policy {
             PlacementPolicy::HbmOnly => return Ok(()),
             PlacementPolicy::HbmLpddr => ("lpddr_packages", self.lpddr_packages),
@@ -709,7 +723,7 @@ impl<'t> ClusterSim<'t> {
         // class, so margin 1 means retention exactly equal to the data's
         // lifetime — the operating point where retention faults surface.
         let kv_native_retention = match (cfg.faults.provision_margin, kv_on_mrm) {
-            (Some(m), true) => cfg.followup_window.mul_f64(m.max(0.0)),
+            (Some(m), true) => cfg.followup_window.mul_f64(m),
             _ => match cfg.policy.tier_for(DataClass::KvCache) {
                 TierKind::Hbm => presets::hbm3e().retention,
                 TierKind::Lpddr => presets::lpddr5x().retention,
@@ -2791,6 +2805,20 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("weight_redeploy_period"));
+
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut cfg = ok.clone();
+            cfg.faults.ber_scale = bad;
+            assert!(cfg.validate().unwrap_err().contains("ber_scale"), "{bad}");
+        }
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let mut cfg = ok.clone();
+            cfg.faults.provision_margin = Some(bad);
+            assert!(
+                cfg.validate().unwrap_err().contains("provision_margin"),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
