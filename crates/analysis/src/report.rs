@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    title: Option<String>,
 }
 
 impl Table {
@@ -29,14 +28,7 @@ impl Table {
         Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            title: None,
         }
-    }
-
-    /// Sets a title line printed above the table.
-    pub fn with_title(mut self, title: &str) -> Self {
-        self.title = Some(title.to_string());
-        self
     }
 
     /// Appends a row.
@@ -76,9 +68,6 @@ impl Table {
             }
         }
         let mut out = String::new();
-        if let Some(t) = &self.title {
-            let _ = writeln!(out, "== {t} ==");
-        }
         let fmt_row = |cells: &[String], widths: &[usize]| {
             let mut line = String::new();
             for i in 0..ncols {
@@ -136,12 +125,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         // Header separator spans the widest cells.
         assert!(lines[1].starts_with("-----"));
-    }
-
-    #[test]
-    fn title() {
-        let t = Table::new(&["x"]).with_title("Figure 1");
-        assert!(t.render().starts_with("== Figure 1 =="));
     }
 
     #[test]

@@ -120,14 +120,13 @@ pub fn system_row(kind: SystemKind) -> SystemRow {
     }
 }
 
-/// Builds the three §3 comparison systems at B200-ish scale.
-pub fn system_comparison() -> Vec<SystemRow> {
-    SystemKind::all().into_iter().map(system_row).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn comparison_rows() -> Vec<SystemRow> {
+        SystemKind::all().into_iter().map(system_row).collect()
+    }
 
     fn get<'a>(rows: &'a [SystemRow], n: &str) -> &'a SystemRow {
         rows.iter().find(|r| r.system.contains(n)).unwrap()
@@ -135,7 +134,7 @@ mod tests {
 
     #[test]
     fn lpddr_cuts_cost_per_gb_but_also_bulk_bandwidth() {
-        let rows = system_comparison();
+        let rows = comparison_rows();
         let hbm = get(&rows, "HBM-only");
         let lp = get(&rows, "LPDDR");
         // More GB per cost unit...
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn lpddr_does_not_improve_read_energy() {
         // §3: "fundamentally not improve the HBM's read energy efficiency."
-        let rows = system_comparison();
+        let rows = comparison_rows();
         let hbm = get(&rows, "HBM-only");
         let lp = get(&rows, "LPDDR");
         assert!(lp.bulk_read_pj_bit >= hbm.bulk_read_pj_bit);
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn mrm_improves_capacity_energy_and_bandwidth_together() {
-        let rows = system_comparison();
+        let rows = comparison_rows();
         let hbm = get(&rows, "HBM-only");
         let mrm = get(&rows, "HBM+MRM");
         assert!(mrm.capacity_bytes > 2 * hbm.capacity_bytes);
@@ -171,7 +170,7 @@ mod tests {
 
     #[test]
     fn mrm_eliminates_always_on_refresh_for_bulk() {
-        let rows = system_comparison();
+        let rows = comparison_rows();
         let hbm = get(&rows, "HBM-only");
         let mrm = get(&rows, "HBM+MRM");
         // HBM-only refreshes 192 GB forever; HBM+MRM refreshes only the
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn all_systems_have_positive_fields() {
-        for r in system_comparison() {
+        for r in comparison_rows() {
             assert!(r.capacity_bytes > 0);
             assert!(r.bulk_read_bw > 0.0);
             assert!(r.cost_units > 0.0);

@@ -12,18 +12,19 @@
 //! cycles, plus the final per-zone wear histogram).
 
 use mrm_analysis::report::Table;
-use mrm_bench::{check, heading, save_json, save_telemetry, warn_unsupported_obs, OutputPaths};
+use mrm_bench::{
+    check, heading, output_path_from_args, save_json, save_telemetry, warn_unsupported_obs,
+};
 use mrm_device::tech::presets;
 use mrm_sim::time::SimDuration;
 use mrm_sim::units::MIB;
-use mrm_telemetry::{export, NullSink, SimTelemetry, TelemetrySink};
-use mrm_tiering::wear::{simulate_wear_with_telemetry, WearPolicy, WearReport};
+use mrm_telemetry::{export, SimTelemetry};
+use mrm_tiering::wear::{simulate_wear, WearPolicy, WearReport};
 use serde::Value;
 
 fn main() {
-    let out = OutputPaths::from_args();
-    warn_unsupported_obs("e10_wear", &out);
-    let telemetry_path = out.telemetry;
+    let telemetry_path = output_path_from_args("--telemetry");
+    warn_unsupported_obs("e10_wear");
     let mut jsonl = String::new();
 
     heading("E10 — zone churn simulation (scaled device, KV-stream append/drop)");
@@ -50,18 +51,14 @@ fn main() {
             let mut tele = telemetry_path
                 .as_ref()
                 .map(|_| SimTelemetry::new(SimDuration::from_secs(60)));
-            let sink: &mut dyn TelemetrySink = match tele.as_mut() {
-                Some(t) => t,
-                None => &mut NullSink,
-            };
-            let r = simulate_wear_with_telemetry(
+            let r = simulate_wear(
                 tech,
                 4 * MIB,            // zone size
                 16 * MIB,           // stream (context KV) size
                 256.0 * MIB as f64, // sustained append rate
                 SimDuration::from_secs(1200),
                 policy,
-                sink,
+                tele.as_mut(),
             );
             if let Some(tele) = tele {
                 jsonl.push_str(&export::jsonl_tagged(

@@ -8,11 +8,11 @@
 //! retention sweet spot from the *session* side.
 
 use mrm_analysis::report::Table;
-use mrm_bench::{heading, save_json, save_telemetry, warn_unsupported_obs, OutputPaths};
+use mrm_bench::{heading, output_path_from_args, save_json, save_telemetry, warn_unsupported_obs};
 use mrm_controller::dcm::RetentionClass;
 use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::{export, SimTelemetry, TelemetrySink};
+use mrm_telemetry::{export, SimTelemetry};
 use mrm_workload::model::{ModelConfig, Quantization};
 use mrm_workload::sessions::SessionSampler;
 use serde::Value;
@@ -30,8 +30,8 @@ fn coverage_gauge(class: RetentionClass) -> &'static str {
 }
 
 fn main() {
-    let out = OutputPaths::from_args();
-    warn_unsupported_obs("e12_sessions", &out);
+    let telemetry_path = output_path_from_args("--telemetry");
+    warn_unsupported_obs("e12_sessions");
     let sampler = SessionSampler::conversation_default(4096);
     let model = ModelConfig::llama2_70b();
     let kvpt = model.kv_bytes_per_token(Quantization::Fp16);
@@ -116,7 +116,7 @@ fn main() {
     assert!(secs.1 < 0.7, "30s class must visibly fail sessions");
     println!("\nPASS session-coverage shape checks");
 
-    if let Some(path) = &out.telemetry {
+    if let Some(path) = &telemetry_path {
         // One snapshot per retention class at a synthetic 1 s step: the
         // session/gap coverage curve as a JSONL series, same shape as the
         // cluster experiments' exports.

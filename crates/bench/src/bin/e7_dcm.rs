@@ -17,7 +17,9 @@
 //! device writes themselves are unaffected.
 
 use mrm_analysis::report::Table;
-use mrm_bench::{heading, note, save_json, save_telemetry, warn_unsupported_obs, OutputPaths};
+use mrm_bench::{
+    heading, note, output_path_from_args, save_json, save_telemetry, warn_unsupported_obs,
+};
 use mrm_controller::dcm::{DcmController, RetentionClass};
 use mrm_device::device::MemoryDevice;
 use mrm_device::tech::presets;
@@ -25,7 +27,7 @@ use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
 use mrm_sim::units::{GIB, MIB};
 use mrm_sweep::{threads_from_args, Grid, Sweep};
-use mrm_telemetry::{export, SimTelemetry, TelemetrySink};
+use mrm_telemetry::{export, SimTelemetry};
 use mrm_tiering::lifetime::LifetimeEstimator;
 use mrm_workload::traces::{RequestSampler, TraceKind};
 use serde::Value;
@@ -77,9 +79,8 @@ fn main() {
     // Telemetry rides a synthetic export clock (one write per simulated
     // millisecond, snapshots every 100 ms); the device writes themselves
     // stay at SimTime::ZERO, so energy and wear results are unchanged.
-    let out = OutputPaths::from_args();
-    warn_unsupported_obs("e7_dcm", &out);
-    let telemetry_path = out.telemetry;
+    let telemetry_path = output_path_from_args("--telemetry");
+    warn_unsupported_obs("e7_dcm");
     let mut tele = telemetry_path
         .as_ref()
         .map(|_| SimTelemetry::new(SimDuration::from_millis(100)));

@@ -7,7 +7,9 @@
 //! no longer hold the reliability target?
 
 use mrm_analysis::report::Table;
-use mrm_bench::{heading, note, save_json, save_telemetry, warn_unsupported_obs, OutputPaths};
+use mrm_bench::{
+    heading, note, output_path_from_args, save_json, save_telemetry, warn_unsupported_obs,
+};
 use mrm_device::cell::RetentionTradeoff;
 use mrm_device::tech::presets;
 use mrm_ecc::analysis::{iso_reliability_overhead, max_safe_age_fraction};
@@ -15,7 +17,7 @@ use mrm_ecc::bch::Bch;
 use mrm_ecc::hamming::Hamming;
 use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::{export, SimTelemetry, TelemetrySink};
+use mrm_telemetry::{export, SimTelemetry};
 use serde::Value;
 
 /// Stable gauge name for each E8d code point (telemetry names must be
@@ -32,6 +34,8 @@ fn scrub_ok_gauge(n_bits: u64, t: u64) -> &'static str {
 }
 
 fn main() {
+    let telemetry_path = output_path_from_args("--telemetry");
+    warn_unsupported_obs("e8_ecc");
     heading("E8a — the Dolinar curve: overhead vs. codeword size at iso-reliability");
     println!("(RBER 1e-4, target codeword failure 1e-12, BCH-style m*t parity)\n");
     let rows = iso_reliability_overhead(1e-4, 1e-12, &[64, 256, 1024, 4096, 16384, 65536]);
@@ -136,9 +140,7 @@ fn main() {
     // RBER-vs-data-age time series: the decoder's view of a 12 h retention
     // class as data ages in 15-minute steps, with a per-code "still within
     // its scrub budget" flag. Pure function of age — no RNG.
-    let out = OutputPaths::from_args();
-    warn_unsupported_obs("e8_ecc", &out);
-    if let Some(path) = out.telemetry {
+    if let Some(path) = telemetry_path {
         let step = SimDuration::from_secs(900);
         let mut tele = SimTelemetry::new(step);
         let steps = 48u64; // 48 * 15 min = the 12 h retention target

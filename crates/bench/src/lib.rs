@@ -69,15 +69,16 @@ pub fn check(pass: bool, desc: &str) -> bool {
     pass
 }
 
-/// Observation artifact paths shared by every experiment binary:
+/// Observation artifact paths of the cluster experiments (e9, e11, e13):
 /// `--telemetry <path>` (JSONL time series), `--trace <path>` (Perfetto /
 /// Chrome trace-event JSON), and `--profile <path>` (profiler report +
-/// folded stacks). Each flag also accepts the `=` form.
+/// folded stacks). Each flag also accepts the `=` form. Binaries without
+/// a causal tracer parse only `--telemetry` (see [`warn_unsupported_obs`]).
 ///
-/// All three parse through the same helper, so every binary accepts the
-/// same flags with the same error behavior: an unwritable path is a
-/// consistent fatal error *before* the run starts, never a warning after
-/// minutes of simulation.
+/// All three parse through [`output_path_from_args`], so every path gets
+/// the same error behavior: an unwritable path is a consistent fatal
+/// error *before* the run starts, never a warning after minutes of
+/// simulation.
 #[derive(Debug, Default)]
 pub struct OutputPaths {
     /// Destination for the JSONL telemetry export, when requested.
@@ -96,11 +97,6 @@ impl OutputPaths {
             trace: output_path_from_args("--trace"),
             profile: output_path_from_args("--profile"),
         }
-    }
-
-    /// True when any observation artifact was requested.
-    pub fn any(&self) -> bool {
-        self.telemetry.is_some() || self.trace.is_some() || self.profile.is_some()
     }
 }
 
@@ -158,18 +154,30 @@ pub fn save_telemetry(path: &std::path::Path, contents: &str) {
 }
 
 /// Warns when `--trace`/`--profile` were passed to a binary that has no
-/// causal tracer. The flags parse (and preflight) everywhere for
-/// consistency, but only the cluster experiments emit traces and
-/// profiles; anywhere else the artifact would be an empty file.
-pub fn warn_unsupported_obs(bin: &str, out: &OutputPaths) {
-    if out.trace.is_some() {
-        warn(&format!(
+/// causal tracer. Only the cluster experiments emit traces and profiles,
+/// so the others parse just `--telemetry`; the ignored flags' paths are
+/// never preflighted, so an existing file there is left untouched.
+pub fn warn_unsupported_obs(bin: &str) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    for msg in unsupported_obs_warnings(bin, &args) {
+        warn(&msg);
+    }
+}
+
+/// One warning per `--trace`/`--profile` flag given in `args`. Looks at
+/// the flags only, never at their paths.
+fn unsupported_obs_warnings(bin: &str, args: &[String]) -> Vec<String> {
+    let present = |flag: &str| mrm_sweep::flag_value(flag, args.iter().cloned()).is_some();
+    let mut warnings = Vec::new();
+    if present("--trace") {
+        warnings.push(format!(
             "{bin} does not emit a causal trace; --trace ignored"
         ));
     }
-    if out.profile.is_some() {
-        warn(&format!("{bin} does not emit a profile; --profile ignored"));
+    if present("--profile") {
+        warnings.push(format!("{bin} does not emit a profile; --profile ignored"));
     }
+    warnings
 }
 
 /// Prints a section heading.
@@ -220,6 +228,39 @@ mod tests {
         // A path whose "parent" is a regular file cannot be written.
         let through_file = nested.join("child.json");
         assert!(preflight_writable(&through_file).is_err());
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn ignored_obs_flags_warn_without_touching_their_paths() {
+        let base = std::env::temp_dir().join(format!("mrm_bench_ignored_{}", std::process::id()));
+        fs::create_dir_all(&base).unwrap();
+        let trace = base.join("trace.json");
+        let profile = base.join("profile.txt");
+        fs::write(&trace, "keep me").unwrap();
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let warnings = unsupported_obs_warnings(
+            "e7_dcm",
+            &args(&[
+                "--trace",
+                trace.to_str().unwrap(),
+                &format!("--profile={}", profile.display()),
+            ]),
+        );
+        assert_eq!(
+            warnings,
+            vec![
+                "e7_dcm does not emit a causal trace; --trace ignored".to_string(),
+                "e7_dcm does not emit a profile; --profile ignored".to_string(),
+            ]
+        );
+        // Neither path was preflighted: the existing file keeps its bytes
+        // and the missing one is not created.
+        assert_eq!(fs::read_to_string(&trace).unwrap(), "keep me");
+        assert!(!profile.exists());
+        // Absent flags, and names that merely share the prefix, stay quiet.
+        assert!(unsupported_obs_warnings("e7_dcm", &args(&["--telemetry", "t.jsonl"])).is_empty());
+        assert!(unsupported_obs_warnings("e7_dcm", &args(&["--traces=x"])).is_empty());
         let _ = fs::remove_dir_all(&base);
     }
 }

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 
 use mrm_sim::time::SimTime;
-use mrm_telemetry::sink::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::class::ControlClass;
@@ -220,7 +220,7 @@ impl AuditLog {
 
     /// Emits the `control_*` counters (monotone totals). Observe-only:
     /// republishing is idempotent.
-    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
+    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         sink.count_to("control_audit_records", self.records.len() as u64);
         for action in AuditAction::all() {
             sink.count_to(action.counter_name(), self.count(action));

@@ -5,11 +5,10 @@
 //! differently), activations, and session state — and argues each needs a
 //! *declared* lifetime policy rather than an implicit one. [`ControlClass`]
 //! is that declaration key: finer-grained than the workload-side
-//! [`DataClass`], because the control plane treats a completed context's
-//! cached prefix (droppable, recomputable) differently from the KV tail of
-//! a running request (dropping it aborts the request).
+//! `DataClass` (`mrm-workload`), because the control plane treats a
+//! completed context's cached prefix (droppable, recomputable) differently
+//! from the KV tail of a running request (dropping it aborts the request).
 
-use mrm_workload::access::DataClass;
 use serde::{Deserialize, Serialize};
 
 /// A data class as the retention control plane sees it.
@@ -53,17 +52,6 @@ impl ControlClass {
             ControlClass::SessionState => "session_state",
         }
     }
-
-    /// The control class a workload-side write maps to. `KvCache` maps to
-    /// the live tail; the prefix class is entered explicitly when a
-    /// completed context is parked for follow-ups.
-    pub fn from_data_class(class: DataClass) -> ControlClass {
-        match class {
-            DataClass::Weights => ControlClass::Weights,
-            DataClass::KvCache => ControlClass::KvTail,
-            DataClass::Activation => ControlClass::Activation,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -76,21 +64,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 5);
-    }
-
-    #[test]
-    fn data_class_mapping_covers_all_workload_classes() {
-        assert_eq!(
-            ControlClass::from_data_class(DataClass::Weights),
-            ControlClass::Weights
-        );
-        assert_eq!(
-            ControlClass::from_data_class(DataClass::KvCache),
-            ControlClass::KvTail
-        );
-        assert_eq!(
-            ControlClass::from_data_class(DataClass::Activation),
-            ControlClass::Activation
-        );
     }
 }

@@ -31,7 +31,7 @@ pub use reconcile::{Reconciler, WorkItem, WorkKind};
 pub use registry::{ControlError, RetentionRegistry};
 
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::sink::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 use serde::{Deserialize, Serialize};
 
 /// Registry + audit log, wired together: the object the data path holds.
@@ -166,7 +166,7 @@ impl ControlPlane {
 
     /// Emits the `control_*` counters and the required-drop gauge into a
     /// sink.
-    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
+    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         sink.gauge(
             "control_required_drop_violations",
             self.audit.required_drop_violations(&self.registry).len() as f64,

@@ -66,12 +66,6 @@ impl RetentionPolicy {
         self
     }
 
-    /// Sets the pressure-eviction threshold.
-    pub fn with_pressure_threshold(mut self, threshold: f64) -> Self {
-        self.pressure_threshold = threshold;
-        self
-    }
-
     /// True if memory pressure at `occupancy` (fraction of tier capacity)
     /// permits evicting this class.
     pub fn evictable_at(&self, occupancy: f64) -> bool {
@@ -92,7 +86,10 @@ mod tests {
 
     #[test]
     fn ephemeral_evicts_only_at_threshold() {
-        let p = RetentionPolicy::ephemeral(SimDuration::from_mins(10)).with_pressure_threshold(0.9);
+        let p = RetentionPolicy {
+            pressure_threshold: 0.9,
+            ..RetentionPolicy::ephemeral(SimDuration::from_mins(10))
+        };
         assert!(!p.evictable_at(0.5));
         assert!(p.evictable_at(0.9));
         assert!(p.evictable_at(1.0));

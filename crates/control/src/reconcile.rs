@@ -94,11 +94,6 @@ impl Reconciler {
         self.tracker.remove(id);
     }
 
-    /// Observes an extended need (a follow-up arrived).
-    pub fn observe_extended_need(&mut self, id: u64, needed_until: SimTime) {
-        self.tracker.extend_need(id, needed_until);
-    }
-
     /// Observes a completed refresh: the deadline re-arms from `now`.
     pub fn observe_refreshed(&mut self, id: u64, now: SimTime) {
         self.tracker.refreshed(id, now);
@@ -289,10 +284,6 @@ mod tests {
         r.observe_refreshed(2, t(9));
         assert!(r.plan(t(9), t(12), &serving()).is_empty());
         assert_eq!(r.deadline(2), Some(t(19)));
-        // A follow-up extends the need past the deadline: back to refresh.
-        r.observe_extended_need(2, t(40));
-        let items = r.plan(t(18), t(19), &serving());
-        assert_eq!(items[0].kind, WorkKind::Refresh);
     }
 
     #[test]

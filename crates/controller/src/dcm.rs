@@ -15,7 +15,7 @@ use mrm_device::device::{DeviceError, MemoryDevice, OpResult};
 use mrm_device::energy::EnergyBreakdown;
 use mrm_faults::{FaultModel, FaultStats, ReadFaults, RecoveryAction};
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 use serde::{Deserialize, Serialize};
 
 /// The hardware retention ladder: the write-pulse settings a DCM device
@@ -308,11 +308,8 @@ impl DcmController {
 
     /// Publishes the per-class write ledger and the reconfig count into
     /// `sink`. Pull-style and idempotent (totals via
-    /// [`TelemetrySink::count_to`]).
-    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    /// [`SimTelemetry::count_to`]).
+    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         for (class, stats) in self.class_stats() {
             let (writes, bytes) = Self::class_counters(class);
             sink.count_to(writes, stats.writes);
@@ -531,7 +528,7 @@ mod tests {
 
     #[test]
     fn telemetry_publishes_class_ledger() {
-        use mrm_telemetry::{SimTelemetry, TelemetrySink as _};
+        use mrm_telemetry::SimTelemetry;
         let mut d = dcm();
         d.write(SimTime::ZERO, 0, 300, SimDuration::from_secs(5))
             .unwrap();
@@ -545,9 +542,5 @@ mod tests {
         assert_eq!(r.counter_value("dcm_bytes_30s"), Some(300));
         assert_eq!(r.counter_value("dcm_writes_7d"), Some(1));
         assert_eq!(r.counter_value("dcm_reconfigs"), Some(1));
-        // A disabled sink costs nothing and records nothing.
-        let mut null = mrm_telemetry::NullSink;
-        d.emit_telemetry(&mut null);
-        assert!(!null.enabled());
     }
 }

@@ -13,7 +13,7 @@ use mrm_device::bank::{Bank, BankTiming, RowOutcome};
 pub const REF_COMMANDS_PER_PASS: u64 = 8192;
 use mrm_device::geometry::DeviceGeometry;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 
 /// Statistics accumulated by the controller.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -214,13 +214,10 @@ impl DramController {
     /// tax made visible).
     ///
     /// Pull-style and idempotent: totals go through
-    /// [`TelemetrySink::count_to`], so republishing every snapshot
+    /// [`SimTelemetry::count_to`], so republishing every snapshot
     /// interval never double-counts. `elapsed` is the sim-time window the
     /// rate/fraction gauges are computed over.
-    pub fn emit_telemetry(&self, elapsed: SimDuration, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    pub fn emit_telemetry(&self, elapsed: SimDuration, sink: &mut SimTelemetry) {
         sink.count_to("dram_accesses", self.stats.accesses);
         sink.count_to("dram_row_hits", self.stats.row_hits);
         sink.count_to("dram_row_misses", self.stats.row_misses);

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use mrm_faults::{FaultModel, FaultStats, ReadFaults, RecoveryAction};
-use mrm_telemetry::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 
 /// Wear-levelling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,11 +238,6 @@ impl Ftl {
     /// Statistics so far.
     pub fn stats(&self) -> FtlStats {
         self.stats
-    }
-
-    /// Per-block erase counts.
-    pub fn erase_counts(&self) -> Vec<u64> {
-        self.blocks.iter().map(|b| b.erase_count).collect()
     }
 
     /// Spread between the most- and least-erased in-service block.
@@ -563,12 +558,9 @@ impl Ftl {
     /// erase-spread gauges — the §3 "housekeeping leverages the write
     /// path" tax as a time series.
     ///
-    /// Pull-style and idempotent (totals via [`TelemetrySink::count_to`]),
+    /// Pull-style and idempotent (totals via [`SimTelemetry::count_to`]),
     /// so call it once per snapshot interval.
-    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         sink.count_to("ftl_host_writes", self.stats.host_writes);
         sink.count_to("ftl_gc_moves", self.stats.gc_moves);
         sink.count_to("ftl_wl_moves", self.stats.wl_moves);
@@ -593,10 +585,7 @@ impl Ftl {
     /// histogram — the wear distribution at a point in time. One-shot:
     /// call once at end of run (or per report), not per interval, since
     /// histogram observations accumulate.
-    pub fn emit_wear_histogram(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    pub fn emit_wear_histogram(&self, sink: &mut SimTelemetry) {
         for b in &self.blocks {
             sink.observe("ftl_erase_cycles", b.erase_count as f64);
         }

@@ -25,7 +25,7 @@ use mrm_device::device::{DeviceError, MemoryDevice, OpResult};
 use mrm_device::energy::EnergyBreakdown;
 use mrm_faults::{FaultModel, FaultStats, ReadFaults, RecoveryAction};
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 
 /// Zone identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -531,11 +531,8 @@ impl MrmBlockController {
     /// device performs — exactly the signal the paper's §4 argument needs
     /// on a timeline.
     ///
-    /// Pull-style and idempotent (totals via [`TelemetrySink::count_to`]).
-    pub fn emit_telemetry(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    /// Pull-style and idempotent (totals via [`SimTelemetry::count_to`]).
+    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         sink.count_to("mrm_scrub_ops", self.scrub_ops);
         sink.count_to("mrm_scrub_bytes", self.scrub_bytes);
         sink.count_to("mrm_read_retries", self.read_retries);
@@ -577,10 +574,7 @@ impl MrmBlockController {
     /// `zone_write_cycles` histogram — the wear distribution the software
     /// wear-leveller is trying to flatten. One-shot: call at end of run,
     /// not per interval, since histogram observations accumulate.
-    pub fn emit_wear_histogram(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
+    pub fn emit_wear_histogram(&self, sink: &mut SimTelemetry) {
         for zn in &self.zones {
             sink.observe("zone_write_cycles", zn.write_cycles as f64);
         }

@@ -10,11 +10,11 @@
 //!
 //! Placement decisions run on every KV allocation, eviction and migration,
 //! so the allocator is on the simulator's hottest path. Free ranges live in
-//! an address-ordered treap ([`FreeTree`]) augmented with the maximum free
+//! an address-ordered treap (`FreeTree`) augmented with the maximum free
 //! length per subtree: `alloc` descends left-first, so it finds the
 //! *lowest-address* range that fits — exactly the classic first-fit scan —
 //! in O(log n) instead of O(n). Live allocations are validated through a
-//! deterministic open-addressing index ([`LiveMap`]) instead of a sorted
+//! deterministic open-addressing index (`LiveMap`) instead of a sorted
 //! `Vec`, making `free` (lookup + coalesce) O(log n) instead of O(n)
 //! `Vec::insert`/`remove` shuffles. The behaviour is byte-identical to the
 //! original flat-`Vec` allocator (kept as [`LegacyVecPool`], the oracle for
@@ -138,16 +138,6 @@ impl FreeTree {
     /// Number of free ranges.
     fn len(&self) -> usize {
         self.count
-    }
-
-    /// The largest single free range, or 0 when empty (O(1): the root's
-    /// augmentation).
-    fn max_free(&self) -> u64 {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].max_len
-        }
     }
 
     fn new_node(&mut self, addr: u64, len: u64) -> u32 {
@@ -639,11 +629,6 @@ impl Pool {
         self.capacity_bytes() - self.used
     }
 
-    /// The largest contiguous free range, bytes (O(1)).
-    pub fn largest_free_bytes(&self) -> u64 {
-        self.free.max_free()
-    }
-
     /// Occupancy fraction.
     pub fn occupancy(&self) -> f64 {
         self.used as f64 / self.capacity_bytes().max(1) as f64
@@ -928,15 +913,16 @@ mod tests {
 
     #[test]
     fn largest_free_tracks_fragmentation() {
+        let largest = |p: &Pool| p.free_ranges().iter().map(|r| r.1).max().unwrap_or(0);
         let mut p = pool();
-        assert_eq!(p.largest_free_bytes(), 64 * MIB);
+        assert_eq!(largest(&p), 64 * MIB);
         let a = p.alloc(MIB).unwrap();
         let _b = p.alloc(MIB).unwrap();
-        assert_eq!(p.largest_free_bytes(), 62 * MIB);
+        assert_eq!(largest(&p), 62 * MIB);
         p.free(a).unwrap();
         // Two fragments: the 1 MiB hole and the 62 MiB tail.
         assert_eq!(p.free_fragments(), 2);
-        assert_eq!(p.largest_free_bytes(), 62 * MIB);
+        assert_eq!(largest(&p), 62 * MIB);
     }
 
     #[test]
@@ -1052,7 +1038,7 @@ mod tests {
             p.free(a).unwrap();
         }
         assert_eq!(p.free_fragments(), 1);
-        assert_eq!(p.largest_free_bytes(), 256 * MIB);
+        assert_eq!(p.free_ranges(), vec![(0, 256 * MIB)]);
     }
 }
 

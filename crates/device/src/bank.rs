@@ -73,10 +73,6 @@ pub struct Bank {
     ready_at: SimTime,
     /// Time the current row was activated (for tRAS).
     activated_at: SimTime,
-    hits: u64,
-    misses: u64,
-    conflicts: u64,
-    refreshes: u64,
 }
 
 /// The result of scheduling an access on a bank.
@@ -98,10 +94,6 @@ impl Bank {
             open_row: None,
             ready_at: SimTime::ZERO,
             activated_at: SimTime::ZERO,
-            hits: 0,
-            misses: 0,
-            conflicts: 0,
-            refreshes: 0,
         }
     }
 
@@ -113,16 +105,6 @@ impl Bank {
     /// Earliest time the bank can accept a new command.
     pub fn ready_at(&self) -> SimTime {
         self.ready_at
-    }
-
-    /// Row-buffer statistics as `(hits, misses, conflicts)`.
-    pub fn row_stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.conflicts)
-    }
-
-    /// Number of refresh operations performed.
-    pub fn refresh_count(&self) -> u64 {
-        self.refreshes
     }
 
     /// Schedules a column access to `row` of `bursts` consecutive bursts,
@@ -144,11 +126,6 @@ impl Bank {
                 (start + t.t_rcd, RowOutcome::Miss)
             }
         };
-        match outcome {
-            RowOutcome::Hit => self.hits += 1,
-            RowOutcome::Miss => self.misses += 1,
-            RowOutcome::Conflict => self.conflicts += 1,
-        }
         self.open_row = Some(row);
         let data_at = cmd_done + t.t_cas;
         let transfer = t.t_burst.saturating_mul(u64::from(bursts.max(1)));
@@ -173,7 +150,6 @@ impl Bank {
         };
         self.open_row = None;
         self.ready_at = start + self.timing.t_rfc;
-        self.refreshes += 1;
         self.ready_at
     }
 }
@@ -232,7 +208,6 @@ mod tests {
         let free = b.refresh(r.bank_free_at);
         assert!(b.open_row().is_none());
         assert!(free > r.bank_free_at + BankTiming::hbm3_like().t_rfc);
-        assert_eq!(b.refresh_count(), 1);
         // Next access is a miss again and waits for the refresh.
         let after = b.access(SimTime::ZERO, 7, 1);
         assert_eq!(after.outcome, RowOutcome::Miss);
@@ -243,11 +218,14 @@ mod tests {
     fn stats_accumulate() {
         let mut b = bank();
         let mut t = SimTime::ZERO;
-        for (row, _) in [(0u32, 0), (0, 0), (1, 0), (1, 0), (0, 0)] {
-            t = b.access(t, row, 1).bank_free_at;
+        let mut outcomes = Vec::new();
+        for row in [0u32, 0, 1, 1, 0] {
+            let r = b.access(t, row, 1);
+            t = r.bank_free_at;
+            outcomes.push(r.outcome);
         }
-        let (h, m, c) = b.row_stats();
-        assert_eq!((h, m, c), (2, 1, 2));
+        use RowOutcome::{Conflict, Hit, Miss};
+        assert_eq!(outcomes, vec![Miss, Hit, Conflict, Hit, Conflict]);
     }
 
     #[test]

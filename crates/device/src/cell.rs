@@ -126,11 +126,6 @@ pub fn delta_for_retention(retention: SimDuration) -> f64 {
     (secs / THERMAL_ATTEMPT_TIME_S).ln()
 }
 
-/// The retention time implied by a thermal-stability factor Δ.
-pub fn retention_for_delta(delta: f64) -> SimDuration {
-    SimDuration::from_secs_f64(THERMAL_ATTEMPT_TIME_S * delta.exp())
-}
-
 /// A calibrated retention trade-off curve for one technology.
 ///
 /// Anchored at the technology's shipped operating point
@@ -334,8 +329,9 @@ mod tests {
     #[test]
     fn delta_retention_roundtrip() {
         for secs in [1.0, 3600.0, 86400.0, 3.15e8] {
+            // Inverting Δ = ln(t / τ0) recovers the retention time.
             let d = delta_for_retention(SimDuration::from_secs_f64(secs));
-            let back = retention_for_delta(d).as_secs_f64();
+            let back = THERMAL_ATTEMPT_TIME_S * d.exp();
             assert!((back / secs - 1.0).abs() < 1e-6, "{secs} -> {back}");
         }
     }

@@ -105,11 +105,6 @@ pub struct MemoryDevice {
     meter: EnergyMeter,
     blocks: Vec<BlockState>,
     block_bytes: u64,
-    reads: u64,
-    writes: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    last_idle_mark: SimTime,
 }
 
 impl MemoryDevice {
@@ -129,22 +124,13 @@ impl MemoryDevice {
             .max(tech.access_unit_bytes)
             .max(1);
         let n_blocks = capacity.div_ceil(block_bytes) as usize;
-        let meter = EnergyMeter::new(
-            tech.read_energy_pj_bit,
-            tech.write_energy_pj_bit,
-            tech.idle_power_w(),
-        );
+        let meter = EnergyMeter::new(tech.read_energy_pj_bit, tech.write_energy_pj_bit);
         MemoryDevice {
             tech,
             geometry,
             meter,
             blocks: vec![BlockState::default(); n_blocks],
             block_bytes,
-            reads: 0,
-            writes: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            last_idle_mark: SimTime::ZERO,
         }
     }
 
@@ -166,11 +152,6 @@ impl MemoryDevice {
     /// Wear/retention tracking granularity, bytes.
     pub fn block_bytes(&self) -> u64 {
         self.block_bytes
-    }
-
-    /// Totals: `(reads, writes, bytes_read, bytes_written)`.
-    pub fn op_counts(&self) -> (u64, u64, u64, u64) {
-        (self.reads, self.writes, self.bytes_read, self.bytes_written)
     }
 
     /// Accumulated energy breakdown.
@@ -213,8 +194,6 @@ impl MemoryDevice {
     pub fn read(&mut self, now: SimTime, addr: u64, len: u64) -> Result<OpResult, DeviceError> {
         self.check_range(addr, len)?;
         self.meter.read(len);
-        self.reads += 1;
-        self.bytes_read += len;
 
         let tradeoff = self.tech.tradeoff();
         let mut rber: f64 = 0.0;
@@ -269,8 +248,6 @@ impl MemoryDevice {
         let scale =
             point.write_energy_pj_bit / self.tech.write_energy_pj_bit.max(f64::MIN_POSITIVE);
         self.meter.write((len as f64 * scale) as u64);
-        self.writes += 1;
-        self.bytes_written += len;
 
         let mut worn_out = false;
         for i in self.block_range(addr, len) {
@@ -310,48 +287,12 @@ impl MemoryDevice {
         Ok(bytes)
     }
 
-    /// Accounts idle power from the last idle mark to `now`.
-    pub fn elapse_idle(&mut self, now: SimTime) {
-        if now > self.last_idle_mark {
-            self.meter.idle(now.duration_since(self.last_idle_mark));
-            self.last_idle_mark = now;
-        }
-    }
-
-    /// Accounts one full background refresh pass (all capacity rewritten at
-    /// the technology's internal refresh energy), as DRAM self-refresh does
-    /// every `refresh_interval`. No-op for refresh-free technologies.
-    pub fn background_refresh_pass(&mut self) {
-        if self.tech.refresh_interval.is_some() {
-            let joules =
-                self.tech.capacity_bytes as f64 * 8.0 * self.tech.refresh_energy_pj_bit * 1e-12;
-            self.meter.housekeeping_j(joules);
-        }
-    }
-
     /// Maximum wear fraction across blocks (1.0 = rated endurance reached).
     pub fn max_wear_fraction(&self) -> f64 {
         self.blocks
             .iter()
             .map(|b| b.wear.wear_fraction(self.tech.endurance))
             .fold(0.0, f64::max)
-    }
-
-    /// Mean wear fraction across blocks.
-    pub fn mean_wear_fraction(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks
-            .iter()
-            .map(|b| b.wear.wear_fraction(self.tech.endurance))
-            .sum::<f64>()
-            / self.blocks.len() as f64
-    }
-
-    /// Per-block write-cycle counts (for wear-levelling policies).
-    pub fn block_cycles(&self) -> Vec<u64> {
-        self.blocks.iter().map(|b| b.wear.cycles).collect()
     }
 }
 
@@ -465,7 +406,6 @@ mod tests {
         }
         assert!(worn);
         assert!(dev.max_wear_fraction() > 1.0);
-        assert!(dev.mean_wear_fraction() < dev.max_wear_fraction());
     }
 
     #[test]
@@ -485,50 +425,5 @@ mod tests {
             .read(now() + SimDuration::from_hours(13), 0, MIB)
             .unwrap();
         assert!(!r.expired);
-    }
-
-    #[test]
-    fn background_refresh_only_for_dram() {
-        let mut hbm = MemoryDevice::new(presets::hbm3e());
-        hbm.background_refresh_pass();
-        assert!(hbm.energy().housekeeping_j > 0.0);
-
-        let mut mrm = MemoryDevice::new(presets::mrm_hours());
-        mrm.background_refresh_pass();
-        assert!(mrm.energy().housekeeping_j.abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn idle_energy_accrues_once() {
-        let mut dev = MemoryDevice::new(presets::hbm3e());
-        dev.elapse_idle(SimTime::from_secs(10));
-        let first = dev.energy().idle_j;
-        assert!(first > 0.0);
-        dev.elapse_idle(SimTime::from_secs(10)); // same instant: no double count
-        assert_eq!(dev.energy().idle_j.to_bits(), first.to_bits());
-        dev.elapse_idle(SimTime::from_secs(20));
-        assert!((dev.energy().idle_j - 2.0 * first).abs() < 1e-9);
-    }
-
-    #[test]
-    fn op_counters() {
-        let mut dev = MemoryDevice::new(presets::hbm3e());
-        dev.read(now(), 0, 100).unwrap();
-        dev.read(now(), 0, 100).unwrap();
-        dev.write(now(), 0, 50).unwrap();
-        assert_eq!(dev.op_counts(), (2, 1, 200, 50));
-    }
-
-    #[test]
-    fn block_cycles_reflect_writes() {
-        let mut dev = MemoryDevice::new(presets::mrm_hours());
-        let bb = dev.block_bytes();
-        dev.write(now(), 0, bb).unwrap();
-        dev.write(now(), 0, bb).unwrap();
-        dev.write(now(), bb * 2, bb).unwrap();
-        let cycles = dev.block_cycles();
-        assert_eq!(cycles[0], 2);
-        assert_eq!(cycles[2], 1);
-        assert_eq!(cycles[1], 0);
     }
 }

@@ -3,13 +3,13 @@
 //! The paper's §2.1 observation — "approximately a third of the energy usage
 //! for an AI accelerator is the memory" — and §3's "power efficiency is
 //! perhaps the most important metric" make energy a first-class output of
-//! every simulation. [`EnergyMeter`] decomposes consumption into the four
-//! components the paper argues about: useful reads, useful writes,
+//! every simulation. [`EnergyBreakdown`] decomposes consumption into the
+//! four components the paper argues about: useful reads, useful writes,
 //! housekeeping (refresh / wear-levelling / GC traffic), and idle leakage.
+//! [`EnergyMeter`] accumulates the first three per access; idle leakage is
+//! charged from elapsed time by the caller that owns the clock.
 
 use serde::{Deserialize, Serialize};
-
-use mrm_sim::time::SimDuration;
 
 /// Decomposed energy totals, joules.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -32,17 +32,6 @@ impl EnergyBreakdown {
         self.read_j + self.write_j + self.housekeeping_j + self.idle_j
     }
 
-    /// Fraction of total energy that did useful data movement.
-    ///
-    /// Returns 1.0 for a zero-energy breakdown (nothing was wasted).
-    pub fn useful_fraction(&self) -> f64 {
-        let total = self.total_j();
-        if total <= 0.0 {
-            return 1.0;
-        }
-        (self.read_j + self.write_j) / total
-    }
-
     /// Element-wise sum.
     pub fn merged(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
         EnergyBreakdown {
@@ -59,18 +48,15 @@ impl EnergyBreakdown {
 pub struct EnergyMeter {
     read_energy_j_per_byte: f64,
     write_energy_j_per_byte: f64,
-    idle_w: f64,
     totals: EnergyBreakdown,
 }
 
 impl EnergyMeter {
-    /// Creates a meter with the given per-bit access energies (pJ/bit) and
-    /// idle power (watts).
-    pub fn new(read_pj_bit: f64, write_pj_bit: f64, idle_w: f64) -> Self {
+    /// Creates a meter with the given per-bit access energies (pJ/bit).
+    pub fn new(read_pj_bit: f64, write_pj_bit: f64) -> Self {
         EnergyMeter {
             read_energy_j_per_byte: read_pj_bit * 1e-12 * 8.0,
             write_energy_j_per_byte: write_pj_bit * 1e-12 * 8.0,
-            idle_w,
             totals: EnergyBreakdown::default(),
         }
     }
@@ -92,25 +78,9 @@ impl EnergyMeter {
             bytes as f64 * (self.read_energy_j_per_byte + self.write_energy_j_per_byte);
     }
 
-    /// Accounts raw housekeeping energy, joules (e.g. DRAM refresh charged
-    /// at its own lower per-bit rate).
-    pub fn housekeeping_j(&mut self, joules: f64) {
-        self.totals.housekeeping_j += joules;
-    }
-
-    /// Accounts standby energy over an elapsed span.
-    pub fn idle(&mut self, elapsed: SimDuration) {
-        self.totals.idle_j += self.idle_w * elapsed.as_secs_f64();
-    }
-
     /// The accumulated breakdown.
     pub fn breakdown(&self) -> EnergyBreakdown {
         self.totals
-    }
-
-    /// Resets accumulated totals to zero (rates are kept).
-    pub fn reset(&mut self) {
-        self.totals = EnergyBreakdown::default();
     }
 }
 
@@ -121,7 +91,7 @@ mod tests {
 
     #[test]
     fn read_write_accounting() {
-        let mut m = EnergyMeter::new(4.0, 8.0, 0.0);
+        let mut m = EnergyMeter::new(4.0, 8.0);
         m.read(GB);
         m.write(GB);
         let b = m.breakdown();
@@ -133,7 +103,7 @@ mod tests {
 
     #[test]
     fn housekeeping_rmw_charges_both_directions() {
-        let mut m = EnergyMeter::new(4.0, 8.0, 0.0);
+        let mut m = EnergyMeter::new(4.0, 8.0);
         m.housekeeping_rmw(GB);
         let b = m.breakdown();
         assert!((b.housekeeping_j - 0.096).abs() < 1e-6);
@@ -141,34 +111,15 @@ mod tests {
     }
 
     #[test]
-    fn idle_integrates_power() {
-        let mut m = EnergyMeter::new(0.0, 0.0, 2.0);
-        m.idle(SimDuration::from_secs(10));
-        assert!((m.breakdown().idle_j - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn useful_fraction() {
-        let mut m = EnergyMeter::new(1.0, 1.0, 0.0);
-        m.read(GB);
-        m.housekeeping_rmw(GB / 2);
-        let f = m.breakdown().useful_fraction();
-        assert!(f > 0.49 && f < 0.51, "useful fraction {f}");
-        assert!((EnergyBreakdown::default().useful_fraction() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn merged_and_reset() {
-        let mut a = EnergyMeter::new(1.0, 1.0, 1.0);
+    fn merged_adds_components() {
+        let mut a = EnergyMeter::new(1.0, 1.0);
         a.read(GB);
-        let mut b = EnergyMeter::new(2.0, 2.0, 1.0);
+        let mut b = EnergyMeter::new(2.0, 2.0);
         b.write(GB);
         let merged = a.breakdown().merged(&b.breakdown());
         assert!(merged.read_j > 0.0 && merged.write_j > 0.0);
         assert!(
             (merged.total_j() - (a.breakdown().total_j() + b.breakdown().total_j())).abs() < 1e-12
         );
-        a.reset();
-        assert_eq!(a.breakdown(), EnergyBreakdown::default());
     }
 }

@@ -84,11 +84,6 @@ impl DeviceGeometry {
         self.channels * self.banks_per_channel
     }
 
-    /// Total number of rows across the device.
-    pub fn total_rows(&self) -> u64 {
-        u64::from(self.total_banks()) * u64::from(self.rows_per_bank)
-    }
-
     /// Decodes a byte address. Layout interleaves consecutive rows across
     /// channels then banks (row-interleaved striping), which is what makes
     /// large sequential reads engage every bank in parallel — the access
@@ -118,17 +113,6 @@ impl DeviceGeometry {
         let per_channel = u64::from(d.row) * u64::from(self.banks_per_channel) + u64::from(d.bank);
         let row_index = per_channel * u64::from(self.channels) + u64::from(d.channel);
         row_index * u64::from(self.row_bytes) + u64::from(d.offset)
-    }
-
-    /// Number of distinct rows an access of `len` bytes starting at `addr`
-    /// touches.
-    pub fn rows_spanned(&self, addr: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = addr / u64::from(self.row_bytes);
-        let last = (addr + len - 1) / u64::from(self.row_bytes);
-        last - first + 1
     }
 }
 
@@ -169,17 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_spanned_counts() {
-        let g = DeviceGeometry::fit(GB, 2, 2, 1024);
-        assert_eq!(g.rows_spanned(0, 0), 0);
-        assert_eq!(g.rows_spanned(0, 1), 1);
-        assert_eq!(g.rows_spanned(0, 1024), 1);
-        assert_eq!(g.rows_spanned(0, 1025), 2);
-        assert_eq!(g.rows_spanned(1000, 100), 2);
-        assert_eq!(g.rows_spanned(0, 10 * 1024), 10);
-    }
-
-    #[test]
     fn total_counters() {
         let g = DeviceGeometry {
             channels: 4,
@@ -188,7 +161,6 @@ mod tests {
             row_bytes: 1024,
         };
         assert_eq!(g.total_banks(), 32);
-        assert_eq!(g.total_rows(), 3200);
         assert_eq!(g.capacity_bytes(), 3200 * 1024);
     }
 

@@ -89,12 +89,6 @@ impl HbmStackModel {
     pub fn thermal_resistance(&self) -> f64 {
         1.0 + self.thermal_resistance_per_layer * f64::from(self.layers)
     }
-
-    /// Capacity per good (yielded) wafer-normalized unit — the quantity
-    /// that actually sets $/GB. Returns bytes scaled by yield.
-    pub fn yielded_capacity_bytes(&self) -> f64 {
-        self.capacity_bytes() as f64 * self.stack_yield()
-    }
 }
 
 /// Sweeps stack height and reports the §2.1 scaling story.
@@ -194,19 +188,5 @@ mod tests {
             assert!(refresh_b > refresh_a);
             assert!(therm_b > therm_a);
         }
-    }
-
-    #[test]
-    fn yielded_capacity_peaks_then_falls() {
-        // With multiplicative yield loss, yielded capacity per start
-        // eventually grows slower than linearly; with aggressive bond loss
-        // it can peak. Check it at least grows sublinearly 8→16.
-        let base = HbmStackModel::hbm3e();
-        let y8 = HbmStackModel { layers: 8, ..base }.yielded_capacity_bytes();
-        let y16 = HbmStackModel { layers: 16, ..base }.yielded_capacity_bytes();
-        assert!(
-            y16 < 2.0 * y8,
-            "doubling layers must not double yielded capacity"
-        );
     }
 }

@@ -15,7 +15,7 @@
 //! figures from \[50, 51\]).
 
 use mrm_sim::time::SimDuration;
-use mrm_sim::units::{gb_per_s, tb_per_s, GB, TB};
+use mrm_sim::units::{gb_per_s, tb_per_s, GB};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellFamily, RetentionTradeoff};
@@ -168,12 +168,6 @@ impl Technology {
     /// Idle (non-refresh) standby power, watts.
     pub fn idle_power_w(&self) -> f64 {
         self.idle_mw_per_gb * 1e-3 * (self.capacity_bytes as f64 / GB as f64)
-    }
-
-    /// Time to stream the entire device contents once at the rated read
-    /// bandwidth — the per-token working-set read the decode loop performs.
-    pub fn full_read_time(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.capacity_bytes as f64 / self.read_bw)
     }
 
     /// Energy to read `bytes` sequentially, joules.
@@ -575,14 +569,6 @@ pub mod presets {
     pub fn b200_hbm_system() -> (Technology, u32) {
         (hbm3e(), 8)
     }
-
-    /// Total capacity of `n` devices of technology `t`, bytes.
-    pub fn system_capacity(t: &Technology, n: u32) -> u64 {
-        t.capacity_bytes * u64::from(n)
-    }
-
-    /// A sanity helper: one terabyte expressed in this module's units.
-    pub const ONE_TB: u64 = TB;
 }
 
 #[cfg(test)]
@@ -593,7 +579,7 @@ mod tests {
     #[test]
     fn b200_system_matches_paper() {
         let (stack, n) = b200_hbm_system();
-        let cap = system_capacity(&stack, n);
+        let cap = stack.capacity_bytes * u64::from(n);
         assert_eq!(cap, 192 * GB, "§2.1: 192 GB per B200 package");
         let bw = stack.read_bw * f64::from(n);
         assert!((bw / 8e12 - 1.0).abs() < 0.01, "§2.1: 8 TB/s, got {bw}");
@@ -696,13 +682,6 @@ mod tests {
         assert!(pcm_potential().endurance > kv_requirement);
         assert!(rram_potential().endurance > kv_requirement);
         assert!(stt_mram_potential().endurance > kv_requirement);
-    }
-
-    #[test]
-    fn full_read_time_hbm() {
-        // 24 GB at 1 TB/s: 24 ms per full sweep.
-        let t = hbm3e().full_read_time();
-        assert!((t.as_millis() as i64 - 24).abs() <= 1, "{t}");
     }
 
     #[test]

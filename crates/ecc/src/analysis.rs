@@ -92,12 +92,6 @@ impl Ln1pSafe for f64 {
     }
 }
 
-/// Uncorrectable bit error rate delivered to the application: codeword
-/// failure probability amortized over the data bits it carries.
-pub fn uber(n: u64, k: u64, t: u64, rber: f64) -> f64 {
-    codeword_failure_prob(n, t, rber) / k.max(1) as f64
-}
-
 /// The smallest `t` such that a t-error-correcting code over `n`-bit
 /// codewords meets `target` codeword failure probability at raw bit error
 /// rate `rber`. Returns `None` if even `t = n` cannot (i.e. target is 0).
@@ -255,12 +249,6 @@ mod tests {
     fn deep_tail_is_finite_and_positive() {
         let f = codeword_failure_prob(512, 8, 1e-6);
         assert!(f > 0.0 && f < 1e-30, "deep tail {f}");
-    }
-
-    #[test]
-    fn uber_scales_by_data_bits() {
-        let f = codeword_failure_prob(1024, 3, 1e-4);
-        assert!((uber(1024, 512, 3, 1e-4) - f / 512.0).abs() < 1e-30);
     }
 
     #[test]

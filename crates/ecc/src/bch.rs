@@ -296,7 +296,7 @@ impl Bch {
     /// Decodes a slice of stored codewords: the batched front-end the fault
     /// model's decode ladders call.
     ///
-    /// A [`CleanScreen`] reduction table — `v(x)·x^d mod g(x)` for every
+    /// A `CleanScreen` reduction table — `v(x)·x^d mod g(x)` for every
     /// 8-bit chunk `v` — is built once per call and amortized across the
     /// batch. Each lane then pays one word-parallel remainder computation
     /// (≈ `n/8` table lookups): remainder zero is *exactly* "all 2t

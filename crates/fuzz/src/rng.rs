@@ -91,7 +91,7 @@ impl FuzzRng {
     }
 
     /// A value from the extreme-value mutation pool: one third of draws
-    /// come from [`EXTREMES`] (possibly nudged ±1 to land on both sides
+    /// come from `EXTREMES` (possibly nudged ±1 to land on both sides
     /// of each boundary), the rest are uniform. Targets route every
     /// magnitude-like operand through this so lengths, deadlines and ids
     /// visit `0`, `u64::MAX`, and the power-of-two horizons often.

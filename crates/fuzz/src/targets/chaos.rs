@@ -16,7 +16,7 @@
 //! the ops alone — so the fault seed is part of the trace: components
 //! start from a fixed base seed and a `Reseed` op rebuilds them (and
 //! resets the oracles) with a seed mixed from its salt. The full
-//! 819-page FTL scan runs every [`SCAN_PERIOD`] ops and at the end;
+//! 819-page FTL scan runs every `SCAN_PERIOD` ops and at the end;
 //! in between, only the touched page is checked (plus the structural
 //! invariants, which are cheap).
 //!

@@ -439,7 +439,7 @@ pub struct FileReport {
 /// Lints one file's source under the given context: the lexical rules plus
 /// the single-file slice of the interprocedural analyses (D10 and U2 run on
 /// a symbol table built from just this file; D9 needs the workspace — see
-/// [`crate::analyze_workspace`](crate::analyze_workspace)).
+/// [`crate::analyze_workspace`]).
 pub fn lint_source(source: &str, ctx: &FileCtx) -> FileReport {
     let mut scan = scan_lexical(source, ctx);
     let table = crate::symbols::SymbolTable::build(vec![crate::symbols::FileEntry {

@@ -1,10 +1,10 @@
 //! Sim-time + wall-clock profiler over event-handler execution.
 //!
-//! [`Profiler::enter`]/[`Profiler::exit`] bracket a handler's execution;
+//! [`Profiler::enter_id`]/[`Profiler::exit`] bracket a handler's execution;
 //! frames nest, so each handler accumulates *total* wall time (itself
 //! plus callees) and *self* wall time (total minus callees). Because
 //! the simulator executes handlers at an instant of sim time, sim-time
-//! cost is attributed explicitly: [`Profiler::sim_cost`] charges a
+//! cost is attributed explicitly: [`Profiler::sim_cost_id`] charges a
 //! handler with the simulated interval it scheduled (a decode
 //! iteration's duration, a maintenance period's scrub time).
 //!
@@ -78,7 +78,7 @@ struct Stat {
 /// One row of the hot-handler table.
 #[derive(Clone, Debug, Serialize)]
 pub struct HotHandler {
-    /// Handler label (the `enter` name).
+    /// Handler label (the name interned by [`Profiler::handle`]).
     pub name: String,
     /// Times entered.
     pub calls: u64,
@@ -86,7 +86,7 @@ pub struct HotHandler {
     pub wall_self_ns: u64,
     /// Wall nanoseconds including callees.
     pub wall_total_ns: u64,
-    /// Simulated nanoseconds attributed via [`Profiler::sim_cost`].
+    /// Simulated nanoseconds attributed via [`Profiler::sim_cost_id`].
     pub sim_ns: u64,
 }
 
@@ -147,13 +147,8 @@ impl Profiler {
         HandlerId(id)
     }
 
-    /// Opens a frame. Every `enter` must be matched by an `exit`.
-    pub fn enter(&mut self, name: &'static str) {
-        let id = self.handle(name);
-        self.enter_id(id);
-    }
-
-    /// Opens a frame for a pre-resolved handler — the per-event path.
+    /// Opens a frame for a pre-resolved handler. Every `enter_id` must be
+    /// matched by an `exit`.
     pub fn enter_id(&mut self, id: HandlerId) {
         self.enter_at(id, Instant::now());
     }
@@ -246,14 +241,8 @@ impl Profiler {
         id
     }
 
-    /// Charges `name` with a simulated interval (e.g. the decode
+    /// Charges handler `id` with a simulated interval (e.g. the decode
     /// iteration latency the handler scheduled).
-    pub fn sim_cost(&mut self, name: &'static str, d: SimDuration) {
-        let id = self.handle(name);
-        self.sim_cost_id(id, d);
-    }
-
-    /// Id-resolved [`sim_cost`](Self::sim_cost) — the per-event path.
     pub fn sim_cost_id(&mut self, id: HandlerId, d: SimDuration) {
         let stat = &mut self.stats[id.0 as usize];
         stat.sim_ns += d.as_nanos();
@@ -378,10 +367,16 @@ pub fn artifact(points: &[(String, &Profiler)], n: usize) -> String {
 mod tests {
     use super::*;
 
+    /// Interns `name` and opens a frame for it.
+    fn enter(p: &mut Profiler, name: &'static str) {
+        let id = p.handle(name);
+        p.enter_id(id);
+    }
+
     #[test]
     fn artifact_has_one_json_line_per_point_and_folded_section() {
         let mut p = Profiler::new();
-        p.enter("dispatch");
+        enter(&mut p, "dispatch");
         p.exit();
         let points = vec![("pt0".to_string(), &p)];
         let points: Vec<(String, &Profiler)> = points;
@@ -396,8 +391,8 @@ mod tests {
     #[test]
     fn self_time_excludes_children() {
         let mut p = Profiler::new();
-        p.enter("dispatch");
-        p.enter("decode");
+        enter(&mut p, "dispatch");
+        enter(&mut p, "decode");
         p.exit();
         p.exit();
         let rep = p.report(10);
@@ -414,8 +409,8 @@ mod tests {
     #[test]
     fn folded_stacks_nest_by_semicolon() {
         let mut p = Profiler::new();
-        p.enter("a");
-        p.enter("b");
+        enter(&mut p, "a");
+        enter(&mut p, "b");
         p.exit();
         p.exit();
         let folded = p.folded();
@@ -431,10 +426,10 @@ mod tests {
     fn folded_lines_are_sorted_and_merge_repeat_visits() {
         let mut p = Profiler::new();
         for _ in 0..3 {
-            p.enter("z");
+            enter(&mut p, "z");
             p.exit();
-            p.enter("a");
-            p.enter("b");
+            enter(&mut p, "a");
+            enter(&mut p, "b");
             p.exit();
             p.exit();
         }
@@ -457,10 +452,11 @@ mod tests {
     #[test]
     fn sim_cost_accumulates() {
         let mut p = Profiler::new();
-        p.enter("decode");
+        enter(&mut p, "decode");
         p.exit();
-        p.sim_cost("decode", SimDuration::from_millis(3));
-        p.sim_cost("decode", SimDuration::from_millis(2));
+        let decode = p.handle("decode");
+        p.sim_cost_id(decode, SimDuration::from_millis(3));
+        p.sim_cost_id(decode, SimDuration::from_millis(2));
         let rep = p.report(1);
         assert_eq!(rep.top[0].sim_ns, 5_000_000);
     }
@@ -505,15 +501,5 @@ mod tests {
         let folded = p.folded();
         assert!(folded.contains("mrm;a "));
         assert!(folded.contains("mrm;b "));
-    }
-
-    #[test]
-    fn sim_cost_id_matches_name_path() {
-        let mut p = Profiler::new();
-        let id = p.handle("decode");
-        p.sim_cost_id(id, SimDuration::from_millis(1));
-        p.sim_cost("decode", SimDuration::from_millis(1));
-        let rep = p.report(1);
-        assert_eq!(rep.top[0].sim_ns, 2_000_000);
     }
 }

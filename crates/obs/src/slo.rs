@@ -218,7 +218,6 @@ mod tests {
     fn snaps(points: &[(u64, f64, u64)]) -> Vec<Snapshot> {
         // (sim secs, gauge "g", counter "c") per snapshot.
         let mut tele = SimTelemetry::new(SimDuration::from_secs(1));
-        use mrm_telemetry::TelemetrySink;
         for (s, g, c) in points {
             tele.gauge("g", *g);
             tele.count_to("c", *c);

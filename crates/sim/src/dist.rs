@@ -1,10 +1,10 @@
 //! Probability distributions over the kernel RNG.
 //!
 //! The workload generators sample request inter-arrival times (exponential),
-//! context lengths (log-normal / empirical quantile tables fitted to the
-//! published Splitwise traces), popularity (Zipf), and cell-to-cell variation
-//! (normal / Weibull). All distributions draw from [`SimRng`] so results stay
-//! deterministic and independent of external crates.
+//! context lengths and think times (log-normal around the published
+//! Splitwise medians), and prompt popularity (Zipf); uniform and empirical
+//! quantile tables complete the set. All distributions draw from [`SimRng`]
+//! so results stay deterministic and independent of external crates.
 
 use crate::rng::SimRng;
 
@@ -16,19 +16,6 @@ pub trait Distribution {
     /// The distribution mean, if it exists in closed form.
     fn mean(&self) -> Option<f64> {
         None
-    }
-}
-
-/// The degenerate distribution: always returns the same value.
-#[derive(Clone, Copy, Debug)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
     }
 }
 
@@ -178,35 +165,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// Pareto (power-law tail) distribution with scale `x_min` and shape `alpha`.
-#[derive(Clone, Copy, Debug)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "bad pareto params");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64();
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 ///
 /// Models skewed popularity — e.g. which foundation model a request targets
@@ -256,51 +214,6 @@ impl Zipf {
 impl Distribution for Zipf {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.sample_rank(rng) as f64
-    }
-}
-
-/// Discrete distribution over arbitrary weights (CDF inversion).
-#[derive(Clone, Debug)]
-pub struct Discrete {
-    cdf: Vec<f64>,
-}
-
-impl Discrete {
-    /// Creates a discrete distribution; weights need not be normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, any weight is negative/non-finite, or
-    /// all weights are zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "discrete needs at least one weight");
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "bad weight {w}");
-            acc += w;
-            cdf.push(acc);
-        }
-        assert!(acc > 0.0, "weights sum to zero");
-        for c in &mut cdf {
-            *c /= acc;
-        }
-        Discrete { cdf }
-    }
-
-    /// Draws an index in `[0, weights.len())`.
-    pub fn sample_index(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
-        self.cdf
-            .iter()
-            .position(|&c| u < c)
-            .unwrap_or(self.cdf.len() - 1)
-    }
-}
-
-impl Distribution for Discrete {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_index(rng) as f64
     }
 }
 
@@ -387,15 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let d = Constant(42.0);
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut r).to_bits(), 42.0f64.to_bits());
-        }
-    }
-
-    #[test]
     fn uniform_mean_and_bounds() {
         let d = Uniform::new(10.0, 20.0);
         let mut r = rng();
@@ -446,17 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_bounds_and_mean() {
-        let d = Pareto::new(1.0, 3.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut r) >= 1.0);
-        }
-        assert!((sample_mean(&d, 300_000) - 1.5).abs() < 0.02);
-        assert_eq!(Pareto::new(1.0, 0.5).mean(), None);
-    }
-
-    #[test]
     fn zipf_rank_one_dominates() {
         let d = Zipf::new(100, 1.2);
         let mut r = rng();
@@ -477,16 +370,6 @@ mod tests {
             let k = d.sample_rank(&mut r);
             assert!((1..=5).contains(&k));
         }
-    }
-
-    #[test]
-    fn discrete_matches_weights() {
-        let d = Discrete::new(&[1.0, 3.0]);
-        let mut r = rng();
-        let n = 100_000;
-        let ones = (0..n).filter(|_| d.sample_index(&mut r) == 1).count();
-        let frac = ones as f64 / f64::from(n);
-        assert!((frac - 0.75).abs() < 0.01, "frac {frac}");
     }
 
     #[test]

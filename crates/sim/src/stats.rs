@@ -1,12 +1,10 @@
-//! Streaming statistics: Welford moments, histograms, time-weighted averages.
+//! Streaming statistics: Welford moments and log-bucketed histograms.
 //!
 //! Simulations in this workspace run for billions of simulated events, so all
 //! statistics are single-pass and constant-memory (histograms use fixed
 //! logarithmic bucketing in the style of HDR histograms).
 
 use serde::{Deserialize, Serialize};
-
-use crate::time::{SimDuration, SimTime};
 
 /// A sample was rejected by a checked recording path: non-finite (NaN or
 /// ±∞), or negative where the collector requires non-negative values.
@@ -39,7 +37,7 @@ impl std::error::Error for InvalidSample {}
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct StreamingStats {
@@ -105,15 +103,6 @@ impl StreamingStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than one observation).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -353,99 +342,6 @@ impl Default for LogHistogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue depth,
-/// power draw, occupied capacity).
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    elapsed: SimDuration,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Creates a tracker with initial value `v0` at time `t0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_time: t0,
-            last_value: v0,
-            weighted_sum: 0.0,
-            elapsed: SimDuration::ZERO,
-            max: v0,
-        }
-    }
-
-    /// Records that the signal changed to `v` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `t` precedes the previous update.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_time, "time went backwards");
-        let dt = t.duration_since(self.last_time);
-        self.weighted_sum += self.last_value * dt.as_secs_f64();
-        self.elapsed += dt;
-        self.last_time = t;
-        self.last_value = v;
-        self.max = self.max.max(v);
-    }
-
-    /// The time-weighted average up to time `t` (the signal is assumed to
-    /// have held its last value until `t`).
-    pub fn average_at(&self, t: SimTime) -> f64 {
-        let dt = t.duration_since(self.last_time);
-        let total = self.elapsed + dt;
-        if total.is_zero() {
-            return self.last_value;
-        }
-        (self.weighted_sum + self.last_value * dt.as_secs_f64()) / total.as_secs_f64()
-    }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// The maximum value the signal has taken.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A monotonically increasing named counter set, for cheap bulk accounting.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct Counters {
-    entries: std::collections::BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.entries.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Reads counter `name` (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.entries.iter().map(|(k, v)| (*k, *v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,30 +443,6 @@ mod tests {
         assert_eq!(a.count(), 1000);
         let p50 = a.percentile(50.0);
         assert!((p50 / 500.0 - 1.0).abs() < 0.1, "p50 {p50}");
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let t = SimTime::from_secs;
-        let mut w = TimeWeighted::new(t(0), 0.0);
-        w.update(t(10), 100.0); // 0 for 10 s
-        w.update(t(20), 0.0); // 100 for 10 s
-        let avg = w.average_at(t(20));
-        assert!((avg - 50.0).abs() < 1e-9, "avg {avg}");
-        assert_eq!(w.max().to_bits(), 100.0f64.to_bits());
-        // Holding the last value extends the integral.
-        let avg30 = w.average_at(t(40));
-        assert!((avg30 - 25.0).abs() < 1e-9, "avg30 {avg30}");
-    }
-
-    #[test]
-    fn time_weighted_empty_window() {
-        let w = TimeWeighted::new(SimTime::from_secs(5), 7.0);
-        assert_eq!(
-            w.average_at(SimTime::from_secs(5)).to_bits(),
-            7.0f64.to_bits()
-        );
-        assert_eq!(w.current().to_bits(), 7.0f64.to_bits());
     }
 
     #[test]
@@ -700,18 +572,5 @@ mod tests {
         assert!(p50.is_finite() && (p50 / 100.0 - 1.0).abs() < 0.1, "{p50}");
         assert!(shard_a.mean().is_finite());
         assert!(shard_a.summary().std_dev.is_finite());
-    }
-
-    #[test]
-    fn counters() {
-        let mut c = Counters::new();
-        c.inc("reads");
-        c.add("reads", 9);
-        c.add("writes", 2);
-        assert_eq!(c.get("reads"), 10);
-        assert_eq!(c.get("writes"), 2);
-        assert_eq!(c.get("absent"), 0);
-        let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["reads", "writes"]);
     }
 }

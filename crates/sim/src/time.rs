@@ -208,16 +208,6 @@ impl SimDuration {
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
-
-    /// How many times `other` fits in `self` (integer division).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        assert!(!other.is_zero(), "division by zero-length duration");
-        self.0 / other.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -388,20 +378,6 @@ mod tests {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.5).as_secs(), 5);
         assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn div_duration_counts_refresh_intervals() {
-        // 64 ms retention window, 7.8 us refresh interval: how many refreshes.
-        let window = SimDuration::from_millis(64);
-        let trefi = SimDuration::from_micros(7);
-        assert_eq!(window.div_duration(trefi), 64_000 / 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_by_zero_duration_panics() {
-        let _ = SimDuration::from_secs(1).div_duration(SimDuration::ZERO);
     }
 
     #[test]

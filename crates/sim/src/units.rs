@@ -5,8 +5,7 @@
 //!
 //! * Capacities are **bytes** (`u64`), with binary constants for powers of
 //!   two and decimal constants for vendor-style capacities.
-//! * Energy is **joules** (`f64`), with picojoule helpers since per-bit
-//!   access energies are quoted in pJ/bit.
+//! * Energy is **joules** (`f64`).
 //! * Bandwidth is **bytes per second** (`f64`).
 
 /// One kibibyte (2^10 bytes).
@@ -18,33 +17,12 @@ pub const GIB: u64 = 1 << 30;
 /// One tebibyte (2^40 bytes).
 pub const TIB: u64 = 1 << 40;
 
-/// One decimal kilobyte.
-pub const KB: u64 = 1_000;
 /// One decimal megabyte.
 pub const MB: u64 = 1_000_000;
 /// One decimal gigabyte (vendor capacity convention).
 pub const GB: u64 = 1_000_000_000;
 /// One decimal terabyte.
 pub const TB: u64 = 1_000_000_000_000;
-
-/// Joules in one picojoule.
-pub const PJ: f64 = 1e-12;
-/// Joules in one nanojoule.
-pub const NJ: f64 = 1e-9;
-/// Joules in one microjoule.
-pub const UJ: f64 = 1e-6;
-/// Joules in one millijoule.
-pub const MJ: f64 = 1e-3;
-
-/// Converts an energy-per-bit figure in pJ/bit to joules per byte.
-pub fn pj_per_bit_to_j_per_byte(pj_per_bit: f64) -> f64 {
-    pj_per_bit * PJ * 8.0
-}
-
-/// Converts joules per byte back to pJ/bit.
-pub fn j_per_byte_to_pj_per_bit(j_per_byte: f64) -> f64 {
-    j_per_byte / (PJ * 8.0)
-}
 
 /// Formats a byte count with a binary suffix (`KiB`, `MiB`, ...).
 pub fn format_bytes(bytes: u64) -> String {
@@ -55,31 +33,6 @@ pub fn format_bytes(bytes: u64) -> String {
         }
     }
     format!("{bytes}B")
-}
-
-/// Formats a quantity with an SI suffix (`k`, `M`, `G`, `T`, `P`, `E`).
-pub fn format_si(x: f64) -> String {
-    let ax = x.abs();
-    let (scaled, suffix) = if ax >= 1e18 {
-        (x / 1e18, "E")
-    } else if ax >= 1e15 {
-        (x / 1e15, "P")
-    } else if ax >= 1e12 {
-        (x / 1e12, "T")
-    } else if ax >= 1e9 {
-        (x / 1e9, "G")
-    } else if ax >= 1e6 {
-        (x / 1e6, "M")
-    } else if ax >= 1e3 {
-        (x / 1e3, "k")
-    } else {
-        (x, "")
-    };
-    if suffix.is_empty() {
-        format!("{x:.3}")
-    } else {
-        format!("{scaled:.2}{suffix}")
-    }
 }
 
 /// Formats a quantity in scientific notation with two significant decimals,
@@ -112,26 +65,11 @@ mod tests {
     }
 
     #[test]
-    fn pj_per_bit_round_trip() {
-        let j = pj_per_bit_to_j_per_byte(3.5);
-        assert!((j - 3.5e-12 * 8.0).abs() < 1e-24);
-        assert!((j_per_byte_to_pj_per_bit(j) - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn byte_formatting() {
         assert_eq!(format_bytes(512), "512B");
         assert_eq!(format_bytes(2 * KIB), "2.00KiB");
         assert_eq!(format_bytes(3 * GIB + GIB / 2), "3.50GiB");
         assert_eq!(format_bytes(TIB), "1.00TiB");
-    }
-
-    #[test]
-    fn si_formatting() {
-        assert_eq!(format_si(1_500.0), "1.50k");
-        assert_eq!(format_si(8e12), "8.00T");
-        assert_eq!(format_si(2.0), "2.000");
-        assert_eq!(format_si(1e15), "1.00P");
     }
 
     #[test]

@@ -13,10 +13,6 @@
 //! - results are written into a slot keyed by grid index and returned in grid
 //!   order, so the merged output is independent of completion order.
 //!
-//! Cross-point aggregation reuses the parallel-merge primitives from
-//! `mrm-sim` ([`StreamingStats::merge`], [`LogHistogram::merge`]) via
-//! [`merge_stats`] / [`merge_histograms`], which fold in grid order.
-//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mrm_sim::rng::SimRng;
-use mrm_sim::stats::{LogHistogram, StreamingStats};
 
 /// The default base seed for sweeps that don't set one explicitly.
 pub const DEFAULT_SEED: u64 = 0x4D52_4D53_5745_4550; // "MRMSWEEP"
@@ -59,12 +54,6 @@ impl<P> Grid<P> {
         Grid {
             points: values.into_iter().collect(),
         }
-    }
-
-    /// A grid from pre-built points (when the product structure doesn't fit
-    /// a cartesian cross, e.g. a tornado of one-factor-at-a-time variants).
-    pub fn from_points(points: Vec<P>) -> Self {
-        Grid { points }
     }
 
     /// Crosses this grid with another axis; the new axis varies fastest.
@@ -206,50 +195,30 @@ where
     }
 }
 
-/// Folds per-point statistics into one accumulator via parallel Welford
-/// merge, in the order given (use grid order for reproducibility).
-pub fn merge_stats<'a>(parts: impl IntoIterator<Item = &'a StreamingStats>) -> StreamingStats {
-    let mut acc = StreamingStats::new();
-    for s in parts {
-        acc.merge(s);
-    }
-    acc
-}
-
-/// Folds per-point histograms (identical bucketing) into one, in the order
-/// given. Returns `None` for an empty input.
-///
-/// # Panics
-///
-/// Panics if the histograms' sub-bucket counts differ.
-pub fn merge_histograms<'a>(
-    parts: impl IntoIterator<Item = &'a LogHistogram>,
-) -> Option<LogHistogram> {
-    let mut it = parts.into_iter();
-    let mut acc = it.next()?.clone();
-    for h in it {
-        acc.merge(h);
-    }
-    Some(acc)
-}
-
 /// Reads the worker count from CLI args: `--threads N` or `--threads=N`.
 ///
-/// Defaults to the machine's available parallelism when the flag is absent
-/// or malformed. Bench binaries share this so CI can pin `--threads 2`.
+/// Defaults to the machine's available parallelism when the flag is absent;
+/// `0` clamps to one worker. Bench binaries share this so CI can pin
+/// `--threads 2`. A value that is not a count is fatal, as for
+/// [`seed_from_args`]: one `error: --threads ...` line and exit status 2
+/// before any simulation.
 pub fn threads_from_args() -> usize {
-    threads_from(std::env::args().skip(1))
+    threads_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
-fn threads_from(args: impl IntoIterator<Item = String>) -> usize {
-    flag_value("--threads", args)
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+fn threads_from(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
+    match flag_value("--threads", args) {
+        None => Ok(std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)),
+        Some(v) => v
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|e| format!("--threads value {v:?} is not a worker count: {e}")),
+    }
 }
 
 /// Reads the base seed from CLI args: `--seed N` or `--seed=N`, `default`
@@ -281,7 +250,9 @@ pub fn flag_value_from_args(flag: &str) -> Option<String> {
     flag_value(flag, std::env::args().skip(1))
 }
 
-fn flag_value(flag: &str, args: impl IntoIterator<Item = String>) -> Option<String> {
+/// [`flag_value_from_args`] over an explicit argument list, for callers
+/// that parse (and unit-test) against a given `argv`.
+pub fn flag_value(flag: &str, args: impl IntoIterator<Item = String>) -> Option<String> {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == flag {
@@ -318,7 +289,7 @@ mod tests {
 
     #[test]
     fn empty_grid_runs() {
-        let s = Sweep::new(Grid::<u32>::from_points(vec![]), |&p, _| p);
+        let s = Sweep::new(Grid::<u32>::axis([]), |&p, _| p);
         assert!(s.run_parallel(4).is_empty());
     }
 
@@ -362,45 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_stats_matches_single_stream() {
-        let mut whole = StreamingStats::new();
-        let mut parts = vec![StreamingStats::new(); 4];
-        for i in 0..100 {
-            let x = (i as f64).cos() * 3.0;
-            whole.record(x);
-            parts[i % 4].record(x);
-        }
-        let merged = merge_stats(parts.iter());
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-12);
-        assert!((merged.sample_variance() - whole.sample_variance()).abs() < 1e-9);
-        assert_eq!(merged.min().to_bits(), whole.min().to_bits());
-        assert_eq!(merged.max().to_bits(), whole.max().to_bits());
-    }
-
-    #[test]
-    fn merge_histograms_matches_single_stream() {
-        let mut whole = LogHistogram::new(16);
-        let mut parts = vec![LogHistogram::new(16); 3];
-        for i in 1..=300u64 {
-            whole.record(i as f64);
-            parts[(i % 3) as usize].record(i as f64);
-        }
-        let merged = merge_histograms(parts.iter()).unwrap();
-        assert_eq!(merged.count(), whole.count());
-        // Histogram merge is pure counter addition: exact equality.
-        assert_eq!(
-            merged.percentile(50.0).to_bits(),
-            whole.percentile(50.0).to_bits()
-        );
-        assert_eq!(
-            merged.percentile(99.0).to_bits(),
-            whole.percentile(99.0).to_bits()
-        );
-        assert!(merge_histograms([].into_iter()).is_none());
-    }
-
-    #[test]
     fn grid_enumerate_keys_by_index() {
         let g = Grid::axis(["a", "b"]).cross([1, 2]).enumerate();
         let pts: Vec<_> = g.points().to_vec();
@@ -431,12 +363,20 @@ mod tests {
     #[test]
     fn threads_flag_parsing() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from(args(&["--threads", "2"])), 2);
-        assert_eq!(threads_from(args(&["--threads=5"])), 5);
-        assert_eq!(threads_from(args(&["--threads", "0"])), 1);
-        // Absent or malformed flags fall back to available parallelism (>=1).
-        assert!(threads_from(args(&[])) >= 1);
-        assert!(threads_from(args(&["--threads", "zebra"])) >= 1);
+        assert_eq!(threads_from(args(&["--threads", "2"])), Ok(2));
+        assert_eq!(threads_from(args(&["--threads=5"])), Ok(5));
+        assert_eq!(threads_from(args(&["--threads", "0"])), Ok(1));
+        // An absent flag falls back to available parallelism (>=1).
+        assert!(threads_from(args(&[])).unwrap() >= 1);
+        // A malformed value is an error naming the flag, never a fallback.
+        for bad in [
+            &["--threads", "zebra"][..],
+            &["--threads="],
+            &["--threads", "-1"],
+        ] {
+            let err = threads_from(args(bad)).unwrap_err();
+            assert!(err.starts_with("--threads value"), "{err}");
+        }
     }
 
     #[test]

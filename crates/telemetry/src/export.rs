@@ -1,4 +1,4 @@
-//! Exporters: JSON Lines time series and Prometheus-style text dumps.
+//! The JSON Lines time-series exporter.
 //!
 //! All output is deterministic: snapshots serialize with fixed field order
 //! (see [`Snapshot`]) and metrics render in registration order, so two runs
@@ -9,16 +9,7 @@ use std::fmt::Write as _;
 
 use serde::{Serialize, Value};
 
-use crate::registry::{MetricsRegistry, Snapshot};
-
-/// Renders snapshots as JSON Lines: one compact object per line.
-pub fn jsonl(snapshots: &[Snapshot]) -> String {
-    let mut out = String::new();
-    for s in snapshots {
-        let _ = writeln!(out, "{}", serde_json::to_string(s).unwrap_or_default());
-    }
-    out
-}
+use crate::registry::Snapshot;
 
 /// Renders snapshots as JSON Lines with `tags` prepended to every line's
 /// object — the way sweep harnesses label each grid point's series (e.g.
@@ -40,109 +31,10 @@ pub fn jsonl_tagged(snapshots: &[Snapshot], tags: &[(&str, Value)]) -> String {
     out
 }
 
-/// Renders the registry's current state in Prometheus text exposition
-/// format: counters and gauges as single samples, histograms as summaries
-/// with `quantile` labels plus `_sum`/`_count` samples.
-///
-/// `# TYPE` is emitted exactly once per metric name — sanitization can
-/// collapse distinct registered names onto one exposition name (e.g.
-/// `"tier.occupancy"` and `"tier/occupancy"` both become
-/// `tier_occupancy`), and scrapers reject duplicate TYPE lines.
-pub fn prometheus(registry: &MetricsRegistry) -> String {
-    prometheus_labeled(registry, &[])
-}
-
-/// [`prometheus`] with constant labels attached to every sample — the way
-/// sweep harnesses tag each grid point's scrape (e.g.
-/// `[("experiment", "e9"), ("policy", "hbm+mrm")]`). Label values pass
-/// through [`escape_label`], so arbitrary strings (quotes, backslashes,
-/// newlines) survive exposition.
-pub fn prometheus_labeled(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> String {
-    let base: String = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize(k), escape_label(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let plain = if base.is_empty() {
-        String::new()
-    } else {
-        format!("{{{base}}}")
-    };
-    let mut typed: Vec<String> = Vec::new();
-    let mut type_line = |out: &mut String, name: &str, kind: &str| {
-        if !typed.iter().any(|t| t == name) {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            typed.push(name.to_string());
-        }
-    };
-    let mut out = String::new();
-    for (name, v) in registry.counters() {
-        let name = sanitize(name);
-        type_line(&mut out, &name, "counter");
-        let _ = writeln!(out, "{name}{plain} {v}");
-    }
-    for (name, v) in registry.gauges() {
-        let name = sanitize(name);
-        type_line(&mut out, &name, "gauge");
-        let _ = writeln!(out, "{name}{plain} {v}");
-    }
-    for (name, h) in registry.histograms() {
-        let name = sanitize(name);
-        type_line(&mut out, &name, "summary");
-        for (label, p) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
-            let q = if base.is_empty() {
-                format!("{{quantile=\"{label}\"}}")
-            } else {
-                format!("{{{base},quantile=\"{label}\"}}")
-            };
-            let _ = writeln!(out, "{name}{q} {}", h.percentile(p));
-        }
-        let _ = writeln!(out, "{name}_sum{plain} {}", h.mean() * h.count() as f64);
-        let _ = writeln!(out, "{name}_count{plain} {}", h.count());
-    }
-    out
-}
-
-/// Escapes a label value per the Prometheus text exposition rules:
-/// backslash, double-quote, and newline become `\\`, `\"`, and `\n`.
-pub fn escape_label(v: &str) -> String {
-    let mut s = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => s.push_str("\\\\"),
-            '"' => s.push_str("\\\""),
-            '\n' => s.push_str("\\n"),
-            _ => s.push(c),
-        }
-    }
-    s
-}
-
-/// Maps a metric name onto the Prometheus charset `[a-zA-Z0-9_:]`,
-/// prefixing a `_` when the name would start with a digit.
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        s.insert(0, '_');
-    }
-    if s.is_empty() {
-        s.push('_');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
     use mrm_sim::time::SimTime;
 
     fn sample_registry() -> MetricsRegistry {
@@ -159,25 +51,12 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_parseable_line_per_snapshot() {
+    fn jsonl_tagged_prepends_tags() {
         let r = sample_registry();
         let snaps = vec![
             r.snapshot(SimTime::from_secs(1)),
             r.snapshot(SimTime::from_secs(2)),
         ];
-        let text = jsonl(&snaps);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v: Value = serde_json::from_str(line).unwrap();
-            assert!(matches!(v.field("sim_time_ns"), Value::U64(_)));
-        }
-    }
-
-    #[test]
-    fn jsonl_tagged_prepends_tags() {
-        let r = sample_registry();
-        let snaps = vec![r.snapshot(SimTime::from_secs(1))];
         let text = jsonl_tagged(
             &snaps,
             &[
@@ -185,104 +64,17 @@ mod tests {
                 ("point", Value::U64(3)),
             ],
         );
-        let v: Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
-        assert_eq!(v.field("experiment").as_str().unwrap(), "e9");
-        assert_eq!(v.field("point"), &Value::U64(3));
-        assert!(matches!(v.field("sim_time_ns"), Value::U64(_)));
+        // One parseable, fully tagged object per snapshot.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        for line in lines {
+            let v: Value = serde_json::from_str(line).unwrap();
+            assert_eq!(v.field("experiment").as_str().unwrap(), "e9");
+            assert_eq!(v.field("point"), &Value::U64(3));
+            assert!(matches!(v.field("sim_time_ns"), Value::U64(_)));
+        }
         assert!(
             text.starts_with("{\"experiment\":\"e9\",\"point\":3,"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let text = prometheus(&sample_registry());
-        assert!(
-            text.contains("# TYPE gc_moves counter\ngc_moves 7\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE tier_occupancy gauge\ntier_occupancy 0.5\n"),
-            "{text}"
-        );
-        assert!(text.contains("# TYPE latency_ms summary"), "{text}");
-        assert!(text.contains("latency_ms{quantile=\"0.5\"}"), "{text}");
-        assert!(text.contains("latency_ms_count 100"), "{text}");
-        assert!(text.contains("latency_ms_sum 5050"), "{text}");
-    }
-
-    #[test]
-    fn sanitize_maps_to_prometheus_charset() {
-        assert_eq!(sanitize("latency.ms/p99"), "latency_ms_p99");
-        assert_eq!(sanitize("9lives"), "_9lives");
-        assert_eq!(sanitize("ok_name:sub"), "ok_name:sub");
-    }
-
-    #[test]
-    fn prometheus_type_emitted_once_per_metric() {
-        // Sanitization collapses both registered names onto `tier_occ`;
-        // the exposition must still carry exactly one TYPE line for it.
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("tier.occ");
-        r.add(a, 1);
-        let b = r.counter("tier/occ");
-        r.add(b, 2);
-        let text = prometheus(&r);
-        let type_lines = text
-            .lines()
-            .filter(|l| l.starts_with("# TYPE tier_occ "))
-            .count();
-        assert_eq!(type_lines, 1, "{text}");
-        // Both samples still render.
-        assert_eq!(
-            text.lines().filter(|l| l.starts_with("tier_occ ")).count(),
-            2,
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn escape_label_round_trips() {
-        let nasty = "he said \"hi\\there\"\nand left";
-        let escaped = escape_label(nasty);
-        assert!(!escaped.contains('\n'));
-        // Invert the escaping: \\ -> \, \" -> ", \n -> newline.
-        let mut unescaped = String::new();
-        let mut chars = escaped.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                match chars.next() {
-                    Some('\\') => unescaped.push('\\'),
-                    Some('"') => unescaped.push('"'),
-                    Some('n') => unescaped.push('\n'),
-                    other => panic!("bad escape: {other:?}"),
-                }
-            } else {
-                unescaped.push(c);
-            }
-        }
-        assert_eq!(unescaped, nasty);
-    }
-
-    #[test]
-    fn prometheus_labeled_escapes_and_tags_every_sample() {
-        let text = prometheus_labeled(
-            &sample_registry(),
-            &[("experiment", "e9"), ("policy", "hbm\"mrm\\dcm")],
-        );
-        // Every sample line (non-comment) carries both labels.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert!(
-                line.contains("experiment=\"e9\"") && line.contains("policy=\"hbm\\\"mrm\\\\dcm\""),
-                "unlabeled sample: {line}"
-            );
-        }
-        // Histogram samples merge constant labels with the quantile.
-        assert!(
-            text.contains(
-                "latency_ms{experiment=\"e9\",policy=\"hbm\\\"mrm\\\\dcm\",quantile=\"0.5\"}"
-            ),
             "{text}"
         );
     }

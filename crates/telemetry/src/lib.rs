@@ -8,13 +8,12 @@
 //!   `LogHistogram`-backed histograms behind small copyable handle types.
 //!   Plain `u64`/`f64` slots, no locks — cheap enough for the hot path of a
 //!   single-threaded simulation loop.
-//! - Exporters ([`export`]): JSONL time-series snapshots taken at a
-//!   configurable sim-time interval (stamped in
-//!   [`SimTime`](mrm_sim::time::SimTime), never wall-clock) and a
-//!   Prometheus-style text dump.
-//! - [`TelemetrySink`]: the instrumentation-facing trait. Every method has
-//!   a no-op default and [`NullSink`] overrides nothing, so disabled
-//!   instrumentation compiles down to empty inlinable calls.
+//! - [`SimTelemetry`]: the one sink every instrumented component publishes
+//!   into — a registry snapshotted at a fixed sim-time interval (stamped
+//!   in [`SimTime`](mrm_sim::time::SimTime), never wall-clock). Code that
+//!   can run without telemetry takes an `Option<&mut SimTelemetry>`.
+//! - [`export::jsonl_tagged`]: the JSONL time-series exporter, one tagged
+//!   object per snapshot.
 //!
 //! Individual decisions are not recorded here: the control plane's audit
 //! log (`mrm-control`) is their one record, and causal spans live in
@@ -22,16 +21,16 @@
 //!
 //! ## Determinism contract
 //!
-//! Telemetry must never perturb a simulation: implementations never draw
-//! from `SimRng`, never schedule simulator events, and timestamp snapshots
+//! Telemetry must never perturb a simulation: the sink never draws
+//! from `SimRng`, never schedules simulator events, and timestamps snapshots
 //! at exact interval boundaries (`k * interval`) regardless of when the
 //! host loop gets around to pumping them. A run with a [`SimTelemetry`]
-//! sink attached produces bit-identical results to one with [`NullSink`] —
-//! the cluster integration tests enforce this.
+//! sink attached produces bit-identical results to one without — the
+//! cluster integration tests enforce this.
 
 pub mod export;
 pub mod registry;
 pub mod sink;
 
 pub use registry::{CounterId, GaugeId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
-pub use sink::{NullSink, SimTelemetry, TelemetrySink};
+pub use sink::SimTelemetry;

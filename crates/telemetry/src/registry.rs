@@ -86,11 +86,6 @@ impl MetricsRegistry {
         self.counter_values[id.0 as usize] += n;
     }
 
-    /// Increments a counter by one.
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
     /// Raises a counter to `total` if it is below it.
     ///
     /// This is the pull-style update used by instruments that already keep
@@ -335,7 +330,7 @@ mod tests {
         let b = r.counter("b");
         assert_ne!(a, b);
         assert_eq!(r.counter("a"), a);
-        r.inc(a);
+        r.add(a, 1);
         r.add(b, 10);
         assert_eq!(r.counter_value("a"), Some(1));
         assert_eq!(r.counter_value("b"), Some(10));
@@ -385,7 +380,7 @@ mod tests {
         let mut r = MetricsRegistry::new();
         let z = r.counter("zebra"); // registered first, sorts last
         let a = r.counter("aardvark");
-        r.inc(z);
+        r.add(z, 1);
         r.add(a, 2);
         let g = r.gauge("occupancy");
         r.set(g, 0.75);

@@ -1,18 +1,15 @@
-//! The instrumentation-facing sink trait, its no-op default, and the
-//! recording implementation used by the simulators.
+//! The recording sink the simulators publish their measurements into.
 
 use mrm_sim::time::{SimDuration, SimTime};
 
-use crate::export;
 use crate::registry::{MetricsRegistry, Snapshot};
 
-/// Where instrumented code sends its measurements.
+/// The recording sink: a [`MetricsRegistry`] snapshotted on a fixed
+/// sim-time cadence.
 ///
-/// Every method defaults to a no-op, so a disabled sink ([`NullSink`])
-/// costs an inlinable empty call on the hot path. Implementations MUST
-/// uphold the crate's determinism contract: no `SimRng` draws, no
-/// simulator event scheduling — a sink observes the simulation, it never
-/// participates in it.
+/// It upholds the crate's determinism contract: it never draws from
+/// `SimRng` and never schedules simulator events — it observes the
+/// simulation, it never participates in it.
 ///
 /// Snapshot pumping is pull-based so the host loop stays in control:
 ///
@@ -25,50 +22,11 @@ use crate::registry::{MetricsRegistry, Snapshot};
 ///
 /// `snapshot_due` hands back the exact interval boundary (not `now`), so
 /// exported timestamps are independent of when the loop happens to pump.
-pub trait TelemetrySink {
-    /// True when measurements are recorded; callers may skip expensive
-    /// sampling when false.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `delta` to counter `name`.
-    fn count(&mut self, _name: &'static str, _delta: u64) {}
-
-    /// Raises counter `name` to `total` (monotone; for instruments that
-    /// keep their own running totals).
-    fn count_to(&mut self, _name: &'static str, _total: u64) {}
-
-    /// Sets gauge `name` to `value`.
-    fn gauge(&mut self, _name: &'static str, _value: f64) {}
-
-    /// Records one observation into histogram `name`.
-    fn observe(&mut self, _name: &'static str, _value: f64) {}
-
-    /// If a snapshot boundary has been reached by `now`, the boundary's
-    /// timestamp; `None` otherwise. Call in a loop: multiple boundaries
-    /// may be due after a long event gap.
-    fn snapshot_due(&self, _now: SimTime) -> Option<SimTime> {
-        None
-    }
-
-    /// Captures a snapshot stamped `at` and advances the boundary.
-    fn snapshot(&mut self, _at: SimTime) {}
-}
-
-/// The disabled sink: records nothing, reports `enabled() == false`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {}
-
-/// The recording sink: a [`MetricsRegistry`] snapshotted on a fixed
-/// sim-time cadence.
 ///
 /// # Examples
 ///
 /// ```
-/// use mrm_telemetry::{SimTelemetry, TelemetrySink};
+/// use mrm_telemetry::SimTelemetry;
 /// use mrm_sim::time::{SimDuration, SimTime};
 ///
 /// let mut t = SimTelemetry::new(SimDuration::from_secs(1));
@@ -132,47 +90,40 @@ impl SimTelemetry {
         }
     }
 
-    /// Exports the snapshots as JSON Lines.
-    pub fn to_jsonl(&self) -> String {
-        export::jsonl(&self.snapshots)
-    }
-
-    /// Exports the current registry state in Prometheus text format.
-    pub fn to_prometheus(&self) -> String {
-        export::prometheus(&self.registry)
-    }
-}
-
-impl TelemetrySink for SimTelemetry {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn count(&mut self, name: &'static str, delta: u64) {
+    /// Adds `delta` to counter `name`.
+    pub fn count(&mut self, name: &'static str, delta: u64) {
         let id = self.registry.counter(name);
         self.registry.add(id, delta);
     }
 
-    fn count_to(&mut self, name: &'static str, total: u64) {
+    /// Raises counter `name` to `total` (monotone; for instruments that
+    /// keep their own running totals).
+    pub fn count_to(&mut self, name: &'static str, total: u64) {
         let id = self.registry.counter(name);
         self.registry.set_total(id, total);
     }
 
-    fn gauge(&mut self, name: &'static str, value: f64) {
+    /// Sets gauge `name` to `value`.
+    pub fn gauge(&mut self, name: &'static str, value: f64) {
         let id = self.registry.gauge(name);
         self.registry.set(id, value);
     }
 
-    fn observe(&mut self, name: &'static str, value: f64) {
+    /// Records one observation into histogram `name`.
+    pub fn observe(&mut self, name: &'static str, value: f64) {
         let id = self.registry.histogram(name);
         self.registry.observe(id, value);
     }
 
-    fn snapshot_due(&self, now: SimTime) -> Option<SimTime> {
+    /// If a snapshot boundary has been reached by `now`, the boundary's
+    /// timestamp; `None` otherwise. Call in a loop: multiple boundaries
+    /// may be due after a long event gap.
+    pub fn snapshot_due(&self, now: SimTime) -> Option<SimTime> {
         (now >= self.next_snapshot).then_some(self.next_snapshot)
     }
 
-    fn snapshot(&mut self, at: SimTime) {
+    /// Captures a snapshot stamped `at` and advances the boundary.
+    pub fn snapshot(&mut self, at: SimTime) {
         self.snapshots.push(self.registry.snapshot(at));
         // Advance past `at` in whole intervals so a manual out-of-cadence
         // snapshot cannot stall the boundary clock.
@@ -185,17 +136,6 @@ impl TelemetrySink for SimTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_is_disabled_and_inert() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.count("x", 1);
-        s.gauge("y", 2.0);
-        s.observe("z", 3.0);
-        assert_eq!(s.snapshot_due(SimTime::MAX), None);
-        s.snapshot(SimTime::ZERO);
-    }
 
     #[test]
     fn boundaries_stamp_exact_multiples() {

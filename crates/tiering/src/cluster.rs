@@ -31,7 +31,7 @@ use mrm_sim::event::EventQueue;
 use mrm_sim::rng::SimRng;
 use mrm_sim::stats::LogHistogram;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::TelemetrySink;
+use mrm_telemetry::SimTelemetry;
 use mrm_workload::access::DataClass;
 use mrm_workload::model::{ModelConfig, Quantization};
 use mrm_workload::replay::RequestTrace;
@@ -587,7 +587,7 @@ pub struct ClusterSim<'t> {
     fault_escalations: u64,
     // Observability only: never consulted by the simulation logic and
     // never draws from `rng`, so an attached sink cannot change a report.
-    telemetry: Option<&'t mut dyn TelemetrySink>,
+    telemetry: Option<&'t mut SimTelemetry>,
     // Causal tracer + profiler bundle (mrm-obs), same contract as the
     // telemetry sink. Hook sites live only in the `obs_*` helpers below —
     // lint rule D8 keeps them out of every function that draws RNG or
@@ -833,7 +833,7 @@ impl<'t> ClusterSim<'t> {
     /// only from the simulation's own counters and never touches the RNG
     /// or the event queue, so the [`ClusterReport`] is bit-identical with
     /// or without a sink attached.
-    pub fn attach_telemetry(&mut self, sink: &'t mut dyn TelemetrySink) {
+    pub fn attach_telemetry(&mut self, sink: &'t mut SimTelemetry) {
         self.telemetry = Some(sink);
     }
 
@@ -1178,7 +1178,7 @@ impl<'t> ClusterSim<'t> {
 
     /// Publishes the simulation's current counters and occupancy into a
     /// sink. Observe-only: nothing in the simulation changes.
-    fn sample_into(&self, sink: &mut dyn TelemetrySink) {
+    fn sample_into(&self, sink: &mut SimTelemetry) {
         sink.count_to("cluster_arrivals", self.arrivals);
         sink.count_to("cluster_completions", self.completions);
         sink.count_to("cluster_tokens", self.tokens);
@@ -2285,7 +2285,7 @@ impl<'t> ClusterSim<'t> {
 /// [`ClusterSim::attach_obs`] and lint rule D8).
 pub fn run_cluster_observed(
     cfg: ClusterConfig,
-    sink: &mut dyn TelemetrySink,
+    sink: &mut SimTelemetry,
     obs: &mut Obs,
 ) -> (ClusterReport, AuditLog) {
     let mut sim = ClusterSim::new(cfg);

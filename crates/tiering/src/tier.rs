@@ -8,7 +8,7 @@ use mrm_core::pool::{Allocation, Pool, PoolError};
 use mrm_device::device::MemoryDevice;
 use mrm_device::energy::EnergyBreakdown;
 use mrm_device::tech::Technology;
-use mrm_sim::time::{SimDuration, SimTime};
+use mrm_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// The role a tier plays in the §4 layout.
@@ -184,32 +184,6 @@ impl Tier {
         self.extra_energy.write_j += j;
     }
 
-    /// Timed, block-tracked read of an allocation sub-range (used for KV
-    /// caches, where expiry tracking matters).
-    pub fn read_tracked(
-        &mut self,
-        now: SimTime,
-        a: &Allocation,
-        offset: u64,
-        len: u64,
-    ) -> Result<mrm_device::device::OpResult, PoolError> {
-        self.bytes_read += len;
-        self.pool.read(now, a, offset, len)
-    }
-
-    /// Timed, block-tracked write of an allocation sub-range.
-    pub fn write_tracked(
-        &mut self,
-        now: SimTime,
-        a: &Allocation,
-        offset: u64,
-        len: u64,
-        retention: SimDuration,
-    ) -> Result<mrm_device::device::OpResult, PoolError> {
-        self.bytes_written += len;
-        self.pool.write(now, a, offset, len, retention)
-    }
-
     /// Charges `elapsed` of background cost: idle power, plus refresh power
     /// for DRAM-family technologies (the §2.1 "consuming power even when
     /// the memory is idle" term).
@@ -308,13 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn tracked_io_and_alloc() {
+    fn alloc_and_free() {
         let mut t = Tier::new(TierKind::Mrm, presets::mrm_hours(), 1);
         let a = t.alloc(16 * MIB).unwrap();
-        t.write_tracked(SimTime::ZERO, &a, 0, MIB, SimDuration::from_hours(1))
-            .unwrap();
-        let r = t.read_tracked(SimTime::ZERO, &a, 0, MIB).unwrap();
-        assert!(!r.expired);
+        assert_eq!(t.used_bytes(), 16 * MIB);
         t.free(a).unwrap();
         assert_eq!(t.used_bytes(), 0);
     }

@@ -10,7 +10,7 @@ use mrm_controller::mrm_block::{MrmBlockController, ZoneId};
 use mrm_device::device::MemoryDevice;
 use mrm_device::tech::Technology;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::{NullSink, TelemetrySink};
+use mrm_telemetry::SimTelemetry;
 use serde::{Deserialize, Serialize};
 
 /// Zone-allocation policy for the wear experiment.
@@ -58,6 +58,13 @@ pub struct WearReport {
 /// the absolute capacity, determines relative wear) and projects lifetime
 /// from cycles-per-simulated-second on the hottest zone.
 ///
+/// With a telemetry sink attached, each churn step counts the bytes
+/// written; at every due snapshot boundary the current peak/mean zone
+/// write-cycle counts are published as gauges; the final per-zone wear
+/// distribution goes into the `zone_write_cycles` histogram. The
+/// simulation draws no randomness, so attaching a sink cannot change the
+/// report.
+///
 /// # Panics
 ///
 /// Panics if the configuration cannot fit two streams in the device.
@@ -68,36 +75,7 @@ pub fn simulate_wear(
     write_bytes_per_s: f64,
     window: SimDuration,
     policy: WearPolicy,
-) -> WearReport {
-    simulate_wear_with_telemetry(
-        tech,
-        zone_bytes,
-        stream_bytes,
-        write_bytes_per_s,
-        window,
-        policy,
-        &mut NullSink,
-    )
-}
-
-/// [`simulate_wear`] with a telemetry sink attached. Each churn step counts
-/// the bytes written; at every due snapshot boundary the current peak/mean
-/// zone write-cycle counts are published as gauges; the final per-zone wear
-/// distribution goes into the `zone_write_cycles` histogram. The simulation
-/// draws no randomness, so attaching a sink cannot change the report.
-///
-/// # Panics
-///
-/// Panics if the configuration cannot fit two streams in the device.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_wear_with_telemetry(
-    tech: Technology,
-    zone_bytes: u64,
-    stream_bytes: u64,
-    write_bytes_per_s: f64,
-    window: SimDuration,
-    policy: WearPolicy,
-    sink: &mut dyn TelemetrySink,
+    mut sink: Option<&mut SimTelemetry>,
 ) -> WearReport {
     let endurance = tech.endurance;
     let capacity = tech.capacity_bytes;
@@ -143,23 +121,20 @@ pub fn simulate_wear_with_telemetry(
         live.push_back(zones);
         bytes_written += stream_bytes;
         now += step;
-        sink.count("wear_bytes_written", stream_bytes);
-        while let Some(at) = sink.snapshot_due(now) {
-            let (max_c, mean_c) = zone_cycle_stats(&ctrl);
-            sink.gauge("wear_max_zone_cycles", max_c as f64);
-            sink.gauge("wear_mean_zone_cycles", mean_c);
-            sink.snapshot(at);
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.count("wear_bytes_written", stream_bytes);
+            while let Some(at) = sink.snapshot_due(now) {
+                let (max_c, mean_c) = zone_cycle_stats(&ctrl);
+                sink.gauge("wear_max_zone_cycles", max_c as f64);
+                sink.gauge("wear_mean_zone_cycles", mean_c);
+                sink.snapshot(at);
+            }
         }
     }
 
     let (max_cycles, mean_cycles) = zone_cycle_stats(&ctrl);
-    if sink.enabled() {
-        for i in 0..ctrl.zone_count() {
-            let c = ctrl
-                .write_cycles(ZoneId(i as u32))
-                .expect("zone index is within zone_count");
-            sink.observe("zone_write_cycles", c as f64);
-        }
+    if let Some(sink) = sink {
+        ctrl.emit_wear_histogram(sink);
     }
     let elapsed_s = window.as_secs_f64();
     let hottest_cycles_per_s = max_cycles as f64 / elapsed_s;
@@ -213,6 +188,7 @@ mod tests {
             64.0 * MIB as f64,
             SimDuration::from_secs(600),
             policy,
+            None,
         )
     }
 
@@ -251,15 +227,15 @@ mod tests {
     #[test]
     fn telemetry_does_not_change_report() {
         let base = run(WearPolicy::LeastWorn);
-        let mut tele = mrm_telemetry::SimTelemetry::new(SimDuration::from_secs(60));
-        let traced = simulate_wear_with_telemetry(
+        let mut tele = SimTelemetry::new(SimDuration::from_secs(60));
+        let traced = simulate_wear(
             small_mrm(),
             4 * MIB,
             16 * MIB,
             64.0 * MIB as f64,
             SimDuration::from_secs(600),
             WearPolicy::LeastWorn,
-            &mut tele,
+            Some(&mut tele),
         );
         assert_eq!(base.bytes_written, traced.bytes_written);
         assert_eq!(base.max_zone_cycles, traced.max_zone_cycles);

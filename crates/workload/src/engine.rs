@@ -8,11 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mrm_sim::time::SimDuration;
-
-use crate::access::{DataClass, MemOp};
 use crate::model::{ModelConfig, Quantization};
-use crate::request::{InferenceRequest, RequestId};
 
 /// Memory traffic for generating one token for one request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -143,70 +139,11 @@ impl DecodeEngine {
             activation_rw: self.model.activation_bytes(batch.max(1), self.quant),
         }
     }
-
-    /// Traffic for the prefill pass of a prompt of `prompt_tokens` tokens:
-    /// one pass over the weights, one pass over the (growing) KV cache
-    /// modelled as a single full read, and the whole prompt's KV vectors
-    /// appended.
-    pub fn prefill_cost(&self, prompt_tokens: u32) -> TokenCost {
-        TokenCost {
-            weights_read: self.model.weights_bytes(self.quant),
-            kv_read: self
-                .model
-                .kv_cache_bytes(u64::from(prompt_tokens), self.quant),
-            kv_write: self
-                .model
-                .kv_cache_bytes(u64::from(prompt_tokens), self.quant),
-            activation_rw: self
-                .model
-                .activation_bytes(prompt_tokens.max(1), self.quant),
-        }
-    }
-
-    /// Emits the [`MemOp`] stream for one decode iteration of `request`,
-    /// with `lifetime_hint` carrying the expected remaining lifetime of the
-    /// appended KV vector (the §4 DCM input).
-    pub fn decode_ops(&self, request: &InferenceRequest, lifetime_hint: SimDuration) -> Vec<MemOp> {
-        self.decode_ops_for(request.id, request.context_tokens, lifetime_hint)
-    }
-
-    /// As [`DecodeEngine::decode_ops`], from raw fields.
-    pub fn decode_ops_for(
-        &self,
-        id: RequestId,
-        context_tokens: u32,
-        lifetime_hint: SimDuration,
-    ) -> Vec<MemOp> {
-        let c = self.token_cost(context_tokens);
-        vec![
-            MemOp::read(DataClass::Weights, c.weights_read),
-            MemOp::read(DataClass::KvCache, c.kv_read),
-            MemOp::append(DataClass::KvCache, id, c.kv_write, lifetime_hint),
-            MemOp::write(
-                DataClass::Activation,
-                c.activation_rw,
-                SimDuration::from_millis(100),
-            ),
-        ]
-    }
-
-    /// The bulk weight-load op stream for a model (re)deployment (§2: "When
-    /// a new model is deployed, the cluster ... loads weights for the new
-    /// model"), with the expected deployment lifetime as the hint.
-    pub fn weight_load_ops(&self, deployment_lifetime: SimDuration) -> Vec<MemOp> {
-        vec![MemOp::write(
-            DataClass::Weights,
-            self.model.weights_bytes(self.quant),
-            deployment_lifetime,
-        )]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traces::TraceKind;
-    use mrm_sim::time::SimTime;
     use mrm_sim::units::GB;
 
     fn engine() -> DecodeEngine {
@@ -263,52 +200,6 @@ mod tests {
         let e = engine();
         assert!(e.token_cost(4096).kv_read > e.token_cost(1024).kv_read);
         assert_eq!(e.token_cost(0).kv_read, 0);
-    }
-
-    #[test]
-    fn prefill_writes_whole_prompt_kv() {
-        let e = engine();
-        let p = e.prefill_cost(1020);
-        assert_eq!(
-            p.kv_write,
-            e.model().kv_cache_bytes(1020, Quantization::Fp16)
-        );
-        assert!(p.weights_read > 0);
-    }
-
-    #[test]
-    fn decode_ops_cover_all_classes() {
-        let e = engine();
-        let mut r = InferenceRequest::new(
-            RequestId(9),
-            TraceKind::Conversation,
-            SimTime::ZERO,
-            100,
-            10,
-        );
-        r.begin_prefill();
-        r.begin_decode();
-        let ops = e.decode_ops(&r, SimDuration::from_mins(5));
-        assert_eq!(ops.len(), 4);
-        let classes: Vec<DataClass> = ops.iter().map(|o| o.class).collect();
-        assert!(classes.contains(&DataClass::Weights));
-        assert!(classes.contains(&DataClass::KvCache));
-        assert!(classes.contains(&DataClass::Activation));
-        let append = ops
-            .iter()
-            .find(|o| o.kind == crate::access::MemOpKind::Append)
-            .unwrap();
-        assert_eq!(append.lifetime_hint, SimDuration::from_mins(5));
-        assert_eq!(append.request, Some(RequestId(9)));
-    }
-
-    #[test]
-    fn weight_load_is_one_bulk_write() {
-        let e = engine();
-        let ops = e.weight_load_ops(SimDuration::from_hours(1));
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].bytes, 140 * GB);
-        assert!(ops[0].is_write());
     }
 
     #[test]

@@ -16,25 +16,27 @@
 //!   arrivals.
 //! * [`replay`] — request-trace recording and CSV replay (drop-in for real
 //!   production traces when available).
-//! * [`request`] — inference request/context state through prefill & decode.
 //! * [`sessions`] — multi-turn conversation sessions with think-time gaps
 //!   (the intervals KV retention must cover).
-//! * [`engine`] — the per-token memory-traffic generator: what is read,
+//! * [`engine`] — the per-token memory-traffic arithmetic: what is read,
 //!   appended and written for every generated token, with batching.
-//! * [`access`] — the emitted [`access::MemOp`] stream with data-lifetime
-//!   hints, consumed by the tiering control plane and the analysis layer.
+//! * [`access`] — the §2 [`DataClass`]es (weights, KV cache, activations)
+//!   that placement and lifetime estimation key on.
+//!
+//! The cluster simulator in `mrm-tiering` is what runs this workload: it
+//! samples requests from [`TraceMix`] (or replays a [`RequestTrace`]) and
+//! sizes weights and KV from [`ModelConfig`]. The analysis layer and the
+//! examples cost decode iterations with [`DecodeEngine`].
 
 pub mod access;
 pub mod engine;
 pub mod model;
 pub mod replay;
-pub mod request;
 pub mod sessions;
 pub mod traces;
 
-pub use access::{DataClass, MemOp, MemOpKind};
+pub use access::DataClass;
 pub use engine::{BatchTokenCost, DecodeEngine, TokenCost};
 pub use model::{ModelConfig, Quantization};
 pub use replay::{RequestTrace, TraceEntry};
-pub use request::{InferenceRequest, Phase, RequestId};
 pub use traces::{RequestSampler, TraceKind, TraceMix};

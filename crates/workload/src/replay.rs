@@ -116,15 +116,6 @@ impl RequestTrace {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Mean arrival rate, requests/second.
-    pub fn arrival_rate(&self) -> f64 {
-        let d = self.duration().as_secs_f64();
-        if d <= 0.0 {
-            return 0.0;
-        }
-        self.entries.len() as f64 / d
-    }
-
     /// Serializes to the CSV format (`arrival_s,kind,prompt,output`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("arrival_s,kind,prompt_tokens,output_tokens\n");
@@ -216,11 +207,8 @@ mod tests {
             assert!(w[0].arrival <= w[1].arrival);
         }
         // Rate is near the configured 10/s.
-        assert!(
-            (t.arrival_rate() - 10.0).abs() < 1.5,
-            "rate {}",
-            t.arrival_rate()
-        );
+        let rate = t.len() as f64 / t.duration().as_secs_f64();
+        assert!((rate - 10.0).abs() < 1.5, "rate {rate}");
     }
 
     #[test]
@@ -290,7 +278,6 @@ mod tests {
         let t = RequestTrace::new();
         assert!(t.is_empty());
         assert_eq!(t.duration(), SimDuration::ZERO);
-        assert!(t.arrival_rate().abs() < f64::EPSILON);
         assert_eq!(RequestTrace::from_csv("").unwrap(), t);
     }
 }

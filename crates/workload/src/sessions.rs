@@ -51,13 +51,6 @@ impl Session {
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
-
-    /// Total session wall time spent waiting on the user.
-    pub fn total_think_time(&self) -> SimDuration {
-        self.turns
-            .iter()
-            .fold(SimDuration::ZERO, |acc, t| acc + t.gap)
-    }
 }
 
 /// Generates sessions: geometric turn counts, trace-derived turn lengths,
@@ -246,6 +239,5 @@ mod tests {
         };
         assert_eq!(sess.final_context_tokens(), 15);
         assert_eq!(sess.max_gap(), SimDuration::ZERO);
-        assert_eq!(sess.total_think_time(), SimDuration::ZERO);
     }
 }

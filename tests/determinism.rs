@@ -69,6 +69,7 @@ fn wear_sim_reproducible() {
             (64 * MIB) as f64,
             SimDuration::from_secs(300),
             WearPolicy::LeastWorn,
+            None,
         )
     };
     let a = run();
