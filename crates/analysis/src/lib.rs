@@ -16,7 +16,7 @@
 //! * [`sensitivity`] — tornado perturbation of the Figure-1 inputs (A6).
 //! * [`provisioning`] — §2.2: the over/under-provisioning scorecard of HBM
 //!   against the actual workload requirements.
-//! * [`report`] — aligned-text and CSV table rendering for the harness.
+//! * [`report`] — aligned-text table rendering for the harness.
 
 pub mod compression;
 pub mod endurance;

@@ -1,4 +1,4 @@
-//! Aligned-text and CSV table rendering for the experiment harness.
+//! Aligned-text table rendering for the experiment harness.
 
 use std::fmt::Write as _;
 
@@ -89,27 +89,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (headers + rows). Cells containing commas are quoted.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers.iter().map(esc).collect::<Vec<_>>().join(",")
-        );
-        for r in &self.rows {
-            let _ = writeln!(out, "{}", r.iter().map(esc).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -125,16 +104,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         // Header separator spans the widest cells.
         assert!(lines[1].starts_with("-----"));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new(&["name", "v"]);
-        t.row(&["a,b", "1"]);
-        t.row(&["q\"q", "2"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"q\"\"q\""));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
     let mut pc = PrefixCache::new(chunk_tokens);
 
     let mut baseline_tokens = 0u64; // what prefill writes without the cache
-    let mut live_paths: Vec<Vec<mrm_tiering::prefix::PrefixNodeId>> = Vec::new();
+    let mut live_paths: Vec<mrm_tiering::prefix::PrefixLease> = Vec::new();
     for i in 0..requests {
         let system = popularity.sample_rank(&mut rng) as u64;
         let (user_tokens, _) = sampler.sample(&mut rng);

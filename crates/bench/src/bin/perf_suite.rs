@@ -1,10 +1,10 @@
-//! **perf_suite** — oracle-differential micro benchmarks for three hot
+//! **perf_suite** — oracle-differential micro benchmarks for two hot
 //! structures.
 //!
 //! Each scenario races an optimized structure against the retained oracle
 //! it replaced, on one pinned input, asserts that both produce identical
 //! output, and writes the timings to `BENCH_pool.json` /
-//! `BENCH_events.json` / `BENCH_ecc.json` in the current directory. Every
+//! `BENCH_events.json` in the current directory. Every
 //! speedup comes from interleaved reps ([`time_pair`]): the two sides
 //! alternate within one loop, so they share allocator, cache and scheduler
 //! conditions, and the ratio is the median of the per-rep ratios.
@@ -25,9 +25,6 @@
 //!   calendar [`EventQueue`] and the retained [`LegacyHeapQueue`] oracle;
 //!   identical pop-sequence checksums are asserted, and the calendar
 //!   queue carries a `floor` on `speedup_vs_heap`.
-//! * `ecc_batch_decode` — clean-read-dominated codeword batches through
-//!   the batched SECDED / BCH decoders vs the scalar path (outputs
-//!   asserted bitwise identical), with a `floor` on the batched speedup.
 //!
 //! `--quick` shrinks the workloads and rep counts for CI smoke runs; the
 //! JSON schema (scenario keys and fields) is identical in both modes.
@@ -43,8 +40,6 @@ use mrm_bench::{heading, note};
 use mrm_core::pool::{Allocation, LegacyVecPool, Pool};
 use mrm_device::device::MemoryDevice;
 use mrm_device::tech::presets;
-use mrm_ecc::bch::Bch;
-use mrm_ecc::hamming::Hamming;
 use mrm_sim::event::{EventQueue, LegacyHeapQueue};
 use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
@@ -437,163 +432,6 @@ fn bench_event_churn(quick: bool) -> EventChurnResult {
 }
 
 // ---------------------------------------------------------------------------
-// ecc_batch_decode
-// ---------------------------------------------------------------------------
-
-/// Batched-vs-scalar timings for one inner code.
-#[derive(Serialize)]
-struct EccCodecResult {
-    codewords: usize,
-    dirty: usize,
-    /// Decode passes over the whole batch per timed sample: sub-millisecond
-    /// samples are at the mercy of one scheduler tick.
-    passes: u32,
-    scalar: Timing,
-    batch: Timing,
-    /// Median per-rep scalar time over batch time: > 1 means batching pays.
-    speedup_vs_scalar: f64,
-}
-
-/// Builds a clean-read-dominated batch: every `dirty_every`-th codeword
-/// takes one bit flip (within every code's correction budget), the rest
-/// decode clean — the shape `mrm-faults` decode ladders and the `e8`/`e11`
-/// read paths see at healthy raw BER.
-fn ecc_inputs(
-    encode: impl Fn(&[u8]) -> Vec<u8>,
-    k: usize,
-    n_cw: usize,
-    dirty_every: usize,
-    seed: u64,
-) -> (Vec<Vec<u8>>, usize) {
-    let mut rng = SimRng::seed_from(seed);
-    let mut dirty = 0usize;
-    let cws: Vec<Vec<u8>> = (0..n_cw)
-        .map(|i| {
-            let data: Vec<u8> = (0..k).map(|_| u8::from(rng.gen_bool(0.5))).collect();
-            let mut cw = encode(&data);
-            if i % dirty_every == 1 {
-                let j = rng.gen_range_u64(cw.len() as u64) as usize;
-                cw[j] ^= 1;
-                dirty += 1;
-            }
-            cw
-        })
-        .collect();
-    (cws, dirty)
-}
-
-/// Races one codec's batched decoder against its scalar decoder on `cws`,
-/// `passes` times over the batch per sample. `batch_lanes` runs the batch
-/// path returning per-lane outputs, checked against `scalar_decode` lane
-/// for lane outside the timed region; `batch_decode` is the timed
-/// production shape and returns the lane count.
-fn bench_ecc_codec<T: PartialEq>(
-    cws: &[Vec<u8>],
-    dirty: usize,
-    reps: u32,
-    passes: u32,
-    scalar_decode: impl Fn(&[u8]) -> T,
-    batch_lanes: impl FnOnce(&[&[u8]]) -> Vec<T>,
-    mut batch_decode: impl FnMut(&[&[u8]]) -> usize,
-) -> EccCodecResult {
-    let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
-    let scalar_out: Vec<T> = cws.iter().map(|cw| scalar_decode(cw)).collect();
-    assert!(
-        scalar_out == batch_lanes(&refs),
-        "batched decode diverged from the scalar path"
-    );
-    let p = time_pair(
-        reps,
-        || (0..passes).map(|_| batch_decode(&refs)).sum::<usize>(),
-        || {
-            for _ in 0..passes {
-                for cw in cws {
-                    std::hint::black_box(scalar_decode(cw));
-                }
-            }
-            cws.len() * passes as usize
-        },
-    );
-    EccCodecResult {
-        codewords: cws.len(),
-        dirty,
-        passes,
-        scalar: p.b,
-        batch: p.a,
-        speedup_vs_scalar: p.speedup,
-    }
-}
-
-#[derive(Serialize)]
-struct EccBatchResult {
-    secded: EccCodecResult,
-    bch: EccCodecResult,
-    /// The worse of the two codecs' batched speedups.
-    speedup_vs_scalar: f64,
-    /// Acceptance floor on `speedup_vs_scalar`, asserted in full runs.
-    floor: f64,
-}
-
-fn bench_ecc_batch_decode(quick: bool) -> EccBatchResult {
-    let (n_secded, n_bch, reps, passes) = if quick {
-        (1_024usize, 256usize, 3, 1)
-    } else {
-        (8_192, 2_048, 9, 4)
-    };
-    let h = Hamming::secded_72_64();
-    let (cws, dirty) = ecc_inputs(|d| h.encode(d), h.data_len(), n_secded, 48, 0xECC0);
-    // SECDED is timed through the flat-output batch API with reused
-    // buffers: the production shape for decode ladders, where the point of
-    // batching is per-batch instead of per-lane cost.
-    let (mut flat, mut outcomes) = (Vec::new(), Vec::new());
-    let secded = bench_ecc_codec(
-        &cws,
-        dirty,
-        reps,
-        passes,
-        |cw| h.decode(cw),
-        |refs| h.decode_batch(refs),
-        |refs| {
-            flat.clear();
-            outcomes.clear();
-            h.decode_batch_into(refs, &mut flat, &mut outcomes);
-            outcomes.len()
-        },
-    );
-    // The fault model's production geometry: BCH t=2 over 512 data bits.
-    let c = Bch::with_data_len(10, 2, 512);
-    let (cws, dirty) = ecc_inputs(|d| c.encode(d), c.k(), n_bch, 48, 0xECC1);
-    let bch = bench_ecc_codec(
-        &cws,
-        dirty,
-        reps,
-        passes,
-        |cw| c.decode(cw),
-        |refs| c.decode_batch(refs),
-        |refs| c.decode_batch(refs).len(),
-    );
-    let speedup = secded.speedup_vs_scalar.min(bch.speedup_vs_scalar);
-    // All ten full runs cleared 3x (lowest 3.1x, SECDED).
-    let floor = 3.0;
-    note(&format!(
-        "ecc_batch_decode: secded {}cw {:.1}x, bch {}cw {:.1}x (floor {floor}x on the min)",
-        secded.codewords, secded.speedup_vs_scalar, bch.codewords, bch.speedup_vs_scalar,
-    ));
-    if !quick {
-        assert!(
-            speedup >= floor,
-            "ecc_batch_decode regression: {speedup:.2}x is below the {floor}x floor"
-        );
-    }
-    EccBatchResult {
-        secded,
-        bch,
-        speedup_vs_scalar: speedup,
-        floor,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // output records
 // ---------------------------------------------------------------------------
 
@@ -619,18 +457,6 @@ struct EventsBench {
 #[derive(Serialize)]
 struct EventsScenarios {
     event_churn: EventChurnResult,
-}
-
-#[derive(Serialize)]
-struct EccBench {
-    suite: &'static str,
-    quick: bool,
-    scenarios: EccScenarios,
-}
-
-#[derive(Serialize)]
-struct EccScenarios {
-    ecc_batch_decode: EccBatchResult,
 }
 
 fn write_record<T: Serialize>(path: &str, record: &T) {
@@ -676,13 +502,4 @@ fn main() {
         },
     };
     write_record("BENCH_events.json", &events);
-
-    let ecc = EccBench {
-        suite: "ecc",
-        quick,
-        scenarios: EccScenarios {
-            ecc_batch_decode: bench_ecc_batch_decode(quick),
-        },
-    };
-    write_record("BENCH_ecc.json", &ecc);
 }

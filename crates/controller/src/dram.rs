@@ -13,7 +13,6 @@ use mrm_device::bank::{Bank, BankTiming, RowOutcome};
 pub const REF_COMMANDS_PER_PASS: u64 = 8192;
 use mrm_device::geometry::DeviceGeometry;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_telemetry::SimTelemetry;
 
 /// Statistics accumulated by the controller.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -199,39 +198,6 @@ impl DramController {
         let total_bank_time = elapsed.as_secs_f64() * self.banks.len() as f64;
         self.stats.refresh_busy.as_secs_f64() / total_bank_time
     }
-
-    /// Average refresh power over `elapsed`, watts.
-    pub fn refresh_power_w(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.stats.refresh_energy_j / elapsed.as_secs_f64()
-    }
-
-    /// Publishes the controller's housekeeping ledger into `sink`: demand
-    /// and refresh counters plus the refresh-stall gauges (`refresh_busy`
-    /// is the bank-time stolen from demand traffic — the §2.1 bandwidth
-    /// tax made visible).
-    ///
-    /// Pull-style and idempotent: totals go through
-    /// [`SimTelemetry::count_to`], so republishing every snapshot
-    /// interval never double-counts. `elapsed` is the sim-time window the
-    /// rate/fraction gauges are computed over.
-    pub fn emit_telemetry(&self, elapsed: SimDuration, sink: &mut SimTelemetry) {
-        sink.count_to("dram_accesses", self.stats.accesses);
-        sink.count_to("dram_row_hits", self.stats.row_hits);
-        sink.count_to("dram_row_misses", self.stats.row_misses);
-        sink.count_to("dram_row_conflicts", self.stats.row_conflicts);
-        sink.count_to("dram_refreshes", self.stats.refreshes);
-        sink.gauge("dram_row_hit_rate", self.stats.hit_rate());
-        sink.gauge("dram_refresh_busy_s", self.stats.refresh_busy.as_secs_f64());
-        sink.gauge("dram_refresh_energy_j", self.stats.refresh_energy_j);
-        sink.gauge(
-            "dram_refresh_time_fraction",
-            self.refresh_time_fraction(elapsed),
-        );
-        sink.gauge("dram_refresh_power_w", self.refresh_power_w(elapsed));
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +273,6 @@ mod tests {
         let frac = c.refresh_time_fraction(elapsed);
         // tRFC/tREFI ≈ 260ns / 3.9µs ≈ 6.7% of bank time.
         assert!(frac > 0.03 && frac < 0.12, "refresh fraction {frac}");
-        assert!(c.refresh_power_w(elapsed) > 0.0);
     }
 
     #[test]
@@ -331,22 +296,5 @@ mod tests {
     #[should_panic(expected = "zero-length access")]
     fn zero_len_panics() {
         ctrl().read(SimTime::ZERO, 0, 0);
-    }
-
-    #[test]
-    fn telemetry_publishes_refresh_ledger() {
-        use mrm_telemetry::SimTelemetry;
-        let mut c = ctrl();
-        let elapsed = SimDuration::from_secs(1);
-        c.read(SimTime::ZERO, 0, 64);
-        c.catch_up_refresh(SimTime::ZERO + elapsed);
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        c.emit_telemetry(elapsed, &mut t);
-        c.emit_telemetry(elapsed, &mut t); // idempotent republish
-        let r = t.registry();
-        assert_eq!(r.counter_value("dram_accesses"), Some(1));
-        assert_eq!(r.counter_value("dram_refreshes"), Some(c.stats().refreshes));
-        let frac = r.gauge_value("dram_refresh_time_fraction").unwrap();
-        assert!(frac > 0.03 && frac < 0.12, "refresh fraction {frac}");
     }
 }

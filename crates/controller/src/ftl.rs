@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use mrm_faults::{FaultModel, FaultStats, ReadFaults, RecoveryAction};
-use mrm_telemetry::SimTelemetry;
 
 /// Wear-levelling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -553,44 +552,6 @@ impl Ftl {
         Ok(())
     }
 
-    /// Publishes the FTL's housekeeping ledger into `sink`: host writes,
-    /// GC/WL page moves, erases, and the derived write-amplification and
-    /// erase-spread gauges — the §3 "housekeeping leverages the write
-    /// path" tax as a time series.
-    ///
-    /// Pull-style and idempotent (totals via [`SimTelemetry::count_to`]),
-    /// so call it once per snapshot interval.
-    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
-        sink.count_to("ftl_host_writes", self.stats.host_writes);
-        sink.count_to("ftl_gc_moves", self.stats.gc_moves);
-        sink.count_to("ftl_wl_moves", self.stats.wl_moves);
-        sink.count_to("ftl_erases", self.stats.erases);
-        sink.count_to("ftl_remap_moves", self.stats.remap_moves);
-        sink.count_to("ftl_read_retries", self.stats.read_retries);
-        sink.count_to("ftl_blocks_retired", self.stats.blocks_retired);
-        if let Some(fs) = self.fault_stats() {
-            sink.count_to("ftl_fault_raw_flips", fs.raw_flips);
-            sink.count_to("ftl_fault_corrected", fs.corrected);
-            sink.count_to("ftl_fault_detected_ue", fs.detected_ue);
-            sink.count_to("ftl_fault_miscorrected", fs.miscorrected);
-            sink.count_to("ftl_fault_silent", fs.silent);
-            sink.gauge("ftl_fault_raw_ber", fs.raw_ber());
-        }
-        sink.gauge("ftl_write_amplification", self.stats.write_amplification());
-        sink.gauge("ftl_erase_spread", self.erase_spread() as f64);
-        sink.gauge("ftl_free_blocks", self.free.len() as f64);
-    }
-
-    /// Observes every block's erase count into the `ftl_erase_cycles`
-    /// histogram — the wear distribution at a point in time. One-shot:
-    /// call once at end of run (or per report), not per interval, since
-    /// histogram observations accumulate.
-    pub fn emit_wear_histogram(&self, sink: &mut SimTelemetry) {
-        for b in &self.blocks {
-            sink.observe("ftl_erase_cycles", b.erase_count as f64);
-        }
-    }
-
     /// Internal consistency check: the forward and reverse maps agree and
     /// valid counters match. Used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -860,28 +821,6 @@ mod tests {
             let (b, _) = f.read(lpn).unwrap();
             assert_ne!(b, src, "retired block re-entered rotation");
         }
-    }
-
-    #[test]
-    fn telemetry_publishes_gc_ledger_and_wear() {
-        use mrm_sim::time::SimDuration;
-        use mrm_telemetry::SimTelemetry;
-        let mut f = Ftl::new(FtlConfig::small());
-        let lp = f.config().logical_pages();
-        for i in 0..lp * 3 {
-            f.write(i % lp).unwrap();
-        }
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        f.emit_telemetry(&mut t);
-        f.emit_telemetry(&mut t); // idempotent republish
-        let r = t.registry();
-        assert_eq!(r.counter_value("ftl_host_writes"), Some(lp * 3));
-        assert_eq!(r.counter_value("ftl_erases"), Some(f.stats().erases));
-        let wa = r.gauge_value("ftl_write_amplification").unwrap();
-        assert!((wa - f.stats().write_amplification()).abs() < 1e-12);
-        f.emit_wear_histogram(&mut t);
-        let h = t.registry().histogram_by_name("ftl_erase_cycles").unwrap();
-        assert_eq!(h.count(), u64::from(f.config().blocks));
     }
 
     #[test]

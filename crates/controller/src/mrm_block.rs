@@ -525,51 +525,6 @@ impl MrmBlockController {
         self.scrub_bytes
     }
 
-    /// Publishes the controller's ledger into `sink`: scrub (rewrite)
-    /// totals plus zone-state and wear gauges. With no device-side
-    /// refresh/GC, scrub rewrites are the *only* housekeeping an MRM
-    /// device performs — exactly the signal the paper's §4 argument needs
-    /// on a timeline.
-    ///
-    /// Pull-style and idempotent (totals via [`SimTelemetry::count_to`]).
-    pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
-        sink.count_to("mrm_scrub_ops", self.scrub_ops);
-        sink.count_to("mrm_scrub_bytes", self.scrub_bytes);
-        sink.count_to("mrm_read_retries", self.read_retries);
-        sink.count_to("mrm_scrub_escalations", self.scrub_escalations);
-        sink.count_to("mrm_zones_retired", self.zones_retired);
-        if let Some(fs) = self.fault_stats() {
-            sink.count_to("mrm_fault_raw_flips", fs.raw_flips);
-            sink.count_to("mrm_fault_corrected", fs.corrected);
-            sink.count_to("mrm_fault_detected_ue", fs.detected_ue);
-            sink.count_to("mrm_fault_miscorrected", fs.miscorrected);
-            sink.count_to("mrm_fault_silent", fs.silent);
-            sink.gauge("mrm_fault_raw_ber", fs.raw_ber());
-        }
-        let (mut empty, mut open, mut full, mut retired) = (0u64, 0u64, 0u64, 0u64);
-        let mut max_cycles = 0u64;
-        let mut sum_cycles = 0u64;
-        for zn in &self.zones {
-            match zn.state {
-                ZoneState::Empty => empty += 1,
-                ZoneState::Open => open += 1,
-                ZoneState::Full => full += 1,
-                ZoneState::Retired => retired += 1,
-            }
-            max_cycles = max_cycles.max(zn.write_cycles);
-            sum_cycles += zn.write_cycles;
-        }
-        sink.gauge("mrm_zones_empty", empty as f64);
-        sink.gauge("mrm_zones_open", open as f64);
-        sink.gauge("mrm_zones_full", full as f64);
-        sink.gauge("mrm_zones_retired_now", retired as f64);
-        sink.gauge("mrm_zone_cycles_max", max_cycles as f64);
-        sink.gauge(
-            "mrm_zone_cycles_mean",
-            sum_cycles as f64 / self.zones.len() as f64,
-        );
-    }
-
     /// Observes every zone's write-cycle count into the
     /// `zone_write_cycles` histogram — the wear distribution the software
     /// wear-leveller is trying to flatten. One-shot: call at end of run,
@@ -745,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_publishes_scrub_ledger_and_zone_wear() {
+    fn scrub_ledger_and_zone_wear_histogram() {
         use mrm_telemetry::SimTelemetry;
         let mut c = ctrl();
         let z = c.open_zone().unwrap();
@@ -757,14 +712,6 @@ mod tests {
         assert_eq!(c.scrub_ops(), 1);
         assert_eq!(c.scrub_bytes(), scrubbed);
         let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        c.emit_telemetry(&mut t);
-        c.emit_telemetry(&mut t); // idempotent republish
-        let r = t.registry();
-        assert_eq!(r.counter_value("mrm_scrub_ops"), Some(1));
-        assert_eq!(r.counter_value("mrm_scrub_bytes"), Some(scrubbed));
-        assert_eq!(r.gauge_value("mrm_zones_open"), Some(1.0));
-        assert_eq!(r.gauge_value("mrm_zones_empty"), Some(15.0));
-        assert_eq!(r.gauge_value("mrm_zone_cycles_max"), Some(1.0));
         c.emit_wear_histogram(&mut t);
         let h = t.registry().histogram_by_name("zone_write_cycles").unwrap();
         assert_eq!(h.count(), c.zone_count() as u64);
@@ -874,36 +821,6 @@ mod tests {
             assert_ne!(opened, z);
         }
         assert_eq!(c.open_zone().unwrap_err(), ZoneError::NoEmptyZones);
-    }
-
-    #[test]
-    fn recovery_telemetry_is_published() {
-        use mrm_faults::{FaultConfig, FaultModel};
-        use mrm_telemetry::SimTelemetry;
-        let mut c = ctrl();
-        c.attach_faults(FaultModel::new(FaultConfig::mrm(), 7));
-        let z = c.open_zone().unwrap();
-        c.append(SimTime::ZERO, z, 4 * MIB, SimDuration::from_mins(10))
-            .unwrap();
-        let late = SimTime::ZERO + SimDuration::from_mins(60);
-        c.read_checked(late, z, 0, 4 * MIB, SimDuration::from_hours(1))
-            .unwrap();
-        let mut t = SimTelemetry::new(SimDuration::from_secs(1));
-        c.emit_telemetry(&mut t);
-        let r = t.registry();
-        assert_eq!(r.counter_value("mrm_read_retries"), Some(c.read_retries()));
-        assert_eq!(
-            r.counter_value("mrm_scrub_escalations"),
-            Some(c.scrub_escalations())
-        );
-        let fs = *c.fault_stats().unwrap();
-        assert_eq!(r.counter_value("mrm_fault_raw_flips"), Some(fs.raw_flips));
-        assert_eq!(
-            r.counter_value("mrm_fault_detected_ue"),
-            Some(fs.detected_ue)
-        );
-        assert!(r.gauge_value("mrm_fault_raw_ber").unwrap() > 0.0);
-        assert_eq!(r.gauge_value("mrm_zones_retired_now"), Some(0.0));
     }
 
     #[test]

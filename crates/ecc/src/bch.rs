@@ -215,13 +215,13 @@ impl Bch {
 
     /// Packs a one-bit-per-byte codeword into `u64` words, bit `i % 64` of
     /// word `i / 64` holding coefficient `i`.
-    fn pack_bits(cw: &[u8], words: &mut Vec<u64>) {
-        words.clear();
-        words.resize(cw.len().div_ceil(64), 0);
+    fn pack_bits(cw: &[u8]) -> Vec<u64> {
+        let mut words = vec![0u64; cw.len().div_ceil(64)];
         for (i, &b) in cw.iter().enumerate() {
             debug_assert!(b <= 1, "bits must be 0 or 1");
             words[i / 64] |= u64::from(b) << (i % 64);
         }
+        words
     }
 
     /// Computes the 2t syndromes from a bit-packed codeword by Horner's
@@ -284,67 +284,12 @@ impl Bch {
     /// Panics if `cw.len() != self.n()`.
     pub fn decode(&self, cw: &[u8]) -> Result<(Vec<u8>, usize), BchError> {
         assert_eq!(cw.len(), self.n(), "codeword length mismatch");
-        let mut words = Vec::new();
-        Self::pack_bits(cw, &mut words);
-        let syn = self.syndromes_packed(&words);
+        let syn = self.syndromes_packed(&Self::pack_bits(cw));
         if syn.iter().all(|&s| s == 0) {
             return Ok((cw[self.parity_bits()..].to_vec(), 0));
         }
-        self.correct(cw, &syn)
-    }
 
-    /// Decodes a slice of stored codewords: the batched front-end the fault
-    /// model's decode ladders call.
-    ///
-    /// A `CleanScreen` reduction table — `v(x)·x^d mod g(x)` for every
-    /// 8-bit chunk `v` — is built once per call and amortized across the
-    /// batch. Each lane then pays one word-parallel remainder computation
-    /// (≈ `n/8` table lookups): remainder zero is *exactly* "all 2t
-    /// syndromes zero" (the syndromes are `c(α^j)` for the roots of `g`, so
-    /// both say `g | c`), and the lane early-exits to the clean path. Only
-    /// lanes with a nonzero remainder pay the per-set-bit Horner syndrome
-    /// pass, Berlekamp–Massey, and Chien search — so a clean-dominated
-    /// batch costs per-batch table construction plus per-lane screening.
-    /// Results are bitwise identical to mapping [`Bch::decode`] over the
-    /// slice (asserted by the differential suite in
-    /// `tests/batch_differential.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword's length differs from `n()`.
-    pub fn decode_batch(&self, cws: &[&[u8]]) -> Vec<Result<(Vec<u8>, usize), BchError>> {
-        let screen = CleanScreen::build(&self.gen);
-        let mut words = Vec::new();
-        cws.iter()
-            .map(|cw| {
-                assert_eq!(cw.len(), self.n(), "codeword length mismatch");
-                Self::pack_bits(cw, &mut words);
-                match &screen {
-                    Some(s) => {
-                        if s.rem(&words) == 0 {
-                            return Ok((cw[self.parity_bits()..].to_vec(), 0));
-                        }
-                        // Nonzero remainder ⇒ nonzero syndromes: go
-                        // straight to the algebraic decode.
-                        let syn = self.syndromes_packed(&words);
-                        self.correct(cw, &syn)
-                    }
-                    None => {
-                        let syn = self.syndromes_packed(&words);
-                        if syn.iter().all(|&v| v == 0) {
-                            return Ok((cw[self.parity_bits()..].to_vec(), 0));
-                        }
-                        self.correct(cw, &syn)
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// The dirty back half of decoding: Berlekamp–Massey, Chien search over
-    /// stored positions, and the validity recheck.
-    fn correct(&self, cw: &[u8], syn: &[u16]) -> Result<(Vec<u8>, usize), BchError> {
-        let sigma = self.berlekamp_massey(syn);
+        let sigma = self.berlekamp_massey(&syn);
         let nu = sigma.len() - 1;
         if nu > self.t {
             return Err(BchError::TooManyErrors);
@@ -366,9 +311,8 @@ impl Bch {
             return Err(BchError::TooManyErrors);
         }
         // Recheck: corrected word must be a valid codeword.
-        let mut words = Vec::new();
-        Self::pack_bits(&cw, &mut words);
-        if self.syndromes_packed(&words).iter().any(|&s| s != 0) {
+        let recheck = self.syndromes_packed(&Self::pack_bits(&cw));
+        if recheck.iter().any(|&s| s != 0) {
             return Err(BchError::TooManyErrors);
         }
         Ok((cw[self.parity_bits()..].to_vec(), found))
@@ -420,79 +364,6 @@ impl Bch {
             c.pop();
         }
         c
-    }
-}
-
-/// CRC-style clean screen for [`Bch::decode_batch`]: a byte-indexed
-/// reduction table for computing `c(x) mod g(x)` over GF(2) word-parallel.
-///
-/// A stored word is a valid codeword iff `g | c`, which is also exactly
-/// "all 2t syndromes zero" (the syndromes evaluate `c` at the roots of
-/// `g`), so a zero remainder lets a lane skip syndrome computation
-/// entirely. Building the 256-entry table costs a few microseconds and is
-/// paid once per batch; screening a lane costs one table lookup per input
-/// byte — an order of magnitude cheaper than the per-set-bit Horner
-/// syndrome pass it replaces on clean lanes.
-///
-/// Only codes whose parity degree fits the `u64` shift register
-/// (`8 ≤ deg g ≤ 56`) get a screen; tiny test codes fall back to the
-/// syndrome check.
-struct CleanScreen {
-    /// Degree of the generator polynomial (= parity bits).
-    d: usize,
-    /// `(1 << d) − 1`: the remainder register mask.
-    mask: u64,
-    /// `table[v] = v(x)·x^d mod g(x)` for each 8-bit chunk `v`.
-    table: [u64; 256],
-}
-
-impl CleanScreen {
-    fn build(gen: &[u8]) -> Option<CleanScreen> {
-        let d = gen.len() - 1;
-        if !(8..=56).contains(&d) {
-            return None;
-        }
-        // g(x) = x^d + (low bits), so x^d ≡ low bits (mod g).
-        let mut gbits = 0u64;
-        for (j, &g) in gen.iter().enumerate().take(d) {
-            gbits |= u64::from(g) << j;
-        }
-        let mask = (1u64 << d) - 1;
-        // base[k] = x^{d+k} mod g, by repeated multiply-by-x with reduction.
-        let mut base = [0u64; 8];
-        let mut pow = gbits;
-        for b in &mut base {
-            *b = pow;
-            let overflow = pow >> (d - 1) & 1 == 1;
-            pow = (pow << 1) & mask;
-            if overflow {
-                pow ^= gbits;
-            }
-        }
-        // table[v] = Σ_{k set in v} base[k], filled in one pass: each v
-        // extends the entry with its lowest bit cleared.
-        let mut table = [0u64; 256];
-        for v in 1usize..256 {
-            let k = v.trailing_zeros() as usize;
-            table[v] = table[v ^ (1 << k)] ^ base[k];
-        }
-        Some(CleanScreen { d, mask, table })
-    }
-
-    /// Remainder of the bit-packed codeword polynomial mod `g`, processing
-    /// 8 coefficients per step from the highest degree down. Zero iff the
-    /// word is a valid codeword. Leading zero padding in the top word is
-    /// harmless: absorbing zero bytes into a zero register is a no-op.
-    fn rem(&self, words: &[u64]) -> u64 {
-        let mut r = 0u64;
-        for &w in words.iter().rev() {
-            for shift in (0..8).rev() {
-                let byte = (w >> (shift * 8)) & 0xFF;
-                let top = (r >> (self.d - 8)) as usize;
-                r = (((r << 8) | byte) & self.mask) ^ self.table[top];
-            }
-        }
-        r
     }
 }
 
@@ -575,42 +446,6 @@ mod tests {
         assert_eq!((c.n(), c.k()), (63, 51)); // BCH(63,51,2)
         let c = Bch::new(8, 2);
         assert_eq!((c.n(), c.k()), (255, 239)); // BCH(255,239,2)
-    }
-
-    #[test]
-    fn clean_screen_remainder_agrees_with_syndromes() {
-        // The batch screen's claim: remainder zero ⇔ all 2t syndromes
-        // zero — checked on clean codewords, every single-bit corruption
-        // of one, and a handful of multi-bit corruptions.
-        for (m, t) in [(4u32, 2usize), (6, 2), (8, 3), (10, 2)] {
-            let code = Bch::new(m, t);
-            let screen = CleanScreen::build(&code.gen).expect("deg g within screen bounds");
-            let mut words = Vec::new();
-            let check = |cw: &[u8], words: &mut Vec<u64>| {
-                Bch::pack_bits(cw, words);
-                let clean_by_screen = screen.rem(words) == 0;
-                let clean_by_syndromes = code.syndromes_reference(cw).iter().all(|&s| s == 0);
-                assert_eq!(clean_by_screen, clean_by_syndromes, "m={m} t={t}");
-                clean_by_screen
-            };
-            let data = data_pattern(code.k(), 99);
-            let mut cw = code.encode(&data);
-            assert!(check(&cw, &mut words));
-            for i in 0..code.n() {
-                cw[i] ^= 1;
-                assert!(!check(&cw, &mut words), "flip at {i}");
-                cw[i] ^= 1;
-            }
-            for flips in [[0usize, 7], [3, 11], [1, 2]] {
-                for &i in &flips {
-                    cw[i % code.n()] ^= 1;
-                }
-                check(&cw, &mut words);
-                for &i in &flips {
-                    cw[i % code.n()] ^= 1;
-                }
-            }
-        }
     }
 
     #[test]
@@ -734,35 +569,14 @@ mod tests {
                 let mut cw = code.encode(&data);
                 // Clean, then progressively dirtier patterns.
                 for flips in 0..=(t + 2) {
-                    let mut words = Vec::new();
-                    Bch::pack_bits(&cw, &mut words);
                     assert_eq!(
-                        code.syndromes_packed(&words),
+                        code.syndromes_packed(&Bch::pack_bits(&cw)),
                         code.syndromes_reference(&cw),
                         "m={m} t={t} seed={seed} flips={flips}"
                     );
                     cw[(seed as usize * 37 + flips * 101) % code.n()] ^= 1;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_decode_matches_scalar() {
-        let code = Bch::with_data_len(10, 2, 512);
-        let mut cws: Vec<Vec<u8>> = Vec::new();
-        for i in 0..40u64 {
-            let mut cw = code.encode(&data_pattern(512, i));
-            // Mix clean lanes with 1..=t+1-error lanes.
-            for e in 0..(i % 4) {
-                cw[((i * 131 + e * 977) % 532) as usize] ^= 1;
-            }
-            cws.push(cw);
-        }
-        let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
-        let batch = code.decode_batch(&refs);
-        for (i, cw) in cws.iter().enumerate() {
-            assert_eq!(batch[i], code.decode(cw), "lane {i}");
         }
     }
 

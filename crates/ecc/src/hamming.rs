@@ -7,8 +7,7 @@
 //! with lower overhead at equal or better protection; this module provides
 //! the small-word baseline for that comparison.
 //!
-//! Bits are represented one-per-`u8` (values 0/1) for clarity; the codec is
-//! still fast enough to stream hundreds of MB/s in the benches.
+//! Bits are represented one-per-`u8` (values 0/1) for clarity.
 
 /// Outcome of decoding one SECDED word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,116 +150,7 @@ impl Hamming {
             }
         }
         let overall = cw.iter().fold(0u8, |a, &b| a ^ b);
-        let outcome = self.apply_syndrome(&mut cw, syndrome, overall);
-        (self.extract_data(&cw), outcome)
-    }
-
-    /// Decodes a batch of codewords, one `(data, outcome)` pair per lane —
-    /// a convenience wrapper over [`Hamming::decode_batch_into`]. Results
-    /// are bitwise identical to mapping [`Hamming::decode`] over the batch
-    /// (asserted by the differential suite in `tests/batch_differential.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword's length differs from `codeword_len()`.
-    pub fn decode_batch(&self, cws: &[&[u8]]) -> Vec<(Vec<u8>, HammingOutcome)> {
-        let mut data = Vec::new();
-        let mut outcomes = Vec::new();
-        self.decode_batch_into(cws, &mut data, &mut outcomes);
-        data.chunks_exact(self.k)
-            .map(<[u8]>::to_vec)
-            .zip(outcomes)
-            .collect()
-    }
-
-    /// Flat-output core of [`Hamming::decode_batch`]: appends `data_len()`
-    /// recovered bits per lane to `data` (one contiguous row per codeword)
-    /// and one [`HammingOutcome`] per lane to `outcomes`. Reusing the two
-    /// buffers across calls makes the decode cost purely per-batch — no
-    /// per-lane allocation — which is how the fault-model decode ladders
-    /// and the `ecc_batch_decode` perf scenario drive it.
-    ///
-    /// Syndromes are table-free and word-parallel: each lane's 0/1 bytes
-    /// are gathered into `u64` bit words eight bytes per multiply (the
-    /// gather constant places every byte's LSB at a distinct product
-    /// exponent, so the multiply is carry-free and exact), every parity
-    /// group folds to one bit via mask + popcount, and clean lanes copy
-    /// data bits through a position table built once per batch — no
-    /// per-bit branching, no codeword copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword's length differs from `codeword_len()`.
-    pub fn decode_batch_into(
-        &self,
-        cws: &[&[u8]],
-        data: &mut Vec<u8>,
-        outcomes: &mut Vec<HammingOutcome>,
-    ) {
-        let n = self.codeword_len();
-        let words = n.div_ceil(64);
-        // Per-batch tables: parity-group masks (group j covers every
-        // position with bit j set, exactly as in `decode`) and the
-        // non-power-of-two data positions.
-        let mut masks = vec![0u64; self.r * words];
-        for pos in 1..n {
-            for j in 0..self.r {
-                if pos & (1usize << j) != 0 {
-                    masks[j * words + (pos >> 6)] |= 1u64 << (pos & 63);
-                }
-            }
-        }
-        let data_pos: Vec<u32> = (1..n as u32).filter(|p| !p.is_power_of_two()).collect();
-        data.reserve(self.k * cws.len());
-        outcomes.reserve(cws.len());
-        let mut w = vec![0u64; words];
-        for cw in cws {
-            assert_eq!(cw.len(), n, "codeword length mismatch");
-            w.iter_mut().for_each(|x| *x = 0);
-            // Gather the one-bit-per-byte codeword into packed bit words.
-            let mut chunks = cw.chunks_exact(8);
-            for (i, ch) in chunks.by_ref().enumerate() {
-                let x = u64::from_le_bytes(ch.try_into().expect("chunk is 8 bytes"));
-                debug_assert!(x & !0x0101_0101_0101_0101 == 0, "bits must be 0 or 1");
-                let byte = x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-                w[i >> 3] |= byte << ((i & 7) * 8);
-            }
-            let base = n & !7;
-            for (i, &b) in chunks.remainder().iter().enumerate() {
-                debug_assert!(b <= 1, "bits must be 0 or 1");
-                let pos = base + i;
-                w[pos >> 6] |= u64::from(b) << (pos & 63);
-            }
-            // Overall parity plus one mask-and-popcount fold per group.
-            let overall = w.iter().fold(0u32, |a, x| a + x.count_ones()) & 1;
-            let mut syndrome = 0usize;
-            for j in 0..self.r {
-                let m = &masks[j * words..(j + 1) * words];
-                let par = w
-                    .iter()
-                    .zip(m)
-                    .fold(0u32, |a, (x, mm)| a + (x & mm).count_ones())
-                    & 1;
-                syndrome |= (par as usize) << j;
-            }
-            if syndrome == 0 && overall == 0 {
-                // Clean fast path: gather data bits straight off the input.
-                data.extend(data_pos.iter().map(|&p| cw[p as usize]));
-                outcomes.push(HammingOutcome::Clean);
-                continue;
-            }
-            let mut cw = cw.to_vec();
-            let outcome = self.apply_syndrome(&mut cw, syndrome, overall as u8);
-            data.extend_from_slice(&self.extract_data(&cw));
-            outcomes.push(outcome);
-        }
-    }
-
-    /// Classifies a computed `(syndrome, overall)` pair and applies the
-    /// single-bit fix in place — the shared back half of [`Hamming::decode`]
-    /// and [`Hamming::decode_batch`].
-    fn apply_syndrome(&self, cw: &mut [u8], syndrome: usize, overall: u8) -> HammingOutcome {
-        match (syndrome, overall) {
+        let outcome = match (syndrome, overall) {
             (0, 0) => HammingOutcome::Clean,
             (0, _) => {
                 cw[0] ^= 1;
@@ -271,18 +161,15 @@ impl Hamming {
                 HammingOutcome::Corrected(s)
             }
             _ => HammingOutcome::DoubleError,
-        }
-    }
-
-    /// Pulls the data bits out of a (possibly corrected) codeword.
-    fn extract_data(&self, cw: &[u8]) -> Vec<u8> {
-        let mut data = Vec::with_capacity(self.k);
-        for (pos, &b) in cw.iter().enumerate().skip(1) {
-            if !pos.is_power_of_two() {
-                data.push(b);
-            }
-        }
-        data
+        };
+        let data = cw
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter(|(pos, _)| !pos.is_power_of_two())
+            .map(|(_, &b)| b)
+            .collect();
+        (data, outcome)
     }
 }
 
@@ -367,66 +254,6 @@ mod tests {
     #[should_panic(expected = "data length mismatch")]
     fn wrong_data_length_panics() {
         Hamming::new(8).encode(&[1, 0, 1]);
-    }
-
-    #[test]
-    fn batch_decode_matches_scalar_across_chunks() {
-        // 130 codewords (> 2 full lanes): clean, single-error, parity-error
-        // and double-error lanes interleaved.
-        let h = Hamming::secded_72_64();
-        let mut cws: Vec<Vec<u8>> = Vec::new();
-        for i in 0..130usize {
-            let mut cw = h.encode(&pattern(64, i as u64));
-            match i % 4 {
-                1 => cw[(i * 7) % 72] ^= 1,
-                2 => cw[0] ^= 1,
-                3 => {
-                    cw[5] ^= 1;
-                    cw[(11 + i) % 72] ^= 1;
-                }
-                _ => {}
-            }
-            cws.push(cw);
-        }
-        let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
-        let batch = h.decode_batch(&refs);
-        assert_eq!(batch.len(), cws.len());
-        for (i, cw) in cws.iter().enumerate() {
-            assert_eq!(batch[i], h.decode(cw), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn decode_batch_into_appends_flat_rows() {
-        let h = Hamming::secded_72_64();
-        let cw0 = h.encode(&pattern(64, 1));
-        let mut cw1 = h.encode(&pattern(64, 2));
-        cw1[9] ^= 1;
-        // Pre-existing buffer contents must survive: the API appends.
-        let mut data = vec![9u8];
-        let mut outcomes = vec![HammingOutcome::DoubleError];
-        h.decode_batch_into(&[&cw0, &cw1], &mut data, &mut outcomes);
-        assert_eq!(data.len(), 1 + 2 * 64);
-        assert_eq!(data[0], 9);
-        assert_eq!(&data[1..65], &pattern(64, 1)[..]);
-        assert_eq!(&data[65..], &pattern(64, 2)[..]);
-        assert_eq!(
-            outcomes,
-            vec![
-                HammingOutcome::DoubleError,
-                HammingOutcome::Clean,
-                HammingOutcome::Corrected(9),
-            ]
-        );
-    }
-
-    #[test]
-    fn batch_decode_empty_and_partial_chunk() {
-        let h = Hamming::new(26);
-        assert!(h.decode_batch(&[]).is_empty());
-        let cw = h.encode(&pattern(26, 5));
-        let batch = h.decode_batch(&[cw.as_slice()]);
-        assert_eq!(batch[0], h.decode(&cw));
     }
 
     #[test]

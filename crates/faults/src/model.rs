@@ -132,13 +132,6 @@ pub enum RecoveryAction {
     Retired,
 }
 
-/// Pre-drawn input for one decoder probe: the written data and the
-/// adversarially flipped codeword.
-struct ProbeInput {
-    data: Vec<u8>,
-    cw: Vec<u8>,
-}
-
 /// The deterministic fault injector for one controller or tier.
 #[derive(Clone, Debug)]
 pub struct FaultModel {
@@ -241,24 +234,20 @@ impl FaultModel {
                 out.corrected = 1;
             }
             // Classify UE candidates through the real decoder on
-            // adversarially flipped codewords (t+1 distinct positions).
-            // Inputs are drawn sequentially (decoding consumes no RNG, so
-            // the stream is identical to a draw/decode interleave) and the
-            // whole ladder is decoded in one batch. Correctable codewords
-            // are counted, never decoded: the codec's ≤t guarantee is
-            // proven by the `mrm-ecc` adversarial and differential tests.
+            // adversarially flipped codewords (t+1 distinct positions),
+            // drawing and decoding one probe at a time. Correctable
+            // codewords are counted, never decoded: the codec's ≤t
+            // guarantee is proven by the `mrm-ecc` adversarial tests and
+            // the `ecc` fuzz target.
             let probes = ue.min(DECODER_PROBES);
             out.detected_ue = ue - probes;
-            if probes > 0 {
-                let inputs: Vec<ProbeInput> = (0..probes).map(|_| self.probe_input()).collect();
-                let cws: Vec<&[u8]> = inputs.iter().map(|p| p.cw.as_slice()).collect();
-                for (res, input) in self.codec.decode_batch(&cws).into_iter().zip(&inputs) {
-                    match res {
-                        Err(_) => out.detected_ue += 1,
-                        Ok((data, _)) if data == input.data => out.corrected += 1,
-                        Ok(_) if self.cfg.outer_crc => out.miscorrected += 1,
-                        Ok(_) => out.silent += 1,
-                    }
+            for _ in 0..probes {
+                let (data, cw) = self.probe_input();
+                match self.codec.decode(&cw) {
+                    Err(_) => out.detected_ue += 1,
+                    Ok((decoded, _)) if decoded == data => out.corrected += 1,
+                    Ok(_) if self.cfg.outer_crc => out.miscorrected += 1,
+                    Ok(_) => out.silent += 1,
                 }
             }
         }
@@ -267,10 +256,9 @@ impl FaultModel {
     }
 
     /// Draws one probe's input: encodes random data and flips t+1
-    /// distinct bits. This is the *only* RNG-consuming half of a probe —
-    /// decoding is pure, so inputs can be drawn up front and decoded as one
-    /// batch without moving a single draw.
-    fn probe_input(&mut self) -> ProbeInput {
+    /// distinct bits, returning `(data, codeword)`. This is the *only*
+    /// RNG-consuming half of a probe; decoding is pure.
+    fn probe_input(&mut self) -> (Vec<u8>, Vec<u8>) {
         let n = self.n as usize;
         let mut data = vec![0u8; self.k as usize];
         for chunk in data.chunks_mut(64) {
@@ -290,7 +278,7 @@ impl FaultModel {
                 cw[i] ^= 1;
             }
         }
-        ProbeInput { data, cw }
+        (data, cw)
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The workspace ships its oracles next to its optimised code: the
 //! calendar queue retains [`mrm_sim::event::LegacyHeapQueue`], the pool
-//! retains `LegacyVecPool`, the batched ECC paths promise bit-equality
-//! with their scalar forms, the FTL and zone controller have plain-map
-//! models, and the control plane has the `AuditLog` safety scan. This
+//! retains `LegacyVecPool`, the SECDED and BCH decoders promise an exact
+//! error budget, the FTL and zone controller have plain-map models, and
+//! the control plane has the `AuditLog` safety scan. This
 //! crate turns those one-shot conformance tests into a standing
 //! adversary: a seeded structured-mutation engine drives open-ended op
 //! traces through implementation and oracle side by side, shrinks any

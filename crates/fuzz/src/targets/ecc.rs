@@ -1,45 +1,33 @@
-//! ECC differential target: error-budget oracle + scalar-vs-batch.
+//! ECC error-budget target: both codes' single decoder against the
+//! budget each code promises.
 //!
-//! Two codes under test, the same two ways each:
+//! For a codeword with `e` *effective* bit flips (flip positions XOR, so
+//! repeated positions cancel), SECDED must report
+//! `Clean`/`Corrected`/`ParityCorrected` with exact data recovery for
+//! `e ≤ 1` and `DoubleError` for `e == 2`; BCH(m=10, t=2) must decode
+//! `e ≤ t` exactly (reporting `e` errors) and past the budget must either
+//! refuse or miscorrect *consistently* (`Ok` with `f ≤ t` and data ≠
+//! original — the recheck contract). `e` past the budget must never panic.
 //!
-//! * **Round-trip vs the error budget.** For a codeword with `e`
-//!   *effective* bit flips (flip positions XOR, so repeated positions
-//!   cancel), SECDED must report `Clean`/`Corrected`/`ParityCorrected`
-//!   with exact data recovery for `e ≤ 1` and `DoubleError` for `e == 2`;
-//!   BCH(m=10, t=2) must decode `e ≤ t` exactly (reporting `e` errors)
-//!   and past the budget must either refuse or miscorrect *consistently*
-//!   (`Ok` with `f ≤ t` and data ≠ original — the recheck contract).
-//!   `e` past the budget must never panic.
-//! * **Scalar vs batch.** Every decoded word is also pushed onto a
-//!   pending batch; a `Flush` op runs `decode_batch_into` / `decode_batch`
-//!   over the accumulated codewords and demands bit-identical agreement
-//!   with the scalar results. Flushing an empty batch is the
-//!   zero-length-batch probe: the `_into` buffers must come back
-//!   untouched (a no-op, not a panic).
-//!
-//! Sabotage mode flips one extra bit in the batch copy of lane 0 before
-//! flushing — scalar and batch then disagree, which is exactly the class
-//! of bug the target exists to catch.
+//! Sabotage mode flips one extra bit (at `seed mod n`) after the effective
+//! flips are counted, so every word decodes one error away from what the
+//! oracle expects — exactly the off-by-one-error class of bug the budget
+//! oracle exists to catch.
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_ecc::bch::{Bch, BchError};
+use mrm_ecc::bch::Bch;
 use mrm_ecc::hamming::{Hamming, HammingOutcome};
 
 /// One ECC fuzz operation.
 #[derive(Clone, Debug)]
 pub enum EccOp {
     /// Encode a SECDED(72,64) word derived from `seed`, flip `flips`
-    /// positions (mod codeword length), decode, check the budget oracle,
-    /// and enqueue for the next batch flush.
+    /// positions (mod codeword length), decode, and check the budget
+    /// oracle.
     Secded { seed: u64, flips: Vec<u16> },
     /// Same for BCH(m=10, t=2, 256 data bits).
     Bch { seed: u64, flips: Vec<u16> },
-    /// Drain the pending SECDED batch through `decode_batch_into` and
-    /// compare with the scalar decodes (an empty flush must be a no-op).
-    FlushSecded,
-    /// Drain the pending BCH batch through `decode_batch`.
-    FlushBch,
 }
 
 pub struct EccTarget {
@@ -54,6 +42,14 @@ impl EccTarget {
             hamming: Hamming::secded_72_64(),
             bch: Bch::with_data_len(10, 2, 256),
             sabotage,
+        }
+    }
+
+    /// The documented sabotage: one flip the oracle does not know about.
+    fn sabotage_flip(&self, cw: &mut [u8], seed: u64) {
+        if self.sabotage {
+            let pos = (seed % cw.len() as u64) as usize;
+            cw[pos] ^= 1;
         }
     }
 }
@@ -82,7 +78,7 @@ impl FuzzTarget for EccTarget {
     fn corpus(&self) -> Vec<Vec<EccOp>> {
         vec![
             vec![],
-            // Clean round-trips of both codes plus flushes.
+            // Clean round-trips of both codes.
             vec![
                 EccOp::Secded {
                     seed: 1,
@@ -92,8 +88,6 @@ impl FuzzTarget for EccTarget {
                     seed: 2,
                     flips: vec![],
                 },
-                EccOp::FlushSecded,
-                EccOp::FlushBch,
             ],
             // The budget ladder: 1 and 2 flips for SECDED, up to t+1 for BCH.
             vec![
@@ -113,26 +107,16 @@ impl FuzzTarget for EccTarget {
                     seed: 6,
                     flips: vec![1, 2, 3],
                 },
-                EccOp::FlushSecded,
-                EccOp::FlushBch,
             ],
-            // Empty flushes (the zero-length batch probe).
-            vec![EccOp::FlushSecded, EccOp::FlushBch],
         ]
     }
 
     fn gen_op(&self, rng: &mut FuzzRng) -> EccOp {
-        match rng.below(8) {
-            0..=2 => EccOp::Secded {
-                seed: rng.next_u64(),
-                flips: gen_flips(rng),
-            },
-            3..=5 => EccOp::Bch {
-                seed: rng.next_u64(),
-                flips: gen_flips(rng),
-            },
-            6 => EccOp::FlushSecded,
-            _ => EccOp::FlushBch,
+        let (seed, flips) = (rng.next_u64(), gen_flips(rng));
+        if rng.one_in(2) {
+            EccOp::Secded { seed, flips }
+        } else {
+            EccOp::Bch { seed, flips }
         }
     }
 
@@ -146,8 +130,6 @@ impl FuzzTarget for EccTarget {
                 let (seed, flips) = mutate_word(*seed, flips, rng);
                 EccOp::Bch { seed, flips }
             }
-            EccOp::FlushSecded => EccOp::FlushBch,
-            EccOp::FlushBch => EccOp::FlushSecded,
         }
     }
 
@@ -161,23 +143,17 @@ impl FuzzTarget for EccTarget {
                 let (seed, flips) = simplify_word(*seed, flips)?;
                 Some(EccOp::Bch { seed, flips })
             }
-            EccOp::FlushSecded | EccOp::FlushBch => None,
         }
     }
 
     fn run(&self, ops: &[EccOp]) -> Result<(), String> {
-        // Pending batches: (corrupted codeword, scalar result).
-        type HamLane = (Vec<u8>, (Vec<u8>, HammingOutcome));
-        type BchLane = (Vec<u8>, Result<(Vec<u8>, usize), BchError>);
-        let mut ham_pend: Vec<HamLane> = Vec::new();
-        let mut bch_pend: Vec<BchLane> = Vec::new();
-
         for (i, op) in ops.iter().enumerate() {
             match op {
                 EccOp::Secded { seed, flips } => {
                     let data = data_bits(*seed, self.hamming.data_len());
                     let mut cw = self.hamming.encode(&data);
                     let e = effective_flips(&mut cw, flips);
+                    self.sabotage_flip(&mut cw, *seed);
                     let (decoded, outcome) = self.hamming.decode(&cw);
                     match e {
                         0 => {
@@ -207,12 +183,12 @@ impl FuzzTarget for EccTarget {
                         // Past the budget: anything but a panic is legal.
                         _ => {}
                     }
-                    ham_pend.push((cw, (decoded, outcome)));
                 }
                 EccOp::Bch { seed, flips } => {
                     let data = data_bits(*seed, self.bch.k());
                     let mut cw = self.bch.encode(&data);
                     let e = effective_flips(&mut cw, flips);
+                    self.sabotage_flip(&mut cw, *seed);
                     let res = self.bch.decode(&cw);
                     if e <= self.bch.t() {
                         match &res {
@@ -246,83 +222,6 @@ impl FuzzTarget for EccTarget {
                             ));
                         }
                     }
-                    bch_pend.push((cw, res));
-                }
-                EccOp::FlushSecded => {
-                    let mut cws: Vec<Vec<u8>> = ham_pend.iter().map(|(cw, _)| cw.clone()).collect();
-                    if self.sabotage {
-                        // Documented sabotage: corrupt the batch copy of
-                        // lane 0 so scalar and batch disagree.
-                        if let Some(first) = cws.first_mut() {
-                            first[11] ^= 1;
-                        }
-                    }
-                    let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
-                    // Pre-populate the reusable buffers: `_into` appends,
-                    // and must leave existing contents untouched.
-                    let mut data_buf = vec![9u8, 9];
-                    let mut out_buf = vec![HammingOutcome::DoubleError];
-                    self.hamming
-                        .decode_batch_into(&refs, &mut data_buf, &mut out_buf);
-                    if data_buf[..2] != [9, 9] || out_buf[0] != HammingOutcome::DoubleError {
-                        return Err(format!(
-                            "op {i}: decode_batch_into clobbered existing buffer contents"
-                        ));
-                    }
-                    let k = self.hamming.data_len();
-                    if data_buf.len() != 2 + k * ham_pend.len()
-                        || out_buf.len() != 1 + ham_pend.len()
-                    {
-                        return Err(format!(
-                            "op {i}: decode_batch_into appended wrong lengths \
-                             (data {} outcomes {} for {} words)",
-                            data_buf.len(),
-                            out_buf.len(),
-                            ham_pend.len()
-                        ));
-                    }
-                    for (lane, (_, (sdata, soutcome))) in ham_pend.iter().enumerate() {
-                        let row = &data_buf[2 + lane * k..2 + (lane + 1) * k];
-                        if row != sdata.as_slice() {
-                            return Err(format!(
-                                "op {i}: batch lane {lane} data differs from scalar decode"
-                            ));
-                        }
-                        if out_buf[1 + lane] != *soutcome {
-                            return Err(format!(
-                                "op {i}: batch lane {lane} outcome {:?} vs scalar {:?}",
-                                out_buf[1 + lane],
-                                soutcome
-                            ));
-                        }
-                    }
-                    ham_pend.clear();
-                }
-                EccOp::FlushBch => {
-                    let mut cws: Vec<Vec<u8>> = bch_pend.iter().map(|(cw, _)| cw.clone()).collect();
-                    if self.sabotage {
-                        if let Some(first) = cws.first_mut() {
-                            first[23] ^= 1;
-                        }
-                    }
-                    let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
-                    let batch = self.bch.decode_batch(&refs);
-                    if batch.len() != bch_pend.len() {
-                        return Err(format!(
-                            "op {i}: decode_batch returned {} results for {} words",
-                            batch.len(),
-                            bch_pend.len()
-                        ));
-                    }
-                    for (lane, ((_, scalar), got)) in bch_pend.iter().zip(batch.iter()).enumerate()
-                    {
-                        if got != scalar {
-                            return Err(format!(
-                                "op {i}: BCH batch lane {lane} {got:?} vs scalar {scalar:?}"
-                            ));
-                        }
-                    }
-                    bch_pend.clear();
                 }
             }
         }

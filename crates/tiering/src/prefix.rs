@@ -14,13 +14,11 @@
 //! `(parent node, chunk hash)` with reference counts, exactly the shape a
 //! control plane would pin MRM zones with.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Node identifier in the prefix trie.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PrefixNodeId(u32);
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct PrefixNodeId(u32);
 
 /// Sentinel parent for root chunks.
 const ROOT: PrefixNodeId = PrefixNodeId(u32::MAX);
@@ -39,8 +37,29 @@ pub struct PrefixInsert {
     pub hit_tokens: u64,
     /// Tokens that must be prefilled and written.
     pub new_tokens: u64,
-    /// The node path now pinned by this request (release when done).
-    pub path: Vec<PrefixNodeId>,
+    /// This request's pins on the node path (release when done).
+    pub path: PrefixLease,
+}
+
+/// One holder's pins on an inserted node path, handed out by
+/// [`PrefixCache::insert`] and spent by [`PrefixCache::release`]. A lease
+/// belongs to the cache that issued it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PrefixLease {
+    id: u64,
+    nodes: Vec<PrefixNodeId>,
+}
+
+impl PrefixLease {
+    /// Nodes pinned by this lease.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if the lease pins no node (a zero-token prompt).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
 }
 
 /// A reference-counted prefix-cache trie over chunk hashes.
@@ -66,6 +85,10 @@ pub struct PrefixCache {
     /// Cumulative stats.
     hits_tokens: u64,
     misses_tokens: u64,
+    /// Id of the next lease [`PrefixCache::insert`] hands out.
+    next_lease: u64,
+    /// Leases handed out and not yet released.
+    live_leases: BTreeSet<u64>,
     /// Release-mode count of double releases (debug builds assert instead).
     release_underflows: u64,
 }
@@ -156,30 +179,32 @@ impl PrefixCache {
         }
         self.hits_tokens += hit_tokens;
         self.misses_tokens += new_tokens;
+        let id = self.next_lease;
+        self.next_lease += 1;
+        self.live_leases.insert(id);
         PrefixInsert {
             hit_tokens,
             new_tokens,
-            path,
+            path: PrefixLease { id, nodes: path },
         }
     }
 
     /// Releases a request's pins. Nodes stay cached (refcount may reach 0)
     /// until [`PrefixCache::evict_unreferenced`] reclaims them.
     ///
-    /// Releasing a path more often than it was pinned is a caller bug:
-    /// debug builds panic (the old `saturating_sub` silently masked the
-    /// double release, letting a still-pinned node reach refcount 0 and be
-    /// evicted under a live request); release builds refuse the decrement
-    /// and count it in [`PrefixCache::release_underflows`].
-    pub fn release(&mut self, path: &[PrefixNodeId]) {
-        for &id in path {
-            let n = &mut self.nodes[id.0 as usize];
-            debug_assert!(n.refcount > 0, "double release of prefix node {id:?}");
-            if n.refcount == 0 {
-                self.release_underflows += 1;
-            } else {
-                n.refcount -= 1;
-            }
+    /// Releasing a lease that is no longer live is a caller bug: debug
+    /// builds panic; release builds refuse it and count it in
+    /// [`PrefixCache::release_underflows`]. Either way it never touches a
+    /// refcount, so it cannot strip another holder's pin on a shared node.
+    pub fn release(&mut self, lease: &PrefixLease) {
+        let live = self.live_leases.remove(&lease.id);
+        debug_assert!(live, "double release of prefix lease {}", lease.id);
+        if !live {
+            self.release_underflows += 1;
+            return;
+        }
+        for &id in &lease.nodes {
+            self.nodes[id.0 as usize].refcount -= 1;
         }
     }
 
@@ -376,14 +401,15 @@ mod tests {
     fn interior_nodes_survive_while_descendants_live() {
         let mut pc = PrefixCache::new(16);
         let a = pc.insert(&[1, 2, 3], 48);
-        // Release the full path: root chunk refcount 0, but keep a second
-        // request pinning only a deeper path — the interior must survive.
+        // Release the shorter request while a longer one still pins the
+        // deeper chain: nothing is reclaimable, the interior must survive.
         let b = pc.insert(&[1, 2, 3, 9], 64);
         pc.release(&a.path);
-        pc.release(&b.path[..2]); // partially release b's pins
-        let _ = pc.evict_unreferenced();
-        // Node 3 and 9 still pinned via b's remaining refs; chain intact.
+        assert_eq!(pc.evict_unreferenced(), 0);
         let c = pc.insert(&[1, 2, 3, 9], 64);
         assert_eq!(c.hit_tokens, 64, "whole chain must still be cached");
+        pc.release(&b.path);
+        pc.release(&c.path);
+        assert_eq!(pc.evict_unreferenced(), 64);
     }
 }

@@ -38,16 +38,6 @@ impl TokenCost {
     pub fn read_write_ratio(&self) -> f64 {
         self.reads() as f64 / self.writes().max(1) as f64
     }
-
-    /// Element-wise sum.
-    pub fn merged(&self, other: &TokenCost) -> TokenCost {
-        TokenCost {
-            weights_read: self.weights_read + other.weights_read,
-            kv_read: self.kv_read + other.kv_read,
-            kv_write: self.kv_write + other.kv_write,
-            activation_rw: self.activation_rw + other.activation_rw,
-        }
-    }
 }
 
 /// Memory traffic for one batched decode iteration (one token for each of
@@ -200,16 +190,6 @@ mod tests {
         let e = engine();
         assert!(e.token_cost(4096).kv_read > e.token_cost(1024).kv_read);
         assert_eq!(e.token_cost(0).kv_read, 0);
-    }
-
-    #[test]
-    fn merged_costs_add() {
-        let e = engine();
-        let a = e.token_cost(100);
-        let b = e.token_cost(200);
-        let m = a.merged(&b);
-        assert_eq!(m.kv_read, a.kv_read + b.kv_read);
-        assert_eq!(m.weights_read, a.weights_read + b.weights_read);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`traces`] — request populations with the published Splitwise
 //!   distribution parameters (conversation and coding medians) and Poisson
 //!   arrivals.
-//! * [`replay`] — request-trace recording and CSV replay (drop-in for real
-//!   production traces when available).
+//! * [`replay`] — request-trace recording, CSV parsing and replay
+//!   (drop-in for real production traces when available).
 //! * [`sessions`] — multi-turn conversation sessions with think-time gaps
 //!   (the intervals KV retention must cover).
 //! * [`engine`] — the per-token memory-traffic arithmetic: what is read,

@@ -4,9 +4,10 @@
 //! traces with samplers fitted to the published statistics — but a serious
 //! memory-systems artifact must also accept *real* traces when a user has
 //! them. This module defines a minimal request-trace format
-//! (`arrival_s,kind,prompt_tokens,output_tokens` CSV), a recorder that
-//! captures generated traffic into it, and a replayer that feeds it back —
-//! so any experiment can run from either a sampler or a file.
+//! (`arrival_s,kind,prompt_tokens,output_tokens` CSV) and its parser, a
+//! recorder that captures generated traffic as a trace, and a replayer
+//! that feeds either back — so any experiment can run from either a
+//! sampler or a file.
 
 use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
@@ -116,22 +117,8 @@ impl RequestTrace {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Serializes to the CSV format (`arrival_s,kind,prompt,output`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("arrival_s,kind,prompt_tokens,output_tokens\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:.6},{},{},{}\n",
-                e.arrival.as_secs_f64(),
-                e.kind.label(),
-                e.prompt_tokens,
-                e.output_tokens
-            ));
-        }
-        out
-    }
-
-    /// Parses the CSV format (header line optional).
+    /// Parses the CSV format `arrival_s,kind,prompt_tokens,output_tokens`
+    /// (header line optional).
     pub fn from_csv(csv: &str) -> Result<Self, TraceParseError> {
         let mut entries = Vec::new();
         let mut last = SimDuration::ZERO;
@@ -209,22 +196,6 @@ mod tests {
         // Rate is near the configured 10/s.
         let rate = t.len() as f64 / t.duration().as_secs_f64();
         assert!((rate - 10.0).abs() < 1.5, "rate {rate}");
-    }
-
-    #[test]
-    fn csv_roundtrip_is_lossless_to_microseconds() {
-        let t = sample_trace(200);
-        let csv = t.to_csv();
-        let back = RequestTrace::from_csv(&csv).unwrap();
-        assert_eq!(back.len(), t.len());
-        for (a, b) in t.entries().iter().zip(back.entries()) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.prompt_tokens, b.prompt_tokens);
-            assert_eq!(a.output_tokens, b.output_tokens);
-            let da = a.arrival.as_secs_f64();
-            let db = b.arrival.as_secs_f64();
-            assert!((da - db).abs() < 1e-5, "{da} vs {db}");
-        }
     }
 
     #[test]

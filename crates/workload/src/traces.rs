@@ -58,14 +58,6 @@ impl TraceKind {
             TraceKind::Coding => (0.8, 1.1),
         }
     }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceKind::Conversation => "conversation",
-            TraceKind::Coding => "coding",
-        }
-    }
 }
 
 /// Splitwise-reported machine-level token throughputs for Llama2-70B,

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use mrm::tiering::prefix::{PrefixCache, PrefixNodeId};
+use mrm::tiering::prefix::{PrefixCache, PrefixLease};
 use proptest::prelude::*;
 
 /// The oracle: one entry per live chunk, keyed by its hash path from the
@@ -143,7 +143,7 @@ proptest! {
         let mut pc = PrefixCache::new(chunk);
         let mut model = Model::new(chunk);
         // Outstanding pins: (real path, oracle path), released exactly once.
-        let mut outstanding: Vec<(Vec<PrefixNodeId>, Vec<Vec<u64>>)> = Vec::new();
+        let mut outstanding: Vec<(PrefixLease, Vec<Vec<u64>>)> = Vec::new();
 
         for &(kind, arg, tokens) in &ops {
             match &decode(kind, arg, tokens) {
