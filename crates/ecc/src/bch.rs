@@ -12,8 +12,15 @@
 //! * generator polynomial = LCM of minimal polynomials of `α¹..α^{2t}`,
 //! * systematic encoding by LFSR division,
 //! * decoding by syndrome computation, Berlekamp–Massey for the error
-//!   locator polynomial, and Chien search for its roots,
+//!   locator polynomial σ, then its roots: in closed form when σ has
+//!   degree ν ≤ 2 (a discrete log, or one `y² + y = c` table lookup —
+//!   Berlekamp, *Algebraic Coding Theory*, §13), by Chien search over the
+//!   stored positions only when ν > 2,
 //! * shortened codes (data width chosen freely below the natural `k`).
+//!
+//! The code is linear, so the decoder's decision on `c ⊕ e` depends only on
+//! the error `e`: [`Bch::decode_error`] makes that decision from the error
+//! positions alone, through the same locator and recheck as [`Bch::decode`].
 //!
 //! Bits are one-per-`u8` (0/1), matching [`crate::hamming`].
 
@@ -35,6 +42,28 @@ impl std::fmt::Display for BchError {
 }
 
 impl std::error::Error for BchError {}
+
+/// Largest supported `t`: syndromes and the error locator live in fixed
+/// stack buffers, so the decode core allocates nothing.
+const MAX_T: usize = 16;
+
+/// Error positions the decoder flips, ascending.
+#[derive(Default)]
+struct Fix {
+    pos: [usize; MAX_T],
+    len: usize,
+}
+
+impl Fix {
+    fn push(&mut self, i: usize) {
+        self.pos[self.len] = i;
+        self.len += 1;
+    }
+
+    fn positions(&self) -> &[usize] {
+        &self.pos[..self.len]
+    }
+}
 
 /// A binary BCH code over GF(2^m), correcting up to `t` bit errors per
 /// codeword, optionally shortened.
@@ -84,8 +113,8 @@ impl Bch {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is zero or the code has no data bits (t too large for
-    /// the field).
+    /// Panics if `t` is zero or above 16, or the code has no data bits (t
+    /// too large for the field).
     pub fn new(m: u32, t: usize) -> Self {
         Self::build(m, t, None)
     }
@@ -103,6 +132,7 @@ impl Bch {
 
     fn build(m: u32, t: usize, data_len: Option<usize>) -> Self {
         assert!(t >= 1, "t must be at least 1");
+        assert!(t <= MAX_T, "t={t} exceeds the decoder's limit of {MAX_T}");
         let gf = Gf::new(m);
         let n_full = gf.order();
         let gen = generator_poly(&gf, t);
@@ -272,6 +302,22 @@ impl Bch {
             .collect()
     }
 
+    /// The syndromes of the error pattern with ones at `positions` (a
+    /// position listed twice cancels): `S_j = Σ X^j` over the locators
+    /// `X = α^i`, in the first 2t entries.
+    fn error_syndromes(&self, positions: &[usize]) -> [u16; 2 * MAX_T] {
+        let mut syn = [0u16; 2 * MAX_T];
+        for &i in positions {
+            let x = self.gf.alpha_pow(i as i64);
+            let mut xj = x;
+            for s in &mut syn[..2 * self.t] {
+                *s ^= xj;
+                xj = self.gf.mul(xj, x);
+            }
+        }
+        syn
+    }
+
     /// Decodes a stored codeword, correcting up to `t` bit errors.
     ///
     /// Returns the recovered data and the number of bits corrected, or
@@ -284,86 +330,157 @@ impl Bch {
     /// Panics if `cw.len() != self.n()`.
     pub fn decode(&self, cw: &[u8]) -> Result<(Vec<u8>, usize), BchError> {
         assert_eq!(cw.len(), self.n(), "codeword length mismatch");
-        let syn = self.syndromes_packed(&Self::pack_bits(cw));
-        if syn.iter().all(|&s| s == 0) {
-            return Ok((cw[self.parity_bits()..].to_vec(), 0));
+        let fix = self.correct(&self.syndromes_packed(&Self::pack_bits(cw)))?;
+        let p = self.parity_bits();
+        let mut data = cw[p..].to_vec();
+        for &i in fix.positions().iter().filter(|&&i| i >= p) {
+            data[i - p] ^= 1;
         }
+        Ok((data, fix.len))
+    }
 
-        let sigma = self.berlekamp_massey(&syn);
-        let nu = sigma.len() - 1;
+    /// The decision [`Bch::decode`] makes on `c ⊕ e` for *any* codeword
+    /// `c`, where the error `e` has ones at `flips` (a position listed
+    /// twice cancels): the positions `decode` flips, ascending, or the same
+    /// error. The code is linear, so the syndromes — and with them every
+    /// step of the decode — depend on `e` alone, and no codeword is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not below `self.n()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mrm_ecc::bch::Bch;
+    ///
+    /// let code = Bch::with_data_len(10, 2, 512);
+    /// assert_eq!(code.decode_error(&[300, 7]), Ok(vec![7, 300]));
+    /// // Three errors are past the budget: refused, or "corrected" onto
+    /// // some other codeword by at most t flips.
+    /// let verdict = code.decode_error(&[1, 2, 3]);
+    /// assert!(verdict.map_or(true, |fix| fix.len() <= 2));
+    /// ```
+    pub fn decode_error(&self, flips: &[usize]) -> Result<Vec<usize>, BchError> {
+        assert!(
+            flips.iter().all(|&i| i < self.n()),
+            "error position out of range"
+        );
+        let fix = self.correct(&self.error_syndromes(flips)[..2 * self.t])?;
+        Ok(fix.positions().to_vec())
+    }
+
+    /// The decode core shared by [`Bch::decode`] and [`Bch::decode_error`]:
+    /// locate the errors, then recheck that flipping them leaves a valid
+    /// codeword. Syndromes are linear, so the corrected word's are
+    /// `syn ⊕ syn(fix)`, and the recheck needs no word.
+    fn correct(&self, syn: &[u16]) -> Result<Fix, BchError> {
+        let fix = self.locate(syn)?;
+        if self.error_syndromes(fix.positions())[..syn.len()] != *syn {
+            return Err(BchError::TooManyErrors);
+        }
+        Ok(fix)
+    }
+
+    /// Finds the error positions the syndromes point to: Berlekamp–Massey
+    /// for the locator σ(x) of degree ν, then the positions `i` with
+    /// σ(α^{−i}) = 0 among the stored ones. Errs when ν > t or σ lacks ν
+    /// distinct stored roots (shortening means positions n()..n_full are
+    /// known-zero and cannot be in error).
+    fn locate(&self, syn: &[u16]) -> Result<Fix, BchError> {
+        let gf = &self.gf;
+        let (sigma, nu) = self.berlekamp_massey(syn);
         if nu > self.t {
             return Err(BchError::TooManyErrors);
         }
+        let mut fix = Fix::default();
+        let n = self.n();
+        match nu {
+            0 => {}
+            // σ(x) = 1 + σ₁x: the locator α^i is σ₁ itself.
+            1 => {
+                let i = gf.log_of(sigma[1]);
+                if i < n {
+                    fix.push(i);
+                }
+            }
+            // The locators α^i are the roots of z² + σ₁z + σ₂. Substituting
+            // z = σ₁y leaves y² + y = σ₂/σ₁², whose roots y and y ⊕ 1 are
+            // one table lookup. σ₁ = 0 means a double root: one position,
+            // not two.
+            2 if sigma[1] == 0 => {}
+            2 => {
+                let c = gf.div(sigma[2], gf.mul(sigma[1], sigma[1]));
+                if let Some(y) = gf.quadratic_root(c) {
+                    let z = gf.mul(sigma[1], y);
+                    let (a, b) = (gf.log_of(z), gf.log_of(z ^ sigma[1]));
+                    for i in [a.min(b), a.max(b)] {
+                        if i < n {
+                            fix.push(i);
+                        }
+                    }
+                }
+            }
+            _ => fix = self.chien(&sigma[..=nu]),
+        }
+        if fix.len != nu {
+            return Err(BchError::TooManyErrors);
+        }
+        Ok(fix)
+    }
 
-        // Chien search over the *stored* positions only: shortening means
-        // positions n()..n_full are known-zero and cannot be in error.
-        let mut cw = cw.to_vec();
-        let mut found = 0usize;
-        for (i, bit) in cw.iter_mut().enumerate() {
-            // Error at position i ⇔ σ(α^{−i}) = 0.
-            let x = self.gf.alpha_pow(-(i as i64));
-            if self.gf.poly_eval(&sigma, x) == 0 {
-                *bit ^= 1;
-                found += 1;
+    /// Chien search over the stored positions: every `i` with
+    /// σ(α^{−i}) = 0, ascending.
+    fn chien(&self, sigma: &[u16]) -> Fix {
+        let mut fix = Fix::default();
+        for i in 0..self.n() {
+            if self.gf.poly_eval(sigma, self.gf.alpha_pow(-(i as i64))) == 0 {
+                fix.push(i);
             }
         }
-        if found != nu {
-            return Err(BchError::TooManyErrors);
-        }
-        // Recheck: corrected word must be a valid codeword.
-        let recheck = self.syndromes_packed(&Self::pack_bits(&cw));
-        if recheck.iter().any(|&s| s != 0) {
-            return Err(BchError::TooManyErrors);
-        }
-        Ok((cw[self.parity_bits()..].to_vec(), found))
+        fix
     }
 
     /// Berlekamp–Massey: finds the minimal-degree error locator polynomial
-    /// σ(x) with σ(0)=1 consistent with the syndrome sequence.
-    fn berlekamp_massey(&self, syn: &[u16]) -> Vec<u16> {
+    /// σ(x) with σ(0)=1 consistent with the syndrome sequence, returned as
+    /// coefficients (index = degree) with its degree ν.
+    fn berlekamp_massey(&self, syn: &[u16]) -> ([u16; 2 * MAX_T + 1], usize) {
         let gf = &self.gf;
-        let mut c: Vec<u16> = vec![1];
-        let mut b: Vec<u16> = vec![1];
+        // σ and every correction x^m·b(x) have degree at most the current
+        // register length, which never exceeds 2t.
+        let len = syn.len() + 1;
+        let mut c = [0u16; 2 * MAX_T + 1];
+        c[0] = 1;
+        let mut b = c;
         let mut l = 0usize;
         let mut m = 1usize;
         let mut bb = 1u16;
         for i in 0..syn.len() {
             // Discrepancy.
             let mut d = syn[i];
-            for j in 1..=l.min(c.len() - 1) {
+            for j in 1..=l {
                 d ^= gf.mul(c[j], syn[i - j]);
             }
             if d == 0 {
                 m += 1;
-            } else if 2 * l <= i {
-                let old_c = c.clone();
-                let coef = gf.div(d, bb);
-                if c.len() < b.len() + m {
-                    c.resize(b.len() + m, 0);
-                }
-                for (j, &bj) in b.iter().enumerate() {
-                    c[j + m] ^= gf.mul(coef, bj);
-                }
+                continue;
+            }
+            let coef = gf.div(d, bb);
+            let old_c = c;
+            for j in 0..len - m {
+                c[j + m] ^= gf.mul(coef, b[j]);
+            }
+            if 2 * l <= i {
                 l = i + 1 - l;
                 b = old_c;
                 bb = d;
                 m = 1;
             } else {
-                let coef = gf.div(d, bb);
-                if c.len() < b.len() + m {
-                    c.resize(b.len() + m, 0);
-                }
-                for (j, &bj) in b.iter().enumerate() {
-                    c[j + m] ^= gf.mul(coef, bj);
-                }
                 m += 1;
             }
         }
-        // Trim trailing zeros so degree reflects the true locator.
-        while c.len() > 1 && c.last() == Some(&0) {
-            c.pop();
-        }
-        c
+        let nu = c.iter().rposition(|&x| x != 0).unwrap_or(0);
+        (c, nu)
     }
 }
 
@@ -568,16 +685,187 @@ mod tests {
                 let data = data_pattern(code.k(), seed);
                 let mut cw = code.encode(&data);
                 // Clean, then progressively dirtier patterns.
+                let mut flipped = Vec::new();
                 for flips in 0..=(t + 2) {
-                    assert_eq!(
-                        code.syndromes_packed(&Bch::pack_bits(&cw)),
-                        code.syndromes_reference(&cw),
-                        "m={m} t={t} seed={seed} flips={flips}"
-                    );
-                    cw[(seed as usize * 37 + flips * 101) % code.n()] ^= 1;
+                    let reference = code.syndromes_reference(&cw);
+                    let packed = code.syndromes_packed(&Bch::pack_bits(&cw));
+                    assert_eq!(packed, reference, "m={m} t={t} seed={seed} flips={flips}");
+                    // A codeword's syndromes vanish, so the word's are the
+                    // error pattern's.
+                    assert_eq!(code.error_syndromes(&flipped)[..2 * t], packed);
+                    let i = (seed as usize * 37 + flips * 101) % code.n();
+                    cw[i] ^= 1;
+                    flipped.push(i);
                 }
             }
         }
+    }
+
+    /// Reference decoder: per-bit syndromes, Berlekamp–Massey over
+    /// `Vec`s, a Chien search over every stored position for any locator
+    /// degree, and a recheck of the whole corrected word. Returns the
+    /// flipped positions, ascending.
+    fn decode_reference(code: &Bch, cw: &[u8]) -> Result<Vec<usize>, BchError> {
+        let syn = code.syndromes_reference(cw);
+        if syn.iter().all(|&s| s == 0) {
+            return Ok(Vec::new());
+        }
+        let sigma = berlekamp_massey_reference(&code.gf, &syn);
+        let nu = sigma.len() - 1;
+        if nu > code.t {
+            return Err(BchError::TooManyErrors);
+        }
+        let mut cw = cw.to_vec();
+        let mut found = Vec::new();
+        for (i, bit) in cw.iter_mut().enumerate() {
+            // Error at position i ⇔ σ(α^{−i}) = 0.
+            let x = code.gf.alpha_pow(-(i as i64));
+            if code.gf.poly_eval(&sigma, x) == 0 {
+                *bit ^= 1;
+                found.push(i);
+            }
+        }
+        if found.len() != nu {
+            return Err(BchError::TooManyErrors);
+        }
+        if code.syndromes_reference(&cw).iter().any(|&s| s != 0) {
+            return Err(BchError::TooManyErrors);
+        }
+        Ok(found)
+    }
+
+    fn berlekamp_massey_reference(gf: &Gf, syn: &[u16]) -> Vec<u16> {
+        let mut c: Vec<u16> = vec![1];
+        let mut b: Vec<u16> = vec![1];
+        let mut l = 0usize;
+        let mut m = 1usize;
+        let mut bb = 1u16;
+        for i in 0..syn.len() {
+            let mut d = syn[i];
+            for j in 1..=l.min(c.len() - 1) {
+                d ^= gf.mul(c[j], syn[i - j]);
+            }
+            if d == 0 {
+                m += 1;
+            } else if 2 * l <= i {
+                let old_c = c.clone();
+                let coef = gf.div(d, bb);
+                if c.len() < b.len() + m {
+                    c.resize(b.len() + m, 0);
+                }
+                for (j, &bj) in b.iter().enumerate() {
+                    c[j + m] ^= gf.mul(coef, bj);
+                }
+                l = i + 1 - l;
+                b = old_c;
+                bb = d;
+                m = 1;
+            } else {
+                let coef = gf.div(d, bb);
+                if c.len() < b.len() + m {
+                    c.resize(b.len() + m, 0);
+                }
+                for (j, &bj) in b.iter().enumerate() {
+                    c[j + m] ^= gf.mul(coef, bj);
+                }
+                m += 1;
+            }
+        }
+        while c.len() > 1 && c.last() == Some(&0) {
+            c.pop();
+        }
+        c
+    }
+
+    #[test]
+    fn locate_matches_chien_on_every_weight_one_and_two_pattern() {
+        let code = Bch::with_data_len(10, 2, 512);
+        let n = code.n();
+        let mut word = vec![0u8; n];
+        let mut patterns = 0usize;
+        for a in 0..n {
+            for b in a..n {
+                let flips = if a == b { vec![a] } else { vec![a, b] };
+                for &i in &flips {
+                    word[i] = 1;
+                }
+                let syn = code.error_syndromes(&flips);
+                let got = code.locate(&syn[..4]).map(|fix| fix.positions().to_vec());
+                assert_eq!(got, Ok(flips.clone()), "pattern {flips:?}");
+                assert_eq!(decode_reference(&code, &word), got, "pattern {flips:?}");
+                for &i in &flips {
+                    word[i] = 0;
+                }
+                patterns += 1;
+            }
+        }
+        assert_eq!(patterns, 532 + 141_246);
+    }
+
+    #[test]
+    fn decode_error_matches_decode_past_the_budget() {
+        // The t = 3 and t = 4 codes reach the Chien fallback (ν > 2).
+        let codes = [
+            Bch::with_data_len(10, 2, 512),
+            Bch::new(8, 3),
+            Bch::with_data_len(10, 4, 512),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for code in &codes {
+            let (t, n, p) = (code.t(), code.n(), code.parity_bits());
+            let mut outcomes = [0usize; 2];
+            for trial in 0..400 {
+                let data: Vec<u8> = (0..code.k()).map(|_| next(2) as u8).collect();
+                let cw = code.encode(&data);
+                for weight in [t + 1, t + 2] {
+                    let mut flips = Vec::new();
+                    while flips.len() < weight {
+                        let i = next(n);
+                        if !flips.contains(&i) {
+                            flips.push(i);
+                        }
+                    }
+                    let mut bad = cw.clone();
+                    for &i in &flips {
+                        bad[i] ^= 1;
+                    }
+                    let got = code.decode_error(&flips);
+                    let ctx = format!("t={t} trial={trial} flips={flips:?}");
+                    assert_eq!(got, decode_reference(code, &bad), "{ctx}");
+                    match (got, code.decode(&bad)) {
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, b, "{ctx}");
+                            outcomes[0] += 1;
+                        }
+                        (Ok(fix), Ok((decoded, fixed))) => {
+                            assert_eq!(fix.len(), fixed, "{ctx}");
+                            for &i in &fix {
+                                bad[i] ^= 1;
+                            }
+                            assert_eq!(decoded, &bad[p..], "{ctx}");
+                            assert_ne!(decoded, data, "{ctx}");
+                            outcomes[1] += 1;
+                        }
+                        (got, want) => panic!("{ctx}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+            // Both verdicts occur, so the diff compares more than refusals.
+            assert!(outcomes.iter().all(|&c| c > 0), "t={t}: {outcomes:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "error position out of range")]
+    fn decode_error_rejects_unstored_positions() {
+        let code = Bch::with_data_len(10, 2, 512);
+        let _ = code.decode_error(&[code.n()]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! polynomial basis; multiplication and division go through discrete
 //! log/antilog tables built at construction time.
 
+use std::sync::OnceLock;
+
 /// Primitive polynomials for GF(2^m), m = 3..=14, as bit masks including the
 /// leading term (e.g. m=4: `x^4 + x + 1` → 0b1_0011).
 const PRIMITIVE_POLYS: [(u32, u32); 12] = [
@@ -43,6 +45,12 @@ pub struct Gf {
     exp: Vec<u16>,
     /// `log[x]` for `x` in `1..=n`.
     log: Vec<u16>,
+    /// `qroot[c]` = a root `y` of `y² + y = c`, or 0 when the quadratic
+    /// has none (0 and 1 are roots only for `c = 0`, whose entry is 1).
+    /// Built on first use, so constructing a field (every `FaultModel`
+    /// builds one) does not pay for a table only the degree-2 root finder
+    /// reads.
+    qroot: OnceLock<Vec<u16>>,
 }
 
 impl Gf {
@@ -73,7 +81,13 @@ impl Gf {
         for i in n..2 * n {
             exp[i] = exp[i - n];
         }
-        Gf { m, n, exp, log }
+        Gf {
+            m,
+            n,
+            exp,
+            log,
+            qroot: OnceLock::new(),
+        }
     }
 
     /// The field extension degree m.
@@ -155,6 +169,22 @@ impl Gf {
         }
         let la = i64::from(self.log[a as usize]);
         self.alpha_pow(la * e)
+    }
+
+    /// A root `y` of `y² + y = c` (the other root is `y ^ 1`), or `None`
+    /// when the quadratic has no root in the field.
+    #[inline]
+    pub(crate) fn quadratic_root(&self, c: u16) -> Option<u16> {
+        let qroot = self.qroot.get_or_init(|| {
+            // File every y = α^j under its image y² + y = α^{2j} + α^j.
+            let mut qroot = vec![0u16; self.n + 1];
+            for j in 0..self.n {
+                qroot[(self.exp[2 * j] ^ self.exp[j]) as usize] = self.exp[j];
+            }
+            qroot
+        });
+        let y = qroot[c as usize];
+        (y != 0).then_some(y)
     }
 
     /// Evaluates a polynomial with coefficients `coeffs` (index = degree)
@@ -252,6 +282,28 @@ mod tests {
         assert_eq!(gf.poly_eval(&[7], 12), 7);
         // Empty polynomial is zero.
         assert_eq!(gf.poly_eval(&[], 3), 0);
+    }
+
+    #[test]
+    fn quadratic_roots_are_exactly_the_images_of_y2_plus_y() {
+        for m in 3..=14 {
+            let gf = Gf::new(m);
+            let mut image = vec![false; gf.order() + 1];
+            for y in 0..=gf.order() as u16 {
+                image[(gf.mul(y, y) ^ y) as usize] = true;
+            }
+            for c in 0..=gf.order() as u16 {
+                match gf.quadratic_root(c) {
+                    Some(y) => assert_eq!(gf.mul(y, y) ^ y, c, "m={m} c={c}"),
+                    None => assert!(!image[c as usize], "m={m}: missed root of c={c}"),
+                }
+            }
+            // y and y ^ 1 share an image, so exactly half the field has roots.
+            let solvable = (0..=gf.order() as u16)
+                .filter(|&c| gf.quadratic_root(c).is_some())
+                .count();
+            assert_eq!(solvable, 1 << (m - 1), "m={m}");
+        }
     }
 
     #[test]

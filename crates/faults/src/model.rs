@@ -5,10 +5,12 @@
 //! codewords. The *number* of raw flips and the per-codeword outcome
 //! classes are sampled exactly from their binomial laws using
 //! `mrm_ecc::analysis::codeword_failure_prob`, and a bounded number of
-//! uncorrectable candidates are pushed through the *real* BCH decoder
-//! (`mrm_ecc::Bch`, t = 2 over 512 data bits) on adversarially flipped
-//! codewords, so detected-vs-miscorrected is decided by actual decoder
-//! behaviour, not by an assumed rate.
+//! uncorrectable candidates are classified by the *real* BCH decoder
+//! (`mrm_ecc::Bch`, t = 2 over 512 data bits) as t+1 random error
+//! positions, so detected-vs-miscorrected is decided by actual decoder
+//! behaviour, not by an assumed rate. The code is linear, so the decoder's
+//! verdict on any codeword carrying those errors comes from the positions
+//! alone (`Bch::decode_error`); no codeword is built.
 //!
 //! Outcome taxonomy (DESIGN.md §9):
 //!
@@ -33,6 +35,9 @@ use crate::stats::FaultStats;
 /// Uncorrectable-candidate codewords per read classified by a real
 /// decoder probe; candidates beyond the cap count as detected.
 const DECODER_PROBES: u64 = 4;
+
+/// Correction capability of the inner code; a probe flips `T + 1` bits.
+const T: usize = 2;
 
 /// Fault-injection configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -153,7 +158,7 @@ impl FaultModel {
     /// Builds the model; `sim_seed` is the *simulation* seed (the fault
     /// stream is salted away from the scheduling stream internally).
     pub fn new(cfg: FaultConfig, sim_seed: u64) -> Self {
-        let codec = Bch::with_data_len(10, 2, 512);
+        let codec = Bch::with_data_len(10, T, 512);
         let (n, k, t) = (codec.n() as u64, codec.k() as u64, codec.t() as u64);
         FaultModel {
             cfg,
@@ -233,52 +238,53 @@ impl FaultModel {
             if ue == 0 && out.corrected == 0 {
                 out.corrected = 1;
             }
-            // Classify UE candidates through the real decoder on
-            // adversarially flipped codewords (t+1 distinct positions),
-            // drawing and decoding one probe at a time. Correctable
-            // codewords are counted, never decoded: the codec's ≤t
-            // guarantee is proven by the `mrm-ecc` adversarial tests and
-            // the `ecc` fuzz target.
+            // Classify UE candidates through the real decoder, one t+1
+            // error probe at a time. Correctable codewords are counted,
+            // never decoded: the codec's ≤t guarantee is proven by the
+            // `mrm-ecc` adversarial tests and the `ecc` fuzz target.
             let probes = ue.min(DECODER_PROBES);
             out.detected_ue = ue - probes;
             for _ in 0..probes {
-                let (data, cw) = self.probe_input();
-                match self.codec.decode(&cw) {
-                    Err(_) => out.detected_ue += 1,
-                    Ok((decoded, _)) if decoded == data => out.corrected += 1,
-                    Ok(_) if self.cfg.outer_crc => out.miscorrected += 1,
-                    Ok(_) => out.silent += 1,
-                }
+                self.probe(&mut out);
             }
         }
         self.stats.absorb(&out);
         out
     }
 
-    /// Draws one probe's input: encodes random data and flips t+1
-    /// distinct bits, returning `(data, codeword)`. This is the *only*
-    /// RNG-consuming half of a probe; decoding is pure.
-    fn probe_input(&mut self) -> (Vec<u8>, Vec<u8>) {
+    /// Draws one UE probe and counts the decoder's verdict into `out`.
+    fn probe(&mut self, out: &mut ReadFaults) {
+        let flips = self.draw_probe();
+        match self.codec.decode_error(&flips) {
+            Err(_) => out.detected_ue += 1,
+            // Systematic code: the data comes back intact only if the
+            // decoder undid exactly the injected errors.
+            Ok(fix) if fix == flips => out.corrected += 1,
+            Ok(_) if self.cfg.outer_crc => out.miscorrected += 1,
+            Ok(_) => out.silent += 1,
+        }
+    }
+
+    /// Draws one probe: t+1 distinct error positions, ascending. The
+    /// probe's data words are drawn and discarded first, so the stream
+    /// stays aligned with a probe that encodes them; by linearity the
+    /// decoder's verdict does not depend on them.
+    fn draw_probe(&mut self) -> [usize; T + 1] {
+        for _ in 0..self.k.div_ceil(64) {
+            self.rng.next_u64();
+        }
         let n = self.n as usize;
-        let mut data = vec![0u8; self.k as usize];
-        for chunk in data.chunks_mut(64) {
-            let mut w = self.rng.next_u64();
-            for b in chunk.iter_mut() {
-                *b = (w & 1) as u8;
-                w >>= 1;
-            }
-        }
-        let mut cw = self.codec.encode(&data);
-        let errors = (self.t + 1) as usize;
-        let mut flipped: Vec<usize> = Vec::with_capacity(errors);
-        while flipped.len() < errors {
+        let mut flips = [0usize; T + 1];
+        let mut drawn = 0;
+        while drawn < flips.len() {
             let i = self.rng.gen_index(n);
-            if !flipped.contains(&i) {
-                flipped.push(i);
-                cw[i] ^= 1;
+            if !flips[..drawn].contains(&i) {
+                flips[drawn] = i;
+                drawn += 1;
             }
         }
-        (data, cw)
+        flips.sort_unstable();
+        flips
     }
 }
 
@@ -484,8 +490,10 @@ mod tests {
 
     #[test]
     fn outcome_classes_track_the_binomial_law() {
-        // No decode checks the corrected class, so its mean is held to the
-        // law it is sampled from, and the UE total to `codeword_failure_prob`.
+        // Correctable codewords are never decoded, and a t+1 probe never
+        // lands in the corrected class (`t_plus_one_probe_never_corrects`),
+        // so the corrected mean is held to the law it is sampled from, and
+        // the UE total (probes included) to `codeword_failure_prob`.
         let p = 1e-4;
         let mut m = FaultModel::new(FaultConfig::mrm(), 5);
         let (mut codewords, mut corrected, mut ue) = (0u64, 0u64, 0u64);
@@ -506,6 +514,91 @@ mod tests {
                 "{class}: {got} vs {expect:.1} (sd {sd:.1})"
             );
         }
+    }
+
+    /// Reference probe: encode random data, flip t+1 distinct bits, decode
+    /// the whole codeword and compare the data.
+    fn probe_reference(m: &mut FaultModel, out: &mut ReadFaults) {
+        let n = m.n as usize;
+        let mut data = vec![0u8; m.k as usize];
+        for chunk in data.chunks_mut(64) {
+            let mut w = m.rng.next_u64();
+            for b in chunk.iter_mut() {
+                *b = (w & 1) as u8;
+                w >>= 1;
+            }
+        }
+        let mut cw = m.codec.encode(&data);
+        let errors = (m.t + 1) as usize;
+        let mut flipped: Vec<usize> = Vec::with_capacity(errors);
+        while flipped.len() < errors {
+            let i = m.rng.gen_index(n);
+            if !flipped.contains(&i) {
+                flipped.push(i);
+                cw[i] ^= 1;
+            }
+        }
+        match m.codec.decode(&cw) {
+            Err(_) => out.detected_ue += 1,
+            Ok((decoded, _)) if decoded == data => out.corrected += 1,
+            Ok(_) if m.cfg.outer_crc => out.miscorrected += 1,
+            Ok(_) => out.silent += 1,
+        }
+    }
+
+    #[test]
+    fn syndrome_probe_matches_the_encode_and_decode_probe() {
+        let mut total = ReadFaults::default();
+        for (seed, outer_crc) in [(1u64, true), (2, false)] {
+            let mut cfg = FaultConfig::mrm();
+            cfg.outer_crc = outer_crc;
+            let mut fast = FaultModel::new(cfg, seed);
+            let mut slow = fast.clone();
+            let (mut got, mut want) = (ReadFaults::default(), ReadFaults::default());
+            for i in 0..50_000 {
+                fast.probe(&mut got);
+                probe_reference(&mut slow, &mut want);
+                assert_eq!(got, want, "seed {seed} probe {i}");
+                assert_eq!(
+                    format!("{:?}", fast.rng),
+                    format!("{:?}", slow.rng),
+                    "seed {seed} probe {i}: fault stream diverged"
+                );
+            }
+            total.merge(&got);
+        }
+        // Both verdicts a t+1 probe can reach occur, on both CRC settings.
+        assert!(total.detected_ue > 0 && total.miscorrected > 0 && total.silent > 0);
+    }
+
+    /// Proof, checked over many draws: `decode_error` returns `Ok(ê)` only
+    /// when the locator has degree ν ≤ t and exactly ν stored roots, so
+    /// |ê| ≤ t < |e| = t+1 for a probe's t+1 distinct positions. Hence
+    /// ê ≠ e, and for a systematic code the decoded data differs from the
+    /// original: a probe is detected or miscorrected, never corrected.
+    #[test]
+    fn t_plus_one_probe_never_corrects() {
+        let mut m = FaultModel::new(FaultConfig::mrm(), 3);
+        let mut miscorrected = 0;
+        for _ in 0..20_000 {
+            let flips = m.draw_probe();
+            assert_eq!(flips.len(), T + 1);
+            assert!(flips.windows(2).all(|w| w[0] < w[1]), "distinct: {flips:?}");
+            if let Ok(fix) = m.codec.decode_error(&flips) {
+                assert!(fix.len() <= T, "|ê| = {} > t", fix.len());
+                assert_ne!(fix, flips);
+                miscorrected += 1;
+            }
+        }
+        assert!(
+            miscorrected > 0,
+            "no probe reached the miscorrection branch"
+        );
+        let mut out = ReadFaults::default();
+        for _ in 0..2_000 {
+            m.probe(&mut out);
+        }
+        assert_eq!(out.corrected, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The dedicated fault-randomness stream.
 //!
 //! Determinism contract (DESIGN.md §9): every random decision the fault
-//! layer makes — how many bits flip, which codewords fail, what data a
-//! decoder probe sees — comes from a [`FaultRng`], a stream derived from
+//! layer makes — how many bits flip, which codewords fail, which bits a
+//! decoder probe flips — comes from a [`FaultRng`], a stream derived from
 //! the simulation seed but *separate* from the scheduling stream. The
 //! scheduling RNG is never consulted, so enabling injection cannot perturb
 //! arrival times or event order, and the no-faults run of a simulation is

@@ -8,6 +8,10 @@
 //! `e ≤ t` exactly (reporting `e` errors) and past the budget must either
 //! refuse or miscorrect *consistently* (`Ok` with `f ≤ t` and data ≠
 //! original — the recheck contract). `e` past the budget must never panic.
+//! Every BCH word is also decoded from its error positions alone
+//! (`Bch::decode_error` on the positions where it differs from
+//! `encode(data)`), and that verdict must match `decode`'s: same refusal,
+//! or the same corrected count and data.
 //!
 //! Sabotage mode flips one extra bit (at `seed mod n`) after the effective
 //! flips are counted, so every word decodes one error away from what the
@@ -26,7 +30,8 @@ pub enum EccOp {
     /// positions (mod codeword length), decode, and check the budget
     /// oracle.
     Secded { seed: u64, flips: Vec<u16> },
-    /// Same for BCH(m=10, t=2, 256 data bits).
+    /// Same for BCH(m=10, t=2, 256 data bits), plus the diff of
+    /// `decode_error` against `decode`.
     Bch { seed: u64, flips: Vec<u16> },
 }
 
@@ -186,10 +191,34 @@ impl FuzzTarget for EccTarget {
                 }
                 EccOp::Bch { seed, flips } => {
                     let data = data_bits(*seed, self.bch.k());
-                    let mut cw = self.bch.encode(&data);
+                    let clean = self.bch.encode(&data);
+                    let mut cw = clean.clone();
                     let e = effective_flips(&mut cw, flips);
                     self.sabotage_flip(&mut cw, *seed);
                     let res = self.bch.decode(&cw);
+                    let errors: Vec<usize> = (0..cw.len()).filter(|&j| cw[j] != clean[j]).collect();
+                    match (self.bch.decode_error(&errors), &res) {
+                        (Err(_), Err(_)) => {}
+                        (Ok(fix), Ok((decoded, nerr))) => {
+                            let mut fixed = cw.clone();
+                            for &j in &fix {
+                                fixed[j] ^= 1;
+                            }
+                            if fix.len() != *nerr || fixed[self.bch.parity_bits()..] != decoded[..]
+                            {
+                                return Err(format!(
+                                    "op {i}: decode_error fixes {fix:?}, decode fixed {nerr} \
+                                     errors to other data"
+                                ));
+                            }
+                        }
+                        (verdict, _) => {
+                            return Err(format!(
+                                "op {i}: decode_error {verdict:?} disagrees with decode {:?}",
+                                res.as_ref().map(|(_, nerr)| nerr)
+                            ))
+                        }
+                    }
                     if e <= self.bch.t() {
                         match &res {
                             Ok((decoded, nerr)) => {
