@@ -1,34 +1,27 @@
-//! **perf_suite** — oracle-differential micro benchmarks for two hot
-//! structures.
+//! **perf_suite** — an oracle-differential micro benchmark for the event
+//! queue.
 //!
-//! Each scenario races an optimized structure against the retained oracle
-//! it replaced, on one pinned input, asserts that both produce identical
-//! output, and writes the timings to `BENCH_pool.json` /
-//! `BENCH_events.json` in the current directory. Every
-//! speedup comes from interleaved reps ([`time_pair`]): the two sides
-//! alternate within one loop, so they share allocator, cache and scheduler
-//! conditions, and the ratio is the median of the per-rep ratios.
+//! The scenario races the calendar [`EventQueue`] against the retained
+//! [`LegacyHeapQueue`] oracle it replaced, on one pinned input, asserts
+//! that both produce identical output, and writes the timings to
+//! `BENCH_events.json` in the current directory. The speedup comes from
+//! interleaved reps ([`time_pair`]): the two sides alternate within one
+//! loop, so they share allocator, cache and scheduler conditions, and the
+//! ratio is the median of the per-rep ratios.
 //!
 //! Whole-run throughput of the simulator (events/s, simulated seconds per
 //! wall second, observation overhead) is measured by the standalone
 //! `simbench` package instead; see `simbench/NOTES.md`.
 //!
-//! Scenarios:
+//! Scenario:
 //!
-//! * `pool_churn` — a deterministic alloc/free churn with ~10 k live
-//!   allocations, run through both the tree-based [`Pool`] and the retained
-//!   [`LegacyVecPool`] (the pre-optimization linear scan). Both see the
-//!   identical op sequence and must produce the identical address stream —
-//!   the checksum is asserted — so `speedup_vs_legacy` compares like for
-//!   like.
-//! * `event_churn` — a dense refresh+expiry event trace through the
-//!   calendar [`EventQueue`] and the retained [`LegacyHeapQueue`] oracle;
-//!   identical pop-sequence checksums are asserted, and the calendar
-//!   queue carries a `floor` on `speedup_vs_heap`.
+//! * `event_churn` — a dense refresh+expiry event trace through both
+//!   queues; identical pop-sequence checksums are asserted, and the
+//!   calendar queue carries a `floor` on `speedup_vs_heap`.
 //!
-//! `--quick` shrinks the workloads and rep counts for CI smoke runs; the
+//! `--quick` shrinks the workload and rep count for CI smoke runs; the
 //! JSON schema (scenario keys and fields) is identical in both modes.
-//! Acceptance floors are *asserted* only in full runs — quick mode is a
+//! The acceptance floor is *asserted* only in full runs — quick mode is a
 //! smoke test on shared CI runners where wall-clock ratios are noise.
 //!
 //! Wall-clock timing is deliberately confined to this crate: the simulation
@@ -37,13 +30,9 @@
 use std::time::Instant;
 
 use mrm_bench::{heading, note};
-use mrm_core::pool::{Allocation, LegacyVecPool, Pool};
-use mrm_device::device::MemoryDevice;
-use mrm_device::tech::presets;
 use mrm_sim::event::{EventQueue, LegacyHeapQueue};
 use mrm_sim::rng::SimRng;
 use mrm_sim::time::{SimDuration, SimTime};
-use mrm_sim::units::{GIB, KIB, MIB};
 use serde::Serialize;
 
 /// Wall-clock stats for one side of a scenario, all in nanoseconds.
@@ -129,198 +118,6 @@ fn timed<R>(f: &mut impl FnMut() -> R, samples: &mut Vec<u64>) -> R {
 
 fn ms(t_ns: u64) -> f64 {
     t_ns as f64 / 1e6
-}
-
-// ---------------------------------------------------------------------------
-// pool_churn
-// ---------------------------------------------------------------------------
-
-/// One churn op: either grow towards the live target or replace a
-/// pseudo-random live allocation. The sequence is a pure function of the
-/// seed, so both allocators replay the same trace.
-#[derive(Clone, Copy)]
-enum ChurnOp {
-    Alloc { len: u64 },
-    FreeAt { index: usize },
-}
-
-/// Trace generator that mirrors the replay loop's bookkeeping: the replay
-/// keeps live allocations in a `Vec` and frees with `swap_remove(index)`,
-/// so `FreeAt` indices are only meaningful against that exact Vec state —
-/// the generator simulates the same swaps to target specific blocks.
-struct TraceSim {
-    ops: Vec<ChurnOp>,
-    /// Replay-side live Vec, holding generator-assigned block ids.
-    mirror: Vec<usize>,
-    /// id -> current index in `mirror`.
-    pos: Vec<usize>,
-}
-
-impl TraceSim {
-    fn alloc(&mut self, len: u64) -> usize {
-        let id = self.pos.len();
-        self.pos.push(self.mirror.len());
-        self.mirror.push(id);
-        self.ops.push(ChurnOp::Alloc { len });
-        id
-    }
-
-    fn free(&mut self, id: usize) {
-        let index = self.pos[id];
-        self.ops.push(ChurnOp::FreeAt { index });
-        let last_id = *self.mirror.last().expect("free against empty mirror");
-        self.mirror.swap_remove(index);
-        if last_id != id {
-            self.pos[last_id] = index;
-        }
-    }
-}
-
-/// Pre-computes the churn trace: a fragmentation phase, then `churn_ops`
-/// free-one/alloc-one pairs at a stable `live_target` live count.
-///
-/// The fragmentation phase lays down a checkerboard: 4 KiB blocks filling
-/// the low address space, every other one freed and the rest never touched
-/// again, so each hole is flanked by permanently-live blocks and can never
-/// coalesce. The churn phase then cycles a separate population of
-/// geometric-sized blocks (1 MiB · 2^0..2^4 — the scale of real KV-cache
-/// blocks, hundreds of tokens × ~160 KiB/token for a 70B model). Every
-/// churn request dwarfs a 4 KiB hole, so a first-fit *scan* wades past the
-/// whole speckle field on every alloc, while the max-len-augmented tree
-/// descends straight to the first hole that fits. This is the allocator
-/// pathology the tree exists to fix: long-lived small fragments in front
-/// of a hot large-block churn.
-fn churn_trace(live_target: usize, churn_ops: usize, seed: u64) -> Vec<ChurnOp> {
-    let mut rng = SimRng::seed_from(seed);
-    let frozen = live_target * 9 / 10;
-    let churn_pool = live_target - frozen;
-    let mut sim = TraceSim {
-        ops: Vec::with_capacity(2 * frozen + frozen + churn_pool + churn_ops * 2),
-        mirror: Vec::new(),
-        pos: Vec::new(),
-    };
-    // Checkerboard: 2×frozen 4 KiB blocks, odd-indexed ones freed.
-    let ids: Vec<usize> = (0..2 * frozen).map(|_| sim.alloc(4 * KIB)).collect();
-    for id in ids.iter().skip(1).step_by(2) {
-        sim.free(*id);
-    }
-    // Prime the churn population, then cycle it.
-    let kv_len = |rng: &mut SimRng| MIB << rng.gen_range_u64(5);
-    let mut churn_ids: Vec<usize> = (0..churn_pool)
-        .map(|_| sim.alloc(kv_len(&mut rng)))
-        .collect();
-    for _ in 0..churn_ops {
-        let j = rng.gen_range_u64(churn_ids.len() as u64) as usize;
-        let id = churn_ids.swap_remove(j);
-        sim.free(id);
-        churn_ids.push(sim.alloc(kv_len(&mut rng)));
-    }
-    sim.ops
-}
-
-/// Replays the trace against the tree-based pool; returns an address
-/// checksum (wrapping sum of every allocated address) and the end-state
-/// free fragment count.
-fn churn_tree(ops: &[ChurnOp], capacity: u64, hint: usize) -> (u64, usize) {
-    let mut tech = presets::mrm_hours();
-    tech.capacity_bytes = capacity;
-    let mut pool = Pool::with_capacity_hint(MemoryDevice::new(tech), hint);
-    let mut live: Vec<Allocation> = Vec::with_capacity(hint);
-    let mut checksum = 0u64;
-    for op in ops {
-        match *op {
-            ChurnOp::Alloc { len } => {
-                let a = pool
-                    .alloc(len)
-                    .unwrap_or_else(|e| panic!("churn capacity sized wrong: {e}"));
-                checksum = checksum.wrapping_add(a.addr);
-                live.push(a);
-            }
-            ChurnOp::FreeAt { index } => {
-                let a = live.swap_remove(index);
-                pool.free(a)
-                    .unwrap_or_else(|e| panic!("double free in churn trace: {e}"));
-            }
-        }
-    }
-    (checksum, pool.free_fragments())
-}
-
-/// Replays the identical trace against the retained linear-scan pool.
-fn churn_legacy(ops: &[ChurnOp], capacity: u64) -> (u64, usize) {
-    let mut pool = LegacyVecPool::new(capacity);
-    let mut live: Vec<Allocation> = Vec::new();
-    let mut checksum = 0u64;
-    for op in ops {
-        match *op {
-            ChurnOp::Alloc { len } => {
-                let a = pool
-                    .alloc(len)
-                    .unwrap_or_else(|e| panic!("churn capacity sized wrong: {e}"));
-                checksum = checksum.wrapping_add(a.addr);
-                live.push(a);
-            }
-            ChurnOp::FreeAt { index } => {
-                let a = live.swap_remove(index);
-                pool.free(a)
-                    .unwrap_or_else(|e| panic!("double free in churn trace: {e}"));
-            }
-        }
-    }
-    (checksum, pool.free_fragments())
-}
-
-#[derive(Serialize)]
-struct PoolChurnResult {
-    live_allocations: usize,
-    churn_ops: usize,
-    /// Free fragments left when the trace ends — a determinism anchor for
-    /// the trace itself (identical on both allocators by construction).
-    end_fragments: usize,
-    tree: Timing,
-    legacy: Timing,
-    /// Median per-rep legacy time over tree time: > 1 means the tree pool
-    /// is faster.
-    speedup_vs_legacy: f64,
-}
-
-fn bench_pool_churn(quick: bool) -> PoolChurnResult {
-    let (live_target, churn_ops, reps) = if quick {
-        (1_000, 5_000, 3)
-    } else {
-        (10_000, 50_000, 5)
-    };
-    // 10 k live geometric allocations average ~6.2 MiB (~61 GiB); 128 GiB
-    // (simulated — nothing is actually mapped) leaves the pool uncrowded
-    // so the trace never OOMs on either allocator even under
-    // fragmentation.
-    let capacity = 128 * GIB;
-    let ops = churn_trace(live_target, churn_ops, 0x9E37_79B9);
-
-    let p = time_pair(
-        reps,
-        || churn_tree(&ops, capacity, live_target),
-        || churn_legacy(&ops, capacity),
-    );
-    assert_eq!(
-        p.a_out, p.b_out,
-        "allocators diverged: first-fit must be address-identical"
-    );
-    let end_fragments = p.a_out.1;
-    note(&format!(
-        "pool_churn: {live_target} live / {churn_ops} churn ops ({end_fragments} end fragments) — tree {:.2} ms, legacy {:.2} ms ({:.1}x)",
-        ms(p.a.median_ns),
-        ms(p.b.median_ns),
-        p.speedup,
-    ));
-    PoolChurnResult {
-        live_allocations: live_target,
-        churn_ops,
-        end_fragments,
-        tree: p.a,
-        legacy: p.b,
-        speedup_vs_legacy: p.speedup,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -436,18 +233,6 @@ fn bench_event_churn(quick: bool) -> EventChurnResult {
 // ---------------------------------------------------------------------------
 
 #[derive(Serialize)]
-struct PoolBench {
-    suite: &'static str,
-    quick: bool,
-    scenarios: PoolScenarios,
-}
-
-#[derive(Serialize)]
-struct PoolScenarios {
-    pool_churn: PoolChurnResult,
-}
-
-#[derive(Serialize)]
 struct EventsBench {
     suite: &'static str,
     quick: bool,
@@ -478,21 +263,12 @@ fn write_record<T: Serialize>(path: &str, record: &T) {
 fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
     heading(&format!(
-        "perf_suite — oracle-differential micro benchmarks{}",
+        "perf_suite — oracle-differential micro benchmark{}",
         if quick { " (--quick)" } else { "" }
     ));
     if cfg!(debug_assertions) {
         mrm_bench::warn("running unoptimized: use --release for meaningful numbers");
     }
-
-    let pool = PoolBench {
-        suite: "pool",
-        quick,
-        scenarios: PoolScenarios {
-            pool_churn: bench_pool_churn(quick),
-        },
-    };
-    write_record("BENCH_pool.json", &pool);
 
     let events = EventsBench {
         suite: "events",

@@ -1,7 +1,7 @@
 //! # `mrm-bench` — the experiment harness
 //!
 //! One binary per paper experiment (see `DESIGN.md` §4 for the experiment
-//! index) plus `perf_suite`, the oracle-differential micro benchmarks. Each
+//! index) plus `perf_suite`, the oracle-differential micro benchmark. Each
 //! experiment binary prints the table/series the paper reports and drops a
 //! machine-readable JSON record under `target/experiments/` for
 //! `EXPERIMENTS.md` bookkeeping. Whole-run host throughput is measured by

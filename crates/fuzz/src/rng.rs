@@ -14,8 +14,7 @@
 //! values integer-arithmetic bugs live at — `0`, `1`, `u64::MAX`, the
 //! `i64`/`u32` horizons, and off-by-one neighbours of each.
 
-/// splitmix64 step (same constants as `mrm_core`'s deterministic treap
-/// priorities — the standard Steele/Lea/Burak mix).
+/// splitmix64 step (the standard Steele/Lea/Burak mix).
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -2,7 +2,7 @@
 //!
 //! Each target owns a small op language, a corpus of seed traces, and a
 //! `run` that replays a trace through the real implementation and its
-//! retained oracle side by side. Each also carries a **sabotage mode**
+//! retained oracle or model side by side. Each also carries a **sabotage mode**
 //! (`Target::new(true)`): a deliberately wrong model wired in behind a
 //! flag, used by the harness's own end-to-end tests (and the
 //! `--sabotage` CLI flag) to prove the whole pipeline — detect, shrink,

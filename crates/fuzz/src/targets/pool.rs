@@ -1,25 +1,26 @@
-//! Pool differential target: treap-backed [`Pool`] vs [`LegacyVecPool`].
+//! Pool spec target: [`Pool`] against a model computed from the live set.
 //!
-//! The allocator swap (FreeTree + LiveMap over the flat-`Vec` first-fit)
-//! promised *observational identity* — same addresses, same fragment
-//! lists, same errors. This target replays open-ended alloc/free traces
-//! through both and compares every observable after every op: results,
-//! `used_bytes`, `free_bytes`, `free_fragments`, and the full sorted
-//! `free_ranges` list.
+//! The model (`Spec`) keeps nothing but the capacity and the live
+//! allocations, and derives every observable from them: the free ranges are
+//! the non-empty gaps between the address-sorted live allocations, an
+//! allocation lands at the lowest gap with length ≥ `len`, and the errors
+//! are `ZeroSize`, `OutOfMemory { free }` and `InvalidFree` (double, bogus
+//! and wrong-length frees). This target replays open-ended alloc/free
+//! traces through both and compares every observable after every op:
+//! results, `used_bytes`, `free_bytes`, `free_fragments`, and the full
+//! sorted `free_ranges` list.
 //!
-//! `Reset { capacity }` re-creates both pools at an arbitrary (lean-
-//! biased) capacity, so zero-capacity and one-byte pools are first-class
-//! inputs, as are double frees, bogus frees, and zero-size allocations.
+//! `Reset { capacity }` re-creates both at an arbitrary (lean-biased)
+//! capacity, so zero-capacity and one-byte pools are first-class inputs,
+//! as are double frees, bogus frees, and zero-size allocations.
 //!
-//! Sabotage mode rounds every allocation the *oracle* sees up to the
-//! next even size — the injected-mutation self-test: accounting diverges
-//! on the first odd-sized allocation.
+//! Sabotage mode rounds every allocation the *model* sees up to the next
+//! even size — the injected-mutation self-test: accounting diverges on the
+//! first odd-sized allocation.
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_core::pool::{Allocation, LegacyVecPool, Pool};
-use mrm_device::device::MemoryDevice;
-use mrm_device::tech::presets;
+use mrm_core::pool::{Allocation, Pool, PoolError};
 use mrm_sim::units::MIB;
 
 /// Capacities stay small enough to fragment quickly but allow multi-KiB
@@ -29,7 +30,8 @@ const MAX_CAPACITY: u64 = MIB;
 /// One pool fuzz operation.
 #[derive(Clone, Debug)]
 pub enum PoolOp {
-    /// Tear both pools down and restart at this capacity (mod 1 MiB + 1).
+    /// Tear the pool and the spec down and restart at this capacity
+    /// (mod 1 MiB + 1).
     Reset { capacity: u64 },
     /// Allocate `len` bytes (0 probes the ZeroSize error path).
     Alloc { len: u64 },
@@ -51,41 +53,101 @@ impl PoolTarget {
         PoolTarget { sabotage }
     }
 
-    fn build(&self, capacity: u64) -> (Pool, LegacyVecPool) {
-        let mut tech = presets::mrm_hours();
-        tech.capacity_bytes = capacity;
+    fn build(&self, capacity: u64) -> (Pool, Spec) {
         (
-            Pool::new(MemoryDevice::new(tech)),
-            LegacyVecPool::new(capacity),
+            Pool::new(capacity),
+            Spec {
+                capacity,
+                live: Vec::new(),
+            },
         )
     }
 }
 
-fn compare(step: usize, p: &Pool, oracle: &LegacyVecPool) -> Result<(), String> {
-    if p.used_bytes() != oracle.used_bytes() {
+/// The pool's specification: the capacity and the live set, nothing else.
+struct Spec {
+    capacity: u64,
+    /// Live allocations, sorted by address.
+    live: Vec<Allocation>,
+}
+
+impl Spec {
+    fn used_bytes(&self) -> u64 {
+        self.live.iter().map(|a| a.len).sum()
+    }
+
+    fn free_bytes(&self) -> u64 {
+        self.capacity - self.used_bytes()
+    }
+
+    /// The non-empty gaps between live allocations, in address order.
+    fn free_ranges(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        for a in &self.live {
+            if a.addr > at {
+                out.push((at, a.addr - at));
+            }
+            at = a.addr + a.len;
+        }
+        if self.capacity > at {
+            out.push((at, self.capacity - at));
+        }
+        out
+    }
+
+    fn alloc(&mut self, len: u64) -> Result<Allocation, PoolError> {
+        if len == 0 {
+            return Err(PoolError::ZeroSize);
+        }
+        let Some((addr, _)) = self.free_ranges().into_iter().find(|&(_, l)| l >= len) else {
+            return Err(PoolError::OutOfMemory {
+                requested: len,
+                free: self.free_bytes(),
+            });
+        };
+        let a = Allocation { addr, len };
+        let pos = self.live.partition_point(|x| x.addr < addr);
+        self.live.insert(pos, a);
+        Ok(a)
+    }
+
+    fn free(&mut self, a: Allocation) -> Result<(), PoolError> {
+        let pos = self
+            .live
+            .iter()
+            .position(|x| *x == a)
+            .ok_or(PoolError::InvalidFree)?;
+        self.live.remove(pos);
+        Ok(())
+    }
+}
+
+fn compare(step: usize, p: &Pool, spec: &Spec) -> Result<(), String> {
+    if p.used_bytes() != spec.used_bytes() {
         return Err(format!(
-            "op {step}: used_bytes {} vs oracle {}",
+            "op {step}: used_bytes {} vs spec {}",
             p.used_bytes(),
-            oracle.used_bytes()
+            spec.used_bytes()
         ));
     }
-    if p.free_bytes() != oracle.free_bytes() {
+    if p.free_bytes() != spec.free_bytes() {
         return Err(format!(
-            "op {step}: free_bytes {} vs oracle {}",
+            "op {step}: free_bytes {} vs spec {}",
             p.free_bytes(),
-            oracle.free_bytes()
+            spec.free_bytes()
         ));
     }
-    if p.free_fragments() != oracle.free_fragments() {
+    let (a, b) = (p.free_ranges(), spec.free_ranges());
+    if p.free_fragments() != b.len() {
         return Err(format!(
-            "op {step}: free_fragments {} vs oracle {}",
+            "op {step}: free_fragments {} vs spec {}",
             p.free_fragments(),
-            oracle.free_fragments()
+            b.len()
         ));
     }
-    let (a, b) = (p.free_ranges(), oracle.free_ranges());
     if a != b {
-        return Err(format!("op {step}: free_ranges {a:?} vs oracle {b:?}"));
+        return Err(format!("op {step}: free_ranges {a:?} vs spec {b:?}"));
     }
     Ok(())
 }
@@ -195,20 +257,18 @@ impl FuzzTarget for PoolTarget {
     }
 
     fn run(&self, ops: &[PoolOp]) -> Result<(), String> {
-        let (mut p, mut oracle) = self.build(64 * 1024);
+        let (mut p, mut spec) = self.build(64 * 1024);
         let mut live: Vec<Allocation> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 PoolOp::Reset { capacity } => {
                     let cap = capacity % (MAX_CAPACITY + 1);
-                    let (np, no) = self.build(cap);
-                    p = np;
-                    oracle = no;
+                    (p, spec) = self.build(cap);
                     live.clear();
                 }
                 PoolOp::Alloc { len } => {
-                    let oracle_len = if self.sabotage {
-                        // Documented sabotage: the oracle allocates a
+                    let spec_len = if self.sabotage {
+                        // Documented sabotage: the spec allocates a
                         // rounded-up size — accounting diverges on the
                         // first odd-sized allocation.
                         len.div_ceil(2).saturating_mul(2)
@@ -216,11 +276,9 @@ impl FuzzTarget for PoolTarget {
                         *len
                     };
                     let got = p.alloc(*len);
-                    let want = oracle.alloc(oracle_len);
+                    let want = spec.alloc(spec_len);
                     if !self.sabotage && got != want {
-                        return Err(format!(
-                            "op {i}: alloc({len}) => {got:?} vs oracle {want:?}"
-                        ));
+                        return Err(format!("op {i}: alloc({len}) => {got:?} vs spec {want:?}"));
                     }
                     if let Ok(a) = got {
                         live.push(a);
@@ -229,27 +287,23 @@ impl FuzzTarget for PoolTarget {
                 PoolOp::Free { pick } => {
                     if !live.is_empty() {
                         let a = live.remove((pick % live.len() as u64) as usize);
-                        let (got, want) = (p.free(a), oracle.free(a));
+                        let (got, want) = (p.free(a), spec.free(a));
                         if got != want {
-                            return Err(format!(
-                                "op {i}: free({a:?}) => {got:?} vs oracle {want:?}"
-                            ));
+                            return Err(format!("op {i}: free({a:?}) => {got:?} vs spec {want:?}"));
                         }
                     }
                 }
                 PoolOp::DoubleFree { pick } => {
                     if !live.is_empty() {
                         let a = live.remove((pick % live.len() as u64) as usize);
-                        let (got, want) = (p.free(a), oracle.free(a));
+                        let (got, want) = (p.free(a), spec.free(a));
                         if got != want {
-                            return Err(format!(
-                                "op {i}: free({a:?}) => {got:?} vs oracle {want:?}"
-                            ));
+                            return Err(format!("op {i}: free({a:?}) => {got:?} vs spec {want:?}"));
                         }
-                        let (got2, want2) = (p.free(a), oracle.free(a));
+                        let (got2, want2) = (p.free(a), spec.free(a));
                         if got2 != want2 || got2.is_ok() {
                             return Err(format!(
-                                "op {i}: double free({a:?}) => {got2:?} vs oracle {want2:?}"
+                                "op {i}: double free({a:?}) => {got2:?} vs spec {want2:?}"
                             ));
                         }
                     }
@@ -262,16 +316,16 @@ impl FuzzTarget for PoolTarget {
                         len: *len,
                     };
                     if !live.contains(&a) {
-                        let (got, want) = (p.free(a), oracle.free(a));
+                        let (got, want) = (p.free(a), spec.free(a));
                         if got != want {
                             return Err(format!(
-                                "op {i}: bogus free({a:?}) => {got:?} vs oracle {want:?}"
+                                "op {i}: bogus free({a:?}) => {got:?} vs spec {want:?}"
                             ));
                         }
                     }
                 }
             }
-            compare(i, &p, &oracle)?;
+            compare(i, &p, &spec)?;
         }
         Ok(())
     }

@@ -39,13 +39,10 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("gc_moves");
-        r.add(c, 7);
-        let g = r.gauge("tier_occupancy");
-        r.set(g, 0.5);
-        let h = r.histogram("latency_ms");
+        r.add("gc_moves", 7);
+        r.set("tier_occupancy", 0.5);
         for x in 1..=100 {
-            r.observe(h, f64::from(x));
+            r.observe("latency_ms", f64::from(x));
         }
         r
     }

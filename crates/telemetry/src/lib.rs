@@ -5,9 +5,9 @@
 //! end-of-run report struct. This crate makes it visible as time series:
 //!
 //! - [`MetricsRegistry`]: named counters, gauges, and
-//!   `LogHistogram`-backed histograms behind small copyable handle types.
-//!   Plain `u64`/`f64` slots, no locks — cheap enough for the hot path of a
-//!   single-threaded simulation loop.
+//!   `LogHistogram`-backed histograms, updated by name. Plain `u64`/`f64`
+//!   slots, no locks — cheap enough for the hot path of a single-threaded
+//!   simulation loop.
 //! - [`SimTelemetry`]: the one sink every instrumented component publishes
 //!   into — a registry snapshotted at a fixed sim-time interval (stamped
 //!   in [`SimTime`](mrm_sim::time::SimTime), never wall-clock). Code that
@@ -32,5 +32,5 @@ pub mod export;
 pub mod registry;
 pub mod sink;
 
-pub use registry::{CounterId, GaugeId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
+pub use registry::{HistogramSummary, MetricsRegistry, Snapshot};
 pub use sink::SimTelemetry;

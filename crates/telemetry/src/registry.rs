@@ -1,10 +1,9 @@
-//! Named counters, gauges, and histograms behind small handle types.
+//! Named counters, gauges, and histograms in flat, registration-ordered
+//! storage.
 //!
-//! A [`MetricsRegistry`] stores each metric kind in a flat `Vec` indexed by
-//! a copyable id, so hot-path updates are a bounds-checked array write with
-//! no hashing and no locks. Name lookup (interning) happens once per metric,
-//! at registration; instruments that update every event should hold on to
-//! the returned id.
+//! A [`MetricsRegistry`] stores each metric kind in a flat `Vec` in
+//! registration order, with a name index beside it. Every update names its
+//! metric; the first update to a new name registers it.
 
 use std::collections::BTreeMap;
 
@@ -12,24 +11,12 @@ use mrm_sim::stats::LogHistogram;
 use mrm_sim::time::SimTime;
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Handle to a monotonically increasing counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// Handle to a last-value-wins gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(u32);
-
-/// Handle to a log-scale histogram of observations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramId(u32);
-
 /// Sub-buckets per octave for registry histograms (~4.4 % relative error).
 const HISTOGRAM_SUB_BUCKETS: u32 = 16;
 
 /// A registry of named metrics with flat storage.
 ///
-/// Metrics are created on first registration and keep their values for the
+/// Metrics are created on first update and keep their values for the
 /// registry's lifetime. Iteration and snapshots report metrics in
 /// registration order, which is deterministic for a deterministic
 /// instrumentation path — the property the sweep determinism tests rely on.
@@ -41,12 +28,9 @@ const HISTOGRAM_SUB_BUCKETS: u32 = 16;
 /// use mrm_sim::time::SimTime;
 ///
 /// let mut r = MetricsRegistry::new();
-/// let reads = r.counter("reads");
-/// r.add(reads, 3);
-/// let depth = r.gauge("queue_depth");
-/// r.set(depth, 7.0);
-/// let lat = r.histogram("latency_ms");
-/// r.observe(lat, 12.5);
+/// r.add("reads", 3);
+/// r.set("queue_depth", 7.0);
+/// r.observe("latency_ms", 12.5);
 /// let snap = r.snapshot(SimTime::from_secs(1));
 /// assert_eq!(snap.counters, vec![("reads".to_string(), 3)]);
 /// ```
@@ -63,72 +47,74 @@ pub struct MetricsRegistry {
     hist_ids: BTreeMap<&'static str, u32>,
 }
 
+/// The storage slot of metric `name`, registering it with `init()` if new.
+fn slot<'a, T>(
+    names: &mut Vec<&'static str>,
+    values: &'a mut Vec<T>,
+    ids: &mut BTreeMap<&'static str, u32>,
+    name: &'static str,
+    init: impl FnOnce() -> T,
+) -> &'a mut T {
+    let i = *ids.entry(name).or_insert_with(|| {
+        names.push(name);
+        values.push(init());
+        (values.len() - 1) as u32
+    });
+    &mut values[i as usize]
+}
+
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
 
-    /// Returns the id for counter `name`, registering it at zero if new.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(&i) = self.counter_ids.get(name) {
-            return CounterId(i);
-        }
-        let i = self.counter_names.len() as u32;
-        self.counter_names.push(name);
-        self.counter_values.push(0);
-        self.counter_ids.insert(name, i);
-        CounterId(i)
+    fn counter(&mut self, name: &'static str) -> &mut u64 {
+        slot(
+            &mut self.counter_names,
+            &mut self.counter_values,
+            &mut self.counter_ids,
+            name,
+            || 0,
+        )
     }
 
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counter_values[id.0 as usize] += n;
+    /// Adds `n` to counter `name`.
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        *self.counter(name) += n;
     }
 
-    /// Raises a counter to `total` if it is below it.
+    /// Raises counter `name` to `total` if it is below it.
     ///
     /// This is the pull-style update used by instruments that already keep
     /// their own running totals: re-publishing the total is idempotent and
     /// keeps the counter monotone even if publishers overlap.
-    pub fn set_total(&mut self, id: CounterId, total: u64) {
-        let v = &mut self.counter_values[id.0 as usize];
+    pub fn set_total(&mut self, name: &'static str, total: u64) {
+        let v = self.counter(name);
         *v = (*v).max(total);
     }
 
-    /// Returns the id for gauge `name`, registering it at zero if new.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(&i) = self.gauge_ids.get(name) {
-            return GaugeId(i);
-        }
-        let i = self.gauge_names.len() as u32;
-        self.gauge_names.push(name);
-        self.gauge_values.push(0.0);
-        self.gauge_ids.insert(name, i);
-        GaugeId(i)
+    /// Sets gauge `name` to `value` (last write wins).
+    pub fn set(&mut self, name: &'static str, value: f64) {
+        *slot(
+            &mut self.gauge_names,
+            &mut self.gauge_values,
+            &mut self.gauge_ids,
+            name,
+            || 0.0,
+        ) = value;
     }
 
-    /// Sets a gauge to `value` (last write wins).
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauge_values[id.0 as usize] = value;
-    }
-
-    /// Returns the id for histogram `name`, registering it empty if new.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(&i) = self.hist_ids.get(name) {
-            return HistogramId(i);
-        }
-        let i = self.hist_names.len() as u32;
-        self.hist_names.push(name);
-        self.hist_values
-            .push(LogHistogram::new(HISTOGRAM_SUB_BUCKETS));
-        self.hist_ids.insert(name, i);
-        HistogramId(i)
-    }
-
-    /// Records one observation into a histogram.
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        self.hist_values[id.0 as usize].record(value);
+    /// Records one observation into histogram `name`.
+    pub fn observe(&mut self, name: &'static str, value: f64) {
+        slot(
+            &mut self.hist_names,
+            &mut self.hist_values,
+            &mut self.hist_ids,
+            name,
+            || LogHistogram::new(HISTOGRAM_SUB_BUCKETS),
+        )
+        .record(value);
     }
 
     /// Reads a counter by name (`None` if never registered).
@@ -324,44 +310,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interning_returns_stable_ids() {
+    fn updates_by_name_share_one_slot() {
         let mut r = MetricsRegistry::new();
-        let a = r.counter("a");
-        let b = r.counter("b");
-        assert_ne!(a, b);
-        assert_eq!(r.counter("a"), a);
-        r.add(a, 1);
-        r.add(b, 10);
-        assert_eq!(r.counter_value("a"), Some(1));
+        r.add("a", 1);
+        r.add("b", 10);
+        r.add("a", 2);
+        assert_eq!(r.counter_value("a"), Some(3));
         assert_eq!(r.counter_value("b"), Some(10));
         assert_eq!(r.counter_value("absent"), None);
+        assert_eq!(r.counters().count(), 2);
     }
 
     #[test]
     fn set_total_is_monotone() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("total");
-        r.set_total(c, 5);
-        r.set_total(c, 3); // stale republish must not regress
-        r.set_total(c, 9);
+        r.set_total("total", 5);
+        r.set_total("total", 3); // stale republish must not regress
+        r.set_total("total", 9);
         assert_eq!(r.counter_value("total"), Some(9));
     }
 
     #[test]
     fn gauges_last_write_wins() {
         let mut r = MetricsRegistry::new();
-        let g = r.gauge("depth");
-        r.set(g, 4.0);
-        r.set(g, 2.5);
+        r.set("depth", 4.0);
+        r.set("depth", 2.5);
         assert_eq!(r.gauge_value("depth"), Some(2.5));
     }
 
     #[test]
     fn histograms_accumulate() {
         let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat");
         for x in 1..=100 {
-            r.observe(h, f64::from(x));
+            r.observe("lat", f64::from(x));
         }
         let hist = r.histogram_by_name("lat").unwrap();
         assert_eq!(hist.count(), 100);
@@ -378,14 +359,10 @@ mod tests {
     #[test]
     fn snapshot_keeps_registration_order_and_round_trips() {
         let mut r = MetricsRegistry::new();
-        let z = r.counter("zebra"); // registered first, sorts last
-        let a = r.counter("aardvark");
-        r.add(z, 1);
-        r.add(a, 2);
-        let g = r.gauge("occupancy");
-        r.set(g, 0.75);
-        let h = r.histogram("lat");
-        r.observe(h, 8.0);
+        r.add("zebra", 1); // registered first, sorts last
+        r.add("aardvark", 2);
+        r.set("occupancy", 0.75);
+        r.observe("lat", 8.0);
         let snap = r.snapshot(SimTime::from_nanos(123));
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["zebra", "aardvark"]);
@@ -397,9 +374,16 @@ mod tests {
 
     #[test]
     fn empty_histogram_snapshot_is_json_safe() {
-        let mut r = MetricsRegistry::new();
-        r.histogram("never_observed");
-        let json = serde_json::to_string(&r.snapshot(SimTime::ZERO)).unwrap();
+        let snap = Snapshot {
+            sim_time_ns: 0,
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: vec![(
+                "never_observed".to_string(),
+                HistogramSummary::of(&LogHistogram::new(HISTOGRAM_SUB_BUCKETS)),
+            )],
+        };
+        let json = serde_json::to_string(&snap).unwrap();
         assert!(!json.contains("inf"), "{json}");
         let back: Snapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.histograms[0].1.min, None);

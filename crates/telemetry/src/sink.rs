@@ -92,27 +92,23 @@ impl SimTelemetry {
 
     /// Adds `delta` to counter `name`.
     pub fn count(&mut self, name: &'static str, delta: u64) {
-        let id = self.registry.counter(name);
-        self.registry.add(id, delta);
+        self.registry.add(name, delta);
     }
 
     /// Raises counter `name` to `total` (monotone; for instruments that
     /// keep their own running totals).
     pub fn count_to(&mut self, name: &'static str, total: u64) {
-        let id = self.registry.counter(name);
-        self.registry.set_total(id, total);
+        self.registry.set_total(name, total);
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge(&mut self, name: &'static str, value: f64) {
-        let id = self.registry.gauge(name);
-        self.registry.set(id, value);
+        self.registry.set(name, value);
     }
 
     /// Records one observation into histogram `name`.
     pub fn observe(&mut self, name: &'static str, value: f64) {
-        let id = self.registry.histogram(name);
-        self.registry.observe(id, value);
+        self.registry.observe(name, value);
     }
 
     /// If a snapshot boundary has been reached by `now`, the boundary's

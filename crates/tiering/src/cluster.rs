@@ -617,10 +617,6 @@ impl<'t> ClusterSim<'t> {
         let weights_bytes = cfg.model.weights_bytes(cfg.quant);
         let mut kv_capacity = 0;
 
-        // Capacity hints are wall-clock-only: the KV tier holds the live
-        // batch plus the follow-up cache, so pre-size its allocator arena
-        // for a few batches' worth of allocations.
-        let alloc_hint = cfg.max_batch as usize * 8;
         let weights_native_retention = match cfg.policy.tier_for(DataClass::Weights) {
             TierKind::Hbm => presets::hbm3e().retention,
             TierKind::Lpddr => presets::lpddr5x().retention,
@@ -628,27 +624,18 @@ impl<'t> ClusterSim<'t> {
         };
         let accels: Vec<Accel> = (0..cfg.accelerators)
             .map(|_| {
-                let hbm = Tier::with_capacity_hint(
-                    TierKind::Hbm,
-                    presets::hbm3e(),
-                    cfg.hbm_stacks,
-                    alloc_hint,
-                );
+                let hbm = Tier::new(TierKind::Hbm, presets::hbm3e(), cfg.hbm_stacks);
                 let alt = match cfg.policy {
-                    PlacementPolicy::HbmLpddr => Some(Tier::with_capacity_hint(
+                    PlacementPolicy::HbmLpddr => Some(Tier::new(
                         TierKind::Lpddr,
                         presets::lpddr5x(),
                         cfg.lpddr_packages,
-                        alloc_hint,
                     )),
-                    PlacementPolicy::HbmMrm | PlacementPolicy::HbmMrmDcm => {
-                        Some(Tier::with_capacity_hint(
-                            TierKind::Mrm,
-                            presets::mrm_hours(),
-                            cfg.mrm_packages,
-                            alloc_hint,
-                        ))
-                    }
+                    PlacementPolicy::HbmMrm | PlacementPolicy::HbmMrmDcm => Some(Tier::new(
+                        TierKind::Mrm,
+                        presets::mrm_hours(),
+                        cfg.mrm_packages,
+                    )),
                     PlacementPolicy::HbmOnly => None,
                 };
                 let mut acc = Accel {

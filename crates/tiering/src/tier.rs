@@ -2,10 +2,11 @@
 //!
 //! A [`Tier`] aggregates `n` identical devices (HBM stacks, MRM packages,
 //! LPDDR packages) into one pool with summed capacity and bandwidth — the
-//! granularity the placement policies reason at.
+//! granularity the placement policies reason at. It keeps the fused
+//! [`Technology`] for the energy rates it charges and models no per-block
+//! device state.
 
 use mrm_core::pool::{Allocation, Pool, PoolError};
-use mrm_device::device::MemoryDevice;
 use mrm_device::energy::EnergyBreakdown;
 use mrm_device::tech::Technology;
 use mrm_sim::time::SimDuration;
@@ -38,8 +39,9 @@ impl TierKind {
 #[derive(Clone, Debug)]
 pub struct Tier {
     kind: TierKind,
+    /// The device technology with capacity summed across devices.
+    tech: Technology,
     pool: Pool,
-    devices: u32,
     /// Aggregate sequential read bandwidth, bytes/s.
     read_bw: f64,
     /// Aggregate write bandwidth, bytes/s.
@@ -49,8 +51,8 @@ pub struct Tier {
     /// Demand bytes moved (for utilization reporting).
     bytes_read: u64,
     bytes_written: u64,
-    /// Energy metered outside the pool device (bulk streams, background).
-    extra_energy: EnergyBreakdown,
+    /// Metered energy (bulk streams, background, scrubs).
+    energy: EnergyBreakdown,
     /// Last `(retention, write pJ/bit)` operating point, memoized: batches
     /// overwhelmingly share one retention class, so the tradeoff-curve
     /// math runs once per class change instead of once per write. The
@@ -65,18 +67,6 @@ impl Tier {
     /// The pool spans the aggregate capacity; bandwidth sums across
     /// devices (inference reads stripe across stacks, §2.1).
     pub fn new(kind: TierKind, tech: Technology, devices: u32) -> Self {
-        Tier::with_capacity_hint(kind, tech, devices, 0)
-    }
-
-    /// [`Tier::new`] with the pool allocator pre-sized for about
-    /// `expected_live` simultaneous allocations. Purely a wall-clock hint:
-    /// behaviour is identical to [`Tier::new`].
-    pub fn with_capacity_hint(
-        kind: TierKind,
-        tech: Technology,
-        devices: u32,
-        expected_live: usize,
-    ) -> Self {
         let mut fused = tech.clone();
         fused.capacity_bytes = tech.capacity_bytes * u64::from(devices);
         let read_bw = tech.read_bw * f64::from(devices);
@@ -84,14 +74,14 @@ impl Tier {
         let cost_units = fused.capacity_bytes as f64 / 1e9 * tech.cost_per_gb_rel;
         Tier {
             kind,
-            pool: Pool::with_capacity_hint(MemoryDevice::new(fused), expected_live),
-            devices,
+            pool: Pool::new(fused.capacity_bytes),
+            tech: fused,
             read_bw,
             write_bw,
             cost_units,
             bytes_read: 0,
             bytes_written: 0,
-            extra_energy: EnergyBreakdown::default(),
+            energy: EnergyBreakdown::default(),
             write_point_memo: None,
         }
     }
@@ -99,11 +89,6 @@ impl Tier {
     /// The tier's role.
     pub fn kind(&self) -> TierKind {
         self.kind
-    }
-
-    /// Device count.
-    pub fn devices(&self) -> u32 {
-        self.devices
     }
 
     /// Aggregate capacity, bytes.
@@ -114,16 +99,6 @@ impl Tier {
     /// Bytes allocated.
     pub fn used_bytes(&self) -> u64 {
         self.pool.used_bytes()
-    }
-
-    /// Aggregate read bandwidth, bytes/s.
-    pub fn read_bw(&self) -> f64 {
-        self.read_bw
-    }
-
-    /// Aggregate write bandwidth, bytes/s.
-    pub fn write_bw(&self) -> f64 {
-        self.write_bw
     }
 
     /// Relative hardware cost of the tier.
@@ -147,8 +122,7 @@ impl Tier {
     }
 
     /// Time to read `bytes` sequentially at aggregate tier bandwidth.
-    /// Traffic and energy are metered; block-level state is not walked
-    /// (bulk streams like weights would make that O(device/4096) per op).
+    /// Traffic and energy are metered.
     pub fn stream_read(&mut self, bytes: u64) -> SimDuration {
         self.bytes_read += bytes;
         self.meter_read_energy(bytes);
@@ -164,47 +138,43 @@ impl Tier {
     }
 
     fn meter_read_energy(&mut self, bytes: u64) {
-        // Meter through the pool's device by charging its per-bit rate
-        // directly (avoids walking per-block state for bulk streams).
-        let j = self.pool.device().tech().read_energy_j(bytes);
-        self.extra_energy.read_j += j;
+        self.energy.read_j += self.tech.read_energy_j(bytes);
     }
 
     fn meter_write_energy(&mut self, bytes: u64, retention: SimDuration) {
         let pj_bit = match self.write_point_memo {
             Some((r, pj)) if r == retention => pj,
             _ => {
-                let tech = self.pool.device().tech();
-                let pj = tech.tradeoff().at(retention).write_energy_pj_bit;
+                let pj = self.tech.tradeoff().at(retention).write_energy_pj_bit;
                 self.write_point_memo = Some((retention, pj));
                 pj
             }
         };
         let j = bytes as f64 * 8.0 * pj_bit * 1e-12;
-        self.extra_energy.write_j += j;
+        self.energy.write_j += j;
     }
 
     /// Charges `elapsed` of background cost: idle power, plus refresh power
     /// for DRAM-family technologies (the §2.1 "consuming power even when
     /// the memory is idle" term).
     pub fn charge_background(&mut self, elapsed: SimDuration) {
-        let tech = self.pool.device().tech();
+        let tech = &self.tech;
         let idle_j = tech.idle_power_w() * elapsed.as_secs_f64();
         let refresh_j = tech.refresh_power_w() * elapsed.as_secs_f64();
-        self.extra_energy.idle_j += idle_j;
-        self.extra_energy.housekeeping_j += refresh_j;
+        self.energy.idle_j += idle_j;
+        self.energy.housekeeping_j += refresh_j;
     }
 
     /// Charges a software scrub (read + rewrite) of `bytes`.
     pub fn charge_scrub(&mut self, bytes: u64) {
-        let tech = self.pool.device().tech();
+        let tech = &self.tech;
         let j = tech.read_energy_j(bytes) + tech.write_energy_j(bytes);
-        self.extra_energy.housekeeping_j += j;
+        self.energy.housekeeping_j += j;
     }
 
-    /// Total energy: pool device meter plus bulk-stream metering.
+    /// Total metered energy.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.pool.energy().merged(&self.extra_energy)
+        self.energy
     }
 }
 
@@ -220,10 +190,11 @@ mod tests {
 
     #[test]
     fn aggregate_capacity_and_bandwidth() {
-        let t = hbm_tier();
+        let mut t = hbm_tier();
         assert_eq!(t.capacity_bytes(), 192 * GB, "B200-class: 8×24 GB");
-        assert!((t.read_bw() - 8e12).abs() < 1e6, "8 TB/s aggregate");
-        assert_eq!(t.devices(), 8);
+        // 8 TB/s aggregate: 8 TB streams in one second.
+        let d = t.stream_read(8_000 * GB);
+        assert!((d.as_secs_f64() - 1.0).abs() < 1e-6, "{d}");
     }
 
     #[test]

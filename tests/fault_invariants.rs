@@ -2,9 +2,9 @@
 //!
 //! Each test drives a component through a random *fault script* — writes,
 //! reads through the fault-injection layer, explicit retirements — while a
-//! simple oracle (plain sets and maps, the `LegacyVecPool` pattern from the
-//! pool allocator tests) tracks what the state must be. After every step the
-//! real implementation is checked against the oracle:
+//! simple oracle (plain sets and maps, like the live-set spec the `pool`
+//! fuzz target checks the allocator against) tracks what the state must be.
+//! After every step the real implementation is checked against the oracle:
 //!
 //! * the FTL never leaves a live logical page pointing at a retired block,
 //!   and its pool accounting balances against the oracle's live set;
