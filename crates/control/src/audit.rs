@@ -60,34 +60,19 @@ impl AuditAction {
         ]
     }
 
-    /// Stable label (also the suffix of the `control_*` counter names).
-    pub fn label(self) -> &'static str {
-        match self {
-            AuditAction::Store => "store",
-            AuditAction::Refresh => "refresh",
-            AuditAction::Migrate => "migrate",
-            AuditAction::Drop => "drop",
-            AuditAction::Evict => "evict",
-            AuditAction::Retire => "retire",
-            AuditAction::Escalate => "escalate",
-            AuditAction::Refetch => "refetch",
-            AuditAction::Recompute => "recompute",
-        }
-    }
-
     /// Telemetry counter name (static, one per action).
     fn counter_name(self) -> &'static str {
-        match self {
-            AuditAction::Store => "control_store",
-            AuditAction::Refresh => "control_refresh",
-            AuditAction::Migrate => "control_migrate",
-            AuditAction::Drop => "control_drop",
-            AuditAction::Evict => "control_evict",
-            AuditAction::Retire => "control_retire",
-            AuditAction::Escalate => "control_escalate",
-            AuditAction::Refetch => "control_refetch",
-            AuditAction::Recompute => "control_recompute",
-        }
+        [
+            "control_store",
+            "control_refresh",
+            "control_migrate",
+            "control_drop",
+            "control_evict",
+            "control_retire",
+            "control_escalate",
+            "control_refetch",
+            "control_recompute",
+        ][self.index()]
     }
 
     /// Actions the oracle treats as reclaiming the object.
@@ -101,18 +86,9 @@ impl AuditAction {
         matches!(self, AuditAction::Refetch | AuditAction::Recompute)
     }
 
-    fn index(self) -> usize {
-        match self {
-            AuditAction::Store => 0,
-            AuditAction::Refresh => 1,
-            AuditAction::Migrate => 2,
-            AuditAction::Drop => 3,
-            AuditAction::Evict => 4,
-            AuditAction::Retire => 5,
-            AuditAction::Escalate => 6,
-            AuditAction::Refetch => 7,
-            AuditAction::Recompute => 8,
-        }
+    /// Position in [`AuditAction::all`]: the slot of this action's count.
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -240,6 +216,13 @@ mod tests {
 
     fn serving() -> RetentionRegistry {
         RetentionRegistry::serving_default(SimDuration::from_mins(10))
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, action) in AuditAction::all().into_iter().enumerate() {
+            assert_eq!(action.index(), i, "{action:?}");
+        }
     }
 
     #[test]

@@ -72,69 +72,29 @@ impl ControlPlane {
     }
 
     /// Records the execution of a reconciler work item as its audit
-    /// action(s). A `RecomputeDrop` writes the recovery record *before*
-    /// the drop so the REQUIRED-DURABLE oracle sees them in order.
-    pub fn record_work(&mut self, at: SimTime, item: &WorkItem, bytes: u64) {
-        match item.kind {
-            WorkKind::Refresh => {
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Refresh,
-                    item.reason,
-                    bytes,
-                );
-            }
-            WorkKind::Migrate { .. } => {
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Migrate,
-                    item.reason,
-                    bytes,
-                );
-            }
-            WorkKind::RecomputeDrop => {
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Recompute,
-                    item.reason,
-                    bytes,
-                );
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Drop,
-                    item.reason,
-                    bytes,
-                );
-            }
-            WorkKind::Retire => {
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Retire,
-                    item.reason,
-                    bytes,
-                );
-            }
-            WorkKind::Refetch => {
-                self.record(
-                    at,
-                    item.class,
-                    item.id,
-                    AuditAction::Refetch,
-                    item.reason,
-                    bytes,
-                );
-            }
+    /// action(s) and returns the seq of the first. A `RecomputeDrop`
+    /// writes the recovery record *before* the drop so the
+    /// REQUIRED-DURABLE oracle sees them in order.
+    pub fn record_work(&mut self, at: SimTime, item: &WorkItem, bytes: u64) -> u64 {
+        let action = match item.kind {
+            WorkKind::Refresh => AuditAction::Refresh,
+            WorkKind::Migrate { .. } => AuditAction::Migrate,
+            WorkKind::RecomputeDrop => AuditAction::Recompute,
+            WorkKind::Retire => AuditAction::Retire,
+            WorkKind::Refetch => AuditAction::Refetch,
+        };
+        let seq = self.record(at, item.class, item.id, action, item.reason, bytes);
+        if item.kind == WorkKind::RecomputeDrop {
+            self.record(
+                at,
+                item.class,
+                item.id,
+                AuditAction::Drop,
+                item.reason,
+                bytes,
+            );
         }
+        seq
     }
 
     /// The recovery work item the fault ladder prescribes for a persistent
@@ -238,7 +198,7 @@ mod tests {
             kind: WorkKind::RecomputeDrop,
             reason: "uncorrectable-read",
         };
-        cp.record_work(t(1), &item, 64);
+        assert_eq!(cp.record_work(t(1), &item, 64), 0);
         let recs = cp.audit.records();
         assert_eq!(recs[0].action, AuditAction::Recompute);
         assert_eq!(recs[1].action, AuditAction::Drop);

@@ -66,14 +66,6 @@ fn is_reclaim(a: AuditAction) -> bool {
     matches!(a, AuditAction::Drop | AuditAction::Evict)
 }
 
-/// Position of `a` in `AuditAction::all()` (the log's histogram order).
-fn idx_of(a: AuditAction) -> usize {
-    AuditAction::all()
-        .iter()
-        .position(|x| *x == a)
-        .unwrap_or(usize::MAX)
-}
-
 impl FuzzTarget for ControlTarget {
     type Op = ControlOp;
 
@@ -249,7 +241,7 @@ impl FuzzTarget for ControlTarget {
                         // The empty registry treats everything as Required.
                         expect_empty.push(seq);
                     }
-                    histogram[idx_of(action)] += 1;
+                    histogram[action.index()] += 1;
                     times.push(now);
                 }
             }
@@ -295,11 +287,11 @@ impl FuzzTarget for ControlTarget {
             }
         }
         for action in AuditAction::all() {
-            if log.count(action) != histogram[idx_of(action)] {
+            if log.count(action) != histogram[action.index()] {
                 return Err(format!(
                     "count({action:?}) = {}, model counted {}",
                     log.count(action),
-                    histogram[idx_of(action)]
+                    histogram[action.index()]
                 ));
             }
         }

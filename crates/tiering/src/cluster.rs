@@ -18,15 +18,14 @@ use std::collections::{BTreeMap, VecDeque};
 use mrm_control::expiry::{consumed_age, rearm_deadline};
 use mrm_control::registry::retention_decision;
 use mrm_control::{
-    AuditAction, AuditLog, ControlClass, ControlPlane, ControlSummary, Reconciler, WorkItem,
-    WorkKind,
+    AuditAction, AuditLog, ControlClass, ControlPlane, ControlSummary, Reconciler, WorkKind,
 };
 use mrm_device::cell::RetentionTradeoff;
 use mrm_device::device::FRESH_RBER;
 use mrm_device::energy::EnergyBreakdown;
 use mrm_device::tech::presets;
 use mrm_faults::{FaultConfig, FaultModel};
-use mrm_obs::{Detail, HandlerId, Obs, SpanId, SpanKind};
+use mrm_obs::{Obs, SpanId};
 use mrm_sim::event::EventQueue;
 use mrm_sim::rng::SimRng;
 use mrm_sim::stats::LogHistogram;
@@ -39,6 +38,7 @@ use mrm_workload::traces::TraceMix;
 use serde::{Deserialize, Serialize};
 
 use crate::lifetime::LifetimeEstimator;
+use crate::observe::{Handler, Observer};
 use crate::placement::PlacementPolicy;
 use crate::tier::{Tier, TierKind};
 
@@ -346,30 +346,17 @@ enum Ev {
     TraceArrival { prompt: u32, output: u32 },
 }
 
-/// Profiler handler ids, interned once at [`ClusterSim::attach_obs`] so
-/// the per-event hooks never resolve a name on the dispatch path.
-#[derive(Clone, Copy)]
-struct ProfIds {
-    arrival: HandlerId,
-    iter_done: HandlerId,
-    followup: HandlerId,
-    cache_expire: HandlerId,
-    maintenance: HandlerId,
-    weight_redeploy: HandlerId,
-    admission: HandlerId,
-    reconcile_plan: HandlerId,
-    decode_iter: HandlerId,
-}
-
-/// Stable profiler handler per event kind (pre-interned id form).
-fn handler_id(ids: &ProfIds, ev: &Ev) -> HandlerId {
-    match ev {
-        Ev::Arrival | Ev::TraceArrival { .. } => ids.arrival,
-        Ev::IterDone { .. } => ids.iter_done,
-        Ev::Followup { .. } => ids.followup,
-        Ev::CacheExpire { .. } => ids.cache_expire,
-        Ev::Maintenance { .. } => ids.maintenance,
-        Ev::WeightRedeploy { .. } => ids.weight_redeploy,
+impl Ev {
+    /// The profiled handler this event dispatches to.
+    fn handler(self) -> Handler {
+        match self {
+            Ev::Arrival | Ev::TraceArrival { .. } => Handler::Arrival,
+            Ev::IterDone { .. } => Handler::IterDone,
+            Ev::Followup { .. } => Handler::Followup,
+            Ev::CacheExpire { .. } => Handler::CacheExpire,
+            Ev::Maintenance { .. } => Handler::Maintenance,
+            Ev::WeightRedeploy { .. } => Handler::WeightRedeploy,
+        }
     }
 }
 
@@ -588,17 +575,10 @@ pub struct ClusterSim<'t> {
     // Observability only: never consulted by the simulation logic and
     // never draws from `rng`, so an attached sink cannot change a report.
     telemetry: Option<&'t mut SimTelemetry>,
-    // Causal tracer + profiler bundle (mrm-obs), same contract as the
-    // telemetry sink. Hook sites live only in the `obs_*` helpers below —
-    // lint rule D8 keeps them out of every function that draws RNG or
-    // mutates the event queue.
-    obs: Option<&'t mut Obs>,
-    // Handler ids interned at `attach_obs`; `Some` iff `obs` is.
-    prof_ids: Option<ProfIds>,
-    // Start time + batch size of the in-flight decode iteration per
-    // accelerator (obs bookkeeping only); recorded as a closed slice on
-    // completion so the hot path skips the tracer's open-span machinery.
-    iter_open: Vec<Option<(SimTime, u64)>>,
+    // The mrm-obs span + handler-timing hooks, same contract as the
+    // telemetry sink. Every decision's audit record and span go through
+    // `obs.decide`; all hook code lives in `observe.rs`.
+    obs: Observer<'t>,
 }
 
 impl<'t> ClusterSim<'t> {
@@ -782,9 +762,7 @@ impl<'t> ClusterSim<'t> {
             fault_recomputes: 0,
             fault_escalations: 0,
             telemetry: None,
-            obs: None,
-            prof_ids: None,
-            iter_open: Vec::new(),
+            obs: Observer::default(),
         }
     }
 
@@ -824,288 +802,14 @@ impl<'t> ClusterSim<'t> {
         self.telemetry = Some(sink);
     }
 
-    /// Attaches a causal tracer + profiler for the lifetime of the run.
+    /// Attaches an [`Obs`] bundle (causal spans and per-handler timings)
+    /// for the lifetime of the run.
     /// Same contract as [`ClusterSim::attach_telemetry`]: the bundle is
     /// observe-only (hooks never draw RNG and never touch the event
     /// queue — lint rule D8), so the report is byte-identical with or
     /// without it.
     pub fn attach_obs(&mut self, obs: &'t mut Obs) {
-        self.iter_open = vec![None; self.accels.len()];
-        // Resolve every handler label once, here: the per-event hooks
-        // profile by pre-interned id and never look a name up again.
-        let p = &mut obs.profiler;
-        self.prof_ids = Some(ProfIds {
-            arrival: p.handle("arrival"),
-            iter_done: p.handle("iter_done"),
-            followup: p.handle("followup"),
-            cache_expire: p.handle("cache_expire"),
-            maintenance: p.handle("maintenance"),
-            weight_redeploy: p.handle("weight_redeploy"),
-            admission: p.handle("admission"),
-            reconcile_plan: p.handle("reconcile_plan"),
-            decode_iter: p.handle("decode_iter"),
-        });
-        self.obs = Some(obs);
-    }
-
-    // ------------------------------------------------------------------
-    // Obs hooks. Every tracer/profiler touch in this simulator lives in
-    // one of these helpers; the event handlers call them by name. That
-    // confinement is what lint rule D8 enforces: a function that draws
-    // `SimRng`/`FaultRng` or mutates the event queue may not itself
-    // mention the tracer or profiler, so observation can never sit on a
-    // path that could perturb the simulation. Each hook is a `None`
-    // check when detached.
-    //
-    // The profiler hooks take a `ProfIds` selector, not a name: ids were
-    // interned at `attach_obs`. Dispatch uses lap timing — a single
-    // `switch` per event closes the previous handler's lap and opens the
-    // next — so the steady-state per-event cost is one `Option` check
-    // and one clock read.
-    // ------------------------------------------------------------------
-
-    fn obs_prof_enter(&mut self, sel: fn(&ProfIds) -> HandlerId) {
-        if let (Some(ids), Some(o)) = (self.prof_ids, self.obs.as_deref_mut()) {
-            o.profiler.enter_id(sel(&ids));
-        }
-    }
-
-    fn obs_prof_exit(&mut self) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.profiler.exit();
-        }
-    }
-
-    /// Closes the open frame and opens `ev`'s handler frame on a single
-    /// clock reading — the pop-to-dispatch lap transition.
-    fn obs_prof_switch_ev(&mut self, ev: &Ev) {
-        if let (Some(ids), Some(o)) = (self.prof_ids, self.obs.as_deref_mut()) {
-            o.profiler.switch(handler_id(&ids, ev));
-        }
-    }
-
-    /// Charges a handler with simulated time (e.g. an iteration's latency).
-    fn obs_prof_sim(&mut self, sel: fn(&ProfIds) -> HandlerId, d: SimDuration) {
-        if let (Some(ids), Some(o)) = (self.prof_ids, self.obs.as_deref_mut()) {
-            o.profiler.sim_cost_id(sel(&ids), d);
-        }
-    }
-
-    /// A request admitted into the batch: opens its session lifecycle
-    /// span and records the admission decision with its audit seq.
-    fn obs_admit(
-        &mut self,
-        at: SimTime,
-        acc: usize,
-        req: u64,
-        seq: u64,
-        bytes: u64,
-        followup: bool,
-    ) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.tracer.async_begin(at, SpanKind::Session, acc as u32, req);
-            o.tracer.instant(
-                at,
-                SpanKind::Admission,
-                acc as u32,
-                req,
-                Detail {
-                    bytes,
-                    reason: if followup { "followup-admit" } else { "admit" },
-                    audit_seq: Some(seq),
-                    required: true, // the KV tail is Required state
-                },
-            );
-        }
-    }
-
-    /// First token of a session (TTFT landmark).
-    fn obs_first_token(&mut self, at: SimTime, acc: usize, req: u64) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.tracer
-                .instant(at, SpanKind::FirstToken, acc as u32, req, Detail::default());
-        }
-    }
-
-    /// A session completed: closes its span, retires the tail (`detail`
-    /// carries the retire audit seq), and opens the parked prefix's
-    /// lifecycle span under `park_seq`.
-    fn obs_complete(
-        &mut self,
-        at: SimTime,
-        acc: usize,
-        req: u64,
-        ctx: u64,
-        detail: Detail,
-        park_seq: u64,
-    ) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.tracer
-                .instant(at, SpanKind::Completion, acc as u32, req, detail);
-            o.tracer
-                .async_end(at, SpanKind::Session, req, Detail::default());
-            o.tracer.async_begin(at, SpanKind::Prefix, acc as u32, ctx);
-            o.tracer.instant(
-                at,
-                SpanKind::Placement,
-                acc as u32,
-                ctx,
-                Detail {
-                    bytes: detail.bytes,
-                    reason: "park-followup",
-                    audit_seq: Some(park_seq),
-                    required: false,
-                },
-            );
-        }
-    }
-
-    /// A parked prefix re-opened (stall putback re-parks consumed state).
-    fn obs_prefix_begin(&mut self, at: SimTime, acc: usize, ctx: u64, bytes: u64, seq: u64) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.tracer.async_begin(at, SpanKind::Prefix, acc as u32, ctx);
-            o.tracer.instant(
-                at,
-                SpanKind::Placement,
-                acc as u32,
-                ctx,
-                Detail {
-                    bytes,
-                    reason: "stall-putback",
-                    audit_seq: Some(seq),
-                    required: false,
-                },
-            );
-        }
-    }
-
-    /// End of a parked prefix's life: retire (consumed), drop, or evict.
-    /// `detail.required` marks the drops that demanded recovery before
-    /// reclaim (the recompute-then-drop path) — the spans the trace
-    /// checker insists must carry a causal link from an audited recovery.
-    /// Returns the terminal span so callers can record that link.
-    fn obs_prefix_end(
-        &mut self,
-        at: SimTime,
-        acc: usize,
-        ctx: u64,
-        kind: SpanKind,
-        detail: Detail,
-    ) -> Option<SpanId> {
-        self.obs.as_deref_mut().map(|o| {
-            let span = o.tracer.instant(at, kind, acc as u32, ctx, detail);
-            o.tracer
-                .async_end(at, SpanKind::Prefix, ctx, Detail::default());
-            span
-        })
-    }
-
-    /// An uncorrectable read that survived the retry rung. Returns the
-    /// fault span for linking to whatever recovery it forces.
-    fn obs_fault(&mut self, at: SimTime, acc: usize, subject: u64, bytes: u64) -> Option<SpanId> {
-        self.obs.as_deref_mut().map(|o| {
-            o.tracer.instant(
-                at,
-                SpanKind::Fault,
-                acc as u32,
-                subject,
-                Detail {
-                    bytes,
-                    reason: "uncorrectable-read",
-                    audit_seq: None,
-                    required: false,
-                },
-            )
-        })
-    }
-
-    /// An audited recovery (refetch/recompute). Linked from the fault
-    /// that forced it; returns the recovery span for linking to a drop.
-    fn obs_recovery(
-        &mut self,
-        at: SimTime,
-        acc: usize,
-        subject: u64,
-        detail: Detail,
-        fault: Option<SpanId>,
-    ) -> Option<SpanId> {
-        self.obs.as_deref_mut().map(|o| {
-            let span = o
-                .tracer
-                .instant(at, SpanKind::Recovery, acc as u32, subject, detail);
-            if let Some(f) = fault {
-                o.tracer.link(f, span);
-            }
-            span
-        })
-    }
-
-    /// A maintenance work item (refresh/migrate/escalate) or redeploy.
-    fn obs_work(
-        &mut self,
-        at: SimTime,
-        acc: usize,
-        kind: SpanKind,
-        subject: u64,
-        detail: Detail,
-        cause: Option<SpanId>,
-    ) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            let span = o.tracer.instant(at, kind, acc as u32, subject, detail);
-            if let Some(c) = cause {
-                o.tracer.link(c, span);
-            }
-        }
-    }
-
-    /// Records a causal edge between two already-recorded spans.
-    fn obs_link(&mut self, cause: Option<SpanId>, effect: Option<SpanId>) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let (Some(c), Some(e)) = (cause, effect) {
-                o.tracer.link(c, e);
-            }
-        }
-    }
-
-    /// Notes the start of a decode iteration on an accelerator's track.
-    /// No tracer call yet: the span is recorded as one closed slice at
-    /// `obs_iter_end`, which skips the open-span bookkeeping entirely.
-    fn obs_iter_begin(&mut self, at: SimTime, acc: usize, batch: u64) {
-        if self.obs.is_some() {
-            self.iter_open[acc] = Some((at, batch));
-        }
-    }
-
-    /// Records the accelerator's decode iteration as a closed slice.
-    fn obs_iter_end(&mut self, at: SimTime, acc: usize) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some((begin, batch)) = self.iter_open[acc].take() {
-                o.tracer
-                    .slice(begin, at, SpanKind::DecodeIter, acc as u32, batch);
-            }
-        }
-    }
-
-    /// Opens/closes the maintenance-sweep slice.
-    fn obs_sweep_begin(&mut self, at: SimTime, acc: usize) -> Option<SpanId> {
-        self.obs
-            .as_deref_mut()
-            .map(|o| o.tracer.begin(at, SpanKind::Maintenance, acc as u32, 0))
-    }
-
-    fn obs_sweep_end(&mut self, at: SimTime, span: Option<SpanId>) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some(s) = span {
-                o.tracer.end(at, s);
-            }
-        }
-    }
-
-    /// Run teardown: closes every span still open at the end time.
-    fn obs_finish(&mut self, at: SimTime) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.tracer.finish(at);
-        }
+        self.obs = Observer::attach(obs, self.accels.len());
     }
 
     /// Runs to completion and returns the report together with the full
@@ -1128,7 +832,7 @@ impl<'t> ClusterSim<'t> {
             };
             self.dispatch(now, ev);
         }
-        self.obs_prof_exit();
+        self.obs.exit();
         self.finish(end)
     }
 
@@ -1137,7 +841,7 @@ impl<'t> ClusterSim<'t> {
     /// read (on the first event it acts as a plain `enter`: there is
     /// no open frame to close yet).
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
-        self.obs_prof_switch_ev(&ev);
+        self.obs.switch(ev.handler());
         match ev {
             Ev::Arrival => self.on_arrival(now),
             Ev::IterDone { acc } => self.on_iter_done(now, acc),
@@ -1300,7 +1004,7 @@ impl<'t> ClusterSim<'t> {
         // and the entry leaves the queue (one `pop_front`, no clone) only
         // once its KV allocation has succeeded.
         //
-        // The profiler frame opens only when admission can actually do
+        // The admission frame opens only when admission can actually do
         // work (a queued request and batch headroom): most calls arrive
         // from `iter_done` with an empty queue, and a frame costs two
         // clock reads. The gate reads sim state but never mutates it.
@@ -1309,7 +1013,7 @@ impl<'t> ClusterSim<'t> {
             a.batch.len() < self.cfg.max_batch as usize && !a.queue.is_empty()
         };
         if admittable {
-            self.obs_prof_enter(|i| i.admission);
+            self.obs.enter(Handler::Admission);
         }
         loop {
             let a = &mut self.accels[acc];
@@ -1333,42 +1037,28 @@ impl<'t> ClusterSim<'t> {
             // Reused (follow-up) context: existing KV is already resident.
             // Consuming it retires the parked prefix — the state is
             // promoted into the live tail, a planned end of need.
-            let mut consumed: Option<(u64, u64)> = None; // (audit seq, bytes)
             let (base_tokens, base_allocs, base_bytes) = match reuse {
                 Some(ctx) => match a.cached.remove(&ctx) {
                     Some(c) => {
                         self.cached_total -= 1;
                         a.reconciler.observe_release(ctx);
-                        let seq = self.control.record(
+                        self.obs.decide(
+                            &mut self.control,
                             now,
+                            acc,
                             ControlClass::KvPrefix,
                             ctx,
                             AuditAction::Retire,
                             "followup-consumed",
                             c.kv_bytes,
+                            None,
                         );
-                        consumed = Some((seq, c.kv_bytes));
                         (c.tokens, c.kv_allocs, c.kv_bytes)
                     }
                     None => (0, Vec::new(), 0),
                 },
                 None => (0, Vec::new(), 0),
             };
-            if let (Some((seq, bytes)), Some(ctx)) = (consumed, reuse) {
-                let _ = self.obs_prefix_end(
-                    now,
-                    acc,
-                    ctx,
-                    SpanKind::Retire,
-                    Detail {
-                        bytes,
-                        reason: "followup-consumed",
-                        audit_seq: Some(seq),
-                        required: false,
-                    },
-                );
-            }
-            let a = &mut self.accels[acc];
             let new_tokens = u64::from(prompt_tokens) + u64::from(output_tokens);
             let need = new_tokens * kvpt;
             let lifetime = self.estimator.kv_lifetime(output_tokens);
@@ -1381,7 +1071,6 @@ impl<'t> ClusterSim<'t> {
             // cache — §4's scheduler deciding "based on the state of the
             // requests that depend on that data".
             let mut evicted_here = 0u64;
-            let mut evicted_obs: Vec<(u64, u64, u64)> = Vec::new(); // (ctx, seq, bytes)
             let alloc = loop {
                 match a.kv_tier(policy).alloc(need) {
                     Ok(al) => break Some(al),
@@ -1396,17 +1085,17 @@ impl<'t> ClusterSim<'t> {
                                 if let Some(c) = a.cached.remove(&v) {
                                     self.cached_total -= 1;
                                     a.reconciler.observe_release(v);
-                                    let seq = self.control.record(
+                                    self.obs.decide(
+                                        &mut self.control,
                                         now,
+                                        acc,
                                         ControlClass::KvPrefix,
                                         v,
                                         AuditAction::Evict,
                                         "memory-pressure",
                                         c.kv_bytes,
+                                        None,
                                     );
-                                    if self.obs.is_some() {
-                                        evicted_obs.push((v, seq, c.kv_bytes));
-                                    }
                                     let kvt = a.kv_tier(policy);
                                     for al in c.kv_allocs {
                                         let _ = kvt.free(al);
@@ -1421,21 +1110,6 @@ impl<'t> ClusterSim<'t> {
                 }
             };
             self.evictions += evicted_here;
-            for (v, seq, bytes) in evicted_obs {
-                let _ = self.obs_prefix_end(
-                    now,
-                    acc,
-                    v,
-                    SpanKind::Evict,
-                    Detail {
-                        bytes,
-                        reason: "memory-pressure",
-                        audit_seq: Some(seq),
-                        required: false,
-                    },
-                );
-            }
-            let a = &mut self.accels[acc];
             let Some(alloc) = alloc else {
                 // Genuinely out of memory even with an empty cache: put
                 // reused state back and stall admission.
@@ -1452,15 +1126,17 @@ impl<'t> ClusterSim<'t> {
                             },
                         );
                         self.cached_total += 1;
-                        let seq = self.control.record(
+                        self.obs.decide(
+                            &mut self.control,
                             now,
+                            acc,
                             ControlClass::KvPrefix,
                             ctx,
                             AuditAction::Store,
                             "stall-putback",
                             base_bytes,
+                            None,
                         );
-                        self.obs_prefix_begin(now, acc, ctx, base_bytes, seq);
                     }
                 }
                 break;
@@ -1471,8 +1147,10 @@ impl<'t> ClusterSim<'t> {
             // completion; give it an audit identity.
             let req = self.next_req;
             self.next_req += 1;
-            let admit_seq = self.control.record(
+            self.obs.decide(
+                &mut self.control,
                 now,
+                acc,
                 ControlClass::KvTail,
                 req,
                 AuditAction::Store,
@@ -1482,9 +1160,8 @@ impl<'t> ClusterSim<'t> {
                     "admit"
                 },
                 need,
+                None,
             );
-            self.obs_admit(now, acc, req, admit_seq, need, reuse.is_some());
-            let a = &mut self.accels[acc];
             // Prefill traffic: the new prompt's KV vectors are written.
             prefill_write_bytes += u64::from(prompt_tokens) * kvpt;
             prefill_tokens += u64::from(prompt_tokens);
@@ -1503,7 +1180,7 @@ impl<'t> ClusterSim<'t> {
             self.active_total += 1;
         }
         if admittable {
-            self.obs_prof_exit();
+            self.obs.exit();
         }
 
         let a = &mut self.accels[acc];
@@ -1544,23 +1221,20 @@ impl<'t> ClusterSim<'t> {
                 // The ladder's work item: weights are Required, so the
                 // only legal response is a refetch — recorded in the
                 // audit log before anything else happens to the shard.
-                let fault = self.obs_fault(now, acc, acc as u64, weights_bytes);
+                let fault = self.obs.fault(now, acc, acc as u64, weights_bytes);
                 let item = self
                     .control
                     .plan_fault_recovery(ControlClass::Weights, acc as u64);
                 debug_assert_eq!(item.kind, WorkKind::Refetch);
-                let seq0 = self.control.audit.len() as u64;
-                self.control.record_work(now, &item, weights_bytes);
-                let _ = self.obs_recovery(
+                self.obs.decide(
+                    &mut self.control,
                     now,
                     acc,
-                    acc as u64,
-                    Detail {
-                        bytes: weights_bytes,
-                        reason: "uncorrectable-read",
-                        audit_seq: Some(seq0),
-                        required: true,
-                    },
+                    item.class,
+                    item.id,
+                    AuditAction::Refetch,
+                    item.reason,
+                    weights_bytes,
                     fault,
                 );
                 self.fault_refetches += 1;
@@ -1605,18 +1279,17 @@ impl<'t> ClusterSim<'t> {
 
         self.iterations += 1;
         self.batch_sum += batch_len;
-        self.obs_iter_begin(now, acc, batch_len);
-        self.obs_prof_sim(|i| i.decode_iter, t);
+        self.obs.iter_begin(now, acc, batch_len);
+        self.obs.sim_cost(Handler::DecodeIter, t);
         self.accels[acc].running = true;
         self.queue.schedule(now + t, Ev::IterDone { acc });
     }
 
     fn on_iter_done(&mut self, now: SimTime, acc: usize) {
         let policy = self.cfg.policy;
-        self.obs_iter_end(now, acc);
+        self.obs.iter_end(now, acc);
         self.accels[acc].running = false;
         let mut finished: Vec<Active> = Vec::new();
-        let mut first_tokens: Vec<u64> = Vec::new();
         {
             let a = &mut self.accels[acc];
             let mut i = 0;
@@ -1632,9 +1305,7 @@ impl<'t> ClusterSim<'t> {
                     if let Some(sink) = self.telemetry.as_deref_mut() {
                         sink.observe("ttft_ms", ttft_ms);
                     }
-                    if self.obs.is_some() {
-                        first_tokens.push(a.batch.req[i]);
-                    }
+                    self.obs.first_token(now, acc, a.batch.req[i]);
                 }
                 if a.batch.output_remaining[i] == 0 {
                     finished.push(a.batch.swap_remove(i));
@@ -1643,9 +1314,6 @@ impl<'t> ClusterSim<'t> {
                     i += 1;
                 }
             }
-        }
-        for req in first_tokens {
-            self.obs_first_token(now, acc, req);
         }
         for r in finished {
             self.completions += 1;
@@ -1658,23 +1326,29 @@ impl<'t> ClusterSim<'t> {
             // The request's KV tail is retired (its need ended with the
             // final token) and the context is parked as a KV prefix for
             // follow-ups — a class transition, recorded as such.
-            let retire_seq = self.control.record(
+            self.obs.decide(
+                &mut self.control,
                 now,
+                acc,
                 ControlClass::KvTail,
                 r.req,
                 AuditAction::Retire,
                 "completed",
                 r.kv_bytes,
+                None,
             );
             let ctx = self.next_ctx;
             self.next_ctx += 1;
-            let park_seq = self.control.record(
+            self.obs.decide(
+                &mut self.control,
                 now,
+                acc,
                 ControlClass::KvPrefix,
                 ctx,
                 AuditAction::Store,
                 "park-followup",
                 r.kv_bytes,
+                None,
             );
             let deadline = if policy.uses_mrm() {
                 rearm_deadline(now, r.retention)
@@ -1698,19 +1372,6 @@ impl<'t> ClusterSim<'t> {
                 a.reconciler
                     .observe_store(ctx, deadline, needed_until, r.retention);
             }
-            self.obs_complete(
-                now,
-                acc,
-                r.req,
-                ctx,
-                Detail {
-                    bytes: r.kv_bytes,
-                    reason: "completed",
-                    audit_seq: Some(retire_seq),
-                    required: true,
-                },
-                park_seq,
-            );
             self.queue
                 .schedule(now + self.cfg.followup_window, Ev::CacheExpire { acc, ctx });
             if self.rng.gen_bool(self.cfg.followup_prob) {
@@ -1753,7 +1414,7 @@ impl<'t> ClusterSim<'t> {
                 hit_survived = self.read_survives(probe.0, rber);
                 if !hit_survived {
                     self.fault_recomputes += 1;
-                    fault_span = self.obs_fault(now, acc, ctx, probe.0);
+                    fault_span = self.obs.fault(now, acc, ctx, probe.0);
                 }
             }
         }
@@ -1783,45 +1444,35 @@ impl<'t> ClusterSim<'t> {
                     .get(&ctx)
                     .map(|c| (c.tokens, c.kv_bytes))
                     .unwrap_or((0, 0));
-                let item = WorkItem {
-                    id: ctx,
-                    class: ControlClass::KvPrefix,
-                    kind: WorkKind::RecomputeDrop,
-                    reason: if hit_survived {
-                        "retention-lapsed"
-                    } else {
-                        "uncorrectable-read"
-                    },
+                let reason = if hit_survived {
+                    "retention-lapsed"
+                } else {
+                    "uncorrectable-read"
                 };
-                let seq0 = self.control.audit.len() as u64;
-                self.control.record_work(now, &item, bytes);
-                // The recovery decision (audit seq0) authorizes the drop
-                // (seq0 + 1): export that authorization as a flow arrow.
-                let rec = self.obs_recovery(
+                // The recovery decision authorizes the drop recorded right
+                // after it: the drop's span links back to the recovery's.
+                let rec = self.obs.decide(
+                    &mut self.control,
                     now,
                     acc,
+                    ControlClass::KvPrefix,
                     ctx,
-                    Detail {
-                        bytes,
-                        reason: item.reason,
-                        audit_seq: Some(seq0),
-                        required: false,
-                    },
+                    AuditAction::Recompute,
+                    reason,
+                    bytes,
                     fault_span,
                 );
-                let dropped = self.obs_prefix_end(
+                self.obs.decide(
+                    &mut self.control,
                     now,
                     acc,
+                    ControlClass::KvPrefix,
                     ctx,
-                    SpanKind::Drop,
-                    Detail {
-                        bytes,
-                        reason: item.reason,
-                        audit_seq: Some(seq0 + 1),
-                        required: true,
-                    },
+                    AuditAction::Drop,
+                    reason,
+                    bytes,
+                    rec,
                 );
-                self.obs_link(rec, dropped);
                 self.free_cached(acc, ctx);
                 let a = &mut self.accels[acc];
                 a.queue.push_back(Pending {
@@ -1837,24 +1488,15 @@ impl<'t> ClusterSim<'t> {
                 // with a fresh sampled prompt. Nothing is cached, so there
                 // is no drop to account — just the recompute itself.
                 self.recomputes += 1;
-                let seq = self.control.record(
+                self.obs.decide(
+                    &mut self.control,
                     now,
+                    acc,
                     ControlClass::KvPrefix,
                     ctx,
                     AuditAction::Recompute,
                     "already-evicted",
                     0,
-                );
-                let _ = self.obs_recovery(
-                    now,
-                    acc,
-                    ctx,
-                    Detail {
-                        bytes: 0,
-                        reason: "already-evicted",
-                        audit_seq: Some(seq),
-                        required: false,
-                    },
                     None,
                 );
                 let (_k, p, o) = self.mix.sample_request(&mut self.rng);
@@ -1889,25 +1531,16 @@ impl<'t> ClusterSim<'t> {
 
     fn on_cache_expire(&mut self, now: SimTime, acc: usize, ctx: u64) {
         if let Some(bytes) = self.accels[acc].cached.get(&ctx).map(|c| c.kv_bytes) {
-            let seq = self.control.record(
+            self.obs.decide(
+                &mut self.control,
                 now,
+                acc,
                 ControlClass::KvPrefix,
                 ctx,
                 AuditAction::Drop,
                 "ttl-expired",
                 bytes,
-            );
-            let _ = self.obs_prefix_end(
-                now,
-                acc,
-                ctx,
-                SpanKind::Drop,
-                Detail {
-                    bytes,
-                    reason: "ttl-expired",
-                    audit_seq: Some(seq),
-                    required: false,
-                },
+                None,
             );
             self.free_cached(acc, ctx);
         }
@@ -1927,13 +1560,13 @@ impl<'t> ClusterSim<'t> {
     fn on_maintenance(&mut self, now: SimTime, acc: usize) {
         let policy = self.cfg.policy;
         if policy.uses_mrm() && self.cfg.scrub_enabled {
-            let sweep = self.obs_sweep_begin(now, acc);
+            let sweep = self.obs.sweep_begin(now, acc);
             let horizon = now + self.cfg.maintenance_period * 2;
-            self.obs_prof_enter(|i| i.reconcile_plan);
+            self.obs.enter(Handler::ReconcilePlan);
             let items = self.accels[acc]
                 .reconciler
                 .plan(now, horizon, &self.control.registry);
-            self.obs_prof_exit();
+            self.obs.exit();
             for item in items {
                 let ctx = item.id;
                 match item.kind {
@@ -1962,26 +1595,22 @@ impl<'t> ClusterSim<'t> {
                             if let Some(c) = a.cached.get_mut(&ctx) {
                                 c.deadline = rearm_deadline(now, retention);
                             }
-                            let seq0 = self.control.audit.len() as u64;
-                            self.control.record_work(now, &item, bytes);
-                            self.obs_work(
+                            self.obs.decide(
+                                &mut self.control,
                                 now,
                                 acc,
-                                SpanKind::Refresh,
+                                item.class,
                                 ctx,
-                                Detail {
-                                    bytes,
-                                    reason: item.reason,
-                                    audit_seq: Some(seq0),
-                                    required: false,
-                                },
+                                AuditAction::Refresh,
+                                item.reason,
+                                bytes,
                                 None,
                             );
                             self.scrubs += 1;
                             self.scrub_bytes += bytes;
                         } else {
                             self.fault_escalations += 1;
-                            let fault = self.obs_fault(now, acc, ctx, bytes);
+                            let fault = self.obs.fault(now, acc, ctx, bytes);
                             let long = self
                                 .control
                                 .registry
@@ -1998,25 +1627,15 @@ impl<'t> ClusterSim<'t> {
                                 c.deadline = new_deadline;
                                 c.retention = long;
                             }
-                            let seq = self.control.record(
+                            self.obs.decide(
+                                &mut self.control,
                                 now,
+                                acc,
                                 ControlClass::KvPrefix,
                                 ctx,
                                 AuditAction::Escalate,
                                 "scrub-verify-failed",
                                 bytes,
-                            );
-                            self.obs_work(
-                                now,
-                                acc,
-                                SpanKind::Migrate,
-                                ctx,
-                                Detail {
-                                    bytes,
-                                    reason: "scrub-verify-failed",
-                                    audit_seq: Some(seq),
-                                    required: false,
-                                },
                                 fault,
                             );
                             self.migrations += 1;
@@ -2036,19 +1655,15 @@ impl<'t> ClusterSim<'t> {
                             c.deadline = deadline;
                             c.retention = to;
                         }
-                        let seq0 = self.control.audit.len() as u64;
-                        self.control.record_work(now, &item, bytes);
-                        self.obs_work(
+                        self.obs.decide(
+                            &mut self.control,
                             now,
                             acc,
-                            SpanKind::Migrate,
+                            item.class,
                             ctx,
-                            Detail {
-                                bytes,
-                                reason: item.reason,
-                                audit_seq: Some(seq0),
-                                required: false,
-                            },
+                            AuditAction::Migrate,
+                            item.reason,
+                            bytes,
                             None,
                         );
                         self.migrations += 1;
@@ -2069,30 +1684,16 @@ impl<'t> ClusterSim<'t> {
                         } else {
                             AuditAction::Drop
                         };
-                        let seq = self.control.record(
+                        self.obs.decide(
+                            &mut self.control,
                             now,
+                            acc,
                             ControlClass::KvPrefix,
                             ctx,
                             action,
                             item.reason,
                             bytes,
-                        );
-                        let span_kind = if item.kind == WorkKind::Retire {
-                            SpanKind::Retire
-                        } else {
-                            SpanKind::Drop
-                        };
-                        let _ = self.obs_prefix_end(
-                            now,
-                            acc,
-                            ctx,
-                            span_kind,
-                            Detail {
-                                bytes,
-                                reason: item.reason,
-                                audit_seq: Some(seq),
-                                required: false,
-                            },
+                            None,
                         );
                         self.free_cached(acc, ctx);
                         self.drops += 1;
@@ -2100,7 +1701,7 @@ impl<'t> ClusterSim<'t> {
                     WorkKind::Refetch => unreachable!("plan never emits refetch"),
                 }
             }
-            self.obs_sweep_end(now, sweep);
+            self.obs.sweep_end(now, sweep);
         }
         self.queue
             .schedule(now + self.cfg.maintenance_period, Ev::Maintenance { acc });
@@ -2125,35 +1726,22 @@ impl<'t> ClusterSim<'t> {
         );
         // The old shard's need ends (Retire — always legal for Required
         // data) and the new model's shard is stored in its place.
-        self.control.record(
-            now,
-            ControlClass::Weights,
-            acc as u64,
-            AuditAction::Retire,
-            "superseded",
-            weights_bytes,
-        );
-        let seq = self.control.record(
-            now,
-            ControlClass::Weights,
-            acc as u64,
-            AuditAction::Store,
-            "redeploy",
-            weights_bytes,
-        );
-        self.obs_work(
-            now,
-            acc,
-            SpanKind::Redeploy,
-            acc as u64,
-            Detail {
-                bytes: weights_bytes,
-                reason: "superseded",
-                audit_seq: Some(seq),
-                required: false,
-            },
-            None,
-        );
+        for (action, reason) in [
+            (AuditAction::Retire, "superseded"),
+            (AuditAction::Store, "redeploy"),
+        ] {
+            self.obs.decide(
+                &mut self.control,
+                now,
+                acc,
+                ControlClass::Weights,
+                acc as u64,
+                action,
+                reason,
+                weights_bytes,
+                None,
+            );
+        }
         let wt = self.accels[acc].weights_tier(policy);
         let _ = wt.stream_write(weights_bytes, retention);
         self.accels[acc].weights_written_at = now;
@@ -2167,7 +1755,7 @@ impl<'t> ClusterSim<'t> {
         // Close out any snapshot boundaries between the last event and the
         // end of the simulated window.
         self.pump_telemetry(end);
-        self.obs_finish(end);
+        self.obs.finish(end);
         let elapsed = end.duration_since(SimTime::ZERO);
         // Background energy for the whole window on every tier.
         for a in &mut self.accels {
@@ -2284,6 +1872,7 @@ pub fn run_cluster_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrm_obs::SpanKind;
     use mrm_telemetry::SimTelemetry;
 
     fn run(cfg: ClusterConfig) -> ClusterReport {
@@ -2669,6 +2258,101 @@ mod tests {
             without.recomputes,
             with.recomputes
         );
+    }
+
+    /// Runs `cfg` with obs attached and checks the trace against the
+    /// audit log: every record but the initial weight deploys (made before
+    /// obs can attach) and a redeploy's Retire has exactly one span, and
+    /// each span names its record's id, bytes and reason, has the kind
+    /// its `(class, action)` maps to, and is `required` iff its class is
+    /// declared Required or it is a drop linked from a recovery span.
+    /// Returns the spans that carried an audit seq.
+    fn spans_match_audit(cfg: ClusterConfig) -> Vec<mrm_obs::SpanRec> {
+        use std::collections::BTreeMap;
+        let registry = ControlPlane::serving_default(cfg.followup_window).registry;
+        let mut obs = Obs::new(cfg.seed);
+        let mut sim = ClusterSim::new(cfg);
+        sim.attach_obs(&mut obs);
+        let (_, audit) = sim.run_with_audit();
+        let t = &obs.tracer;
+        assert_eq!(t.dropped(), 0, "the ring must hold the whole run");
+        let kind_of: BTreeMap<SpanId, SpanKind> = t.spans().map(|s| (s.id, s.kind)).collect();
+        let cause_of: BTreeMap<SpanId, SpanId> =
+            t.links().iter().map(|l| (l.effect, l.cause)).collect();
+        let mut spans_per_record = vec![0u32; audit.len()];
+        let mut audited = Vec::new();
+        for span in t.spans() {
+            let Some(seq) = span.detail.audit_seq else {
+                continue;
+            };
+            let r = audit
+                .records()
+                .get(seq as usize)
+                .expect("span cites a missing record");
+            spans_per_record[seq as usize] += 1;
+            assert_eq!(r.seq, seq);
+            assert_eq!(r.id, span.subject, "{r:?}");
+            assert_eq!(r.bytes, span.detail.bytes, "{r:?}");
+            assert_eq!(r.reason, span.detail.reason, "{r:?}");
+            let want = match (r.class, r.action) {
+                (ControlClass::KvTail, AuditAction::Store) => SpanKind::Admission,
+                (ControlClass::KvTail, AuditAction::Retire) => SpanKind::Completion,
+                (ControlClass::KvPrefix, AuditAction::Store) => SpanKind::Placement,
+                (ControlClass::KvPrefix, AuditAction::Retire) => SpanKind::Retire,
+                (ControlClass::KvPrefix, AuditAction::Drop) => SpanKind::Drop,
+                (ControlClass::KvPrefix, AuditAction::Evict) => SpanKind::Evict,
+                (_, AuditAction::Refetch | AuditAction::Recompute) => SpanKind::Recovery,
+                (_, AuditAction::Refresh) => SpanKind::Refresh,
+                (_, AuditAction::Migrate | AuditAction::Escalate) => SpanKind::Migrate,
+                (ControlClass::Weights, AuditAction::Store) => SpanKind::Redeploy,
+                other => panic!("no span expected for {other:?}"),
+            };
+            assert_eq!(span.kind, want, "{r:?}");
+            let licensed = r.action == AuditAction::Drop
+                && cause_of
+                    .get(&span.id)
+                    .is_some_and(|c| kind_of.get(c) == Some(&SpanKind::Recovery));
+            assert_eq!(
+                span.detail.required,
+                registry.is_required(r.class) || licensed,
+                "{r:?}"
+            );
+            audited.push(*span);
+        }
+        for (r, &n) in audit.records().iter().zip(&spans_per_record) {
+            let spanless = r.class == ControlClass::Weights
+                && (r.reason == "deploy" || r.action == AuditAction::Retire);
+            assert_eq!(n, u32::from(!spanless), "{r:?}");
+        }
+        audited
+    }
+
+    #[test]
+    fn trace_and_audit_agree() {
+        let count =
+            |spans: &[mrm_obs::SpanRec], kind| spans.iter().filter(|s| s.kind == kind).count();
+        // Faults on: recoveries and the drops they license both fire.
+        let spans = spans_match_audit(chaos_cfg());
+        for kind in [
+            SpanKind::Admission,
+            SpanKind::Completion,
+            SpanKind::Placement,
+            SpanKind::Retire,
+            SpanKind::Drop,
+            SpanKind::Recovery,
+        ] {
+            assert!(count(&spans, kind) > 0, "no {kind:?} span");
+        }
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.kind == SpanKind::Drop && s.detail.required),
+            "no recovery-licensed drop"
+        );
+        let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmMrm, 1, 4.0);
+        cfg.duration = SimDuration::from_secs(120);
+        cfg.weight_redeploy_period = Some(SimDuration::from_secs(30));
+        assert_eq!(count(&spans_match_audit(cfg), SpanKind::Redeploy), 4);
     }
 
     #[test]

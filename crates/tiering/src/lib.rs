@@ -24,6 +24,7 @@
 
 pub mod cluster;
 pub mod lifetime;
+mod observe;
 pub mod placement;
 pub mod prefix;
 pub mod tier;
