@@ -62,7 +62,8 @@ pub enum RuleId {
     D7,
     /// Obs hook (`tracer`/`profiler`) touched inside a function that draws
     /// randomness or mutates the event queue: observation must be confined
-    /// to dedicated `obs_*` helpers off the RNG/scheduling paths.
+    /// to observe-only `Observer` methods (`crates/tiering/src/observe.rs`)
+    /// off the RNG/scheduling paths.
     D8,
     /// Transitive determinism: a sim entry point (event handler,
     /// `ClusterSim::run*`, controller `tick`/`read`/`write` surface)
@@ -171,7 +172,8 @@ impl RuleId {
             }
             RuleId::D8 => {
                 "obs hooks (tracer/profiler) may not be touched inside functions that \
-                 draw randomness or mutate the event queue; confine them to obs_* helpers"
+                 draw randomness or mutate the event queue; confine them to Observer \
+                 methods (crates/tiering/src/observe.rs)"
             }
             RuleId::D9 => {
                 "no sim entry point may transitively reach wall-clock, ambient \
@@ -261,7 +263,8 @@ impl RuleId {
                  A function that both draws randomness (or mutates the event queue)\n\
                  and touches `tracer`/`profiler` directly is one refactor away from\n\
                  making results depend on whether observation is attached. Fix: move\n\
-                 the hook into a dedicated `obs_*` helper that only observes."
+                 the hook into an `Observer` method (`crates/tiering/src/observe.rs`)\n\
+                 that only observes."
             }
             RuleId::D9 => {
                 "D9 — transitive determinism (interprocedural D1/D2/D3).\n\n\
@@ -926,8 +929,9 @@ const D8_HOOK_TOKENS: [&str; 2] = ["tracer", "profiler"];
 /// Within sim-path library code, any function whose body both (a) draws
 /// randomness or mutates the event queue and (b) names `tracer` or
 /// `profiler` directly is a violation — handlers must observe through
-/// named `obs_*` helper calls instead, so the determinism-sensitive code
-/// cannot interleave observation with draws or scheduling.
+/// `Observer` method calls (`crates/tiering/src/observe.rs`) instead, so
+/// the determinism-sensitive code cannot interleave observation with
+/// draws or scheduling.
 fn scan_d8(code: &[&Token], in_test: &[bool], ctx: &FileCtx, out: &mut Vec<Violation>) {
     if !ctx.sim_path || !ctx.library {
         return;
@@ -983,8 +987,8 @@ fn scan_d8(code: &[&Token], in_test: &[bool], ctx: &FileCtx, out: &mut Vec<Viola
                         t.line,
                         format!(
                             "obs hook `{}` touched inside `fn {}`, which {} via `{}`: \
-                             observation is observe-only — move the hook into a \
-                             dedicated obs_* helper off this path",
+                             observation is observe-only — move the hook into an \
+                             Observer method (crates/tiering/src/observe.rs) off this path",
                             t.text, name, verb, perturb.text
                         ),
                     );
@@ -1294,7 +1298,8 @@ mod tests {
             &ctx_sim(),
         );
         assert_eq!(rules_of(&r), vec![RuleId::D8]);
-        // Observing through a named obs_* helper is the sanctioned pattern.
+        // Observing through a separate observe-only call (an `Observer`
+        // method) is the sanctioned pattern.
         let r = lint_source(
             "fn h(&mut self) { self.queue.schedule(t, ev); self.obs_admit(now, acc); }",
             &ctx_sim(),

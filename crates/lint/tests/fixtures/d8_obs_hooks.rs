@@ -25,8 +25,8 @@ impl Sim {
         self.queue.schedule_after(now, ITER, Ev::IterDone);
     }
 
-    // OK: the handler observes through a named obs_* helper; the helper
-    // itself neither draws nor schedules.
+    // OK: the handler observes through a separate observe-only call (the
+    // pattern of `Observer` methods); the helper neither draws nor schedules.
     fn on_followup(&mut self, now: SimTime) {
         let hit = self.rng.gen_bool(0.5);
         self.obs_followup(now, hit);

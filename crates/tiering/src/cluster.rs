@@ -385,15 +385,16 @@ struct Active {
 
 /// The in-flight decode batch in struct-of-arrays layout.
 ///
-/// Every decode iteration scans the whole batch twice (KV read sizing over
-/// `context_tokens`, per-context KV append over `retention`) and the
-/// completion sweep walks four more fields; splitting them into parallel
-/// dense columns keeps those scans on contiguous homogeneous memory
-/// instead of striding over `Active` records dragging the cold
-/// `kv_allocs` vectors through cache. Slot `i` means the same request in
-/// every column, and removal is a columnwise `swap_remove` — the exact
-/// ordering the AoS `Vec<Active>` had, so event order (and therefore
-/// every byte of every report) is unchanged.
+/// Every decode iteration sums `context_tokens` to size the KV read and
+/// hands the `retention` column to one `Tier::append_each` call for the
+/// per-context KV append, and the completion sweep walks four more fields.
+/// Splitting them into parallel dense columns keeps those scans on
+/// contiguous homogeneous memory instead of striding over `Active` records
+/// dragging the cold `kv_allocs` vectors through cache, and lets the
+/// retention column go to the tier as one slice. Slot `i` means the same
+/// request in every column, and removal is a columnwise `swap_remove` —
+/// the exact ordering the AoS `Vec<Active>` had, so event order (and
+/// therefore every byte of every report) is unchanged.
 #[derive(Clone, Debug, Default)]
 struct ActiveBatch {
     // Hot columns: scanned every iteration.
@@ -1244,10 +1245,10 @@ impl<'t> ClusterSim<'t> {
                 self.accels[acc].weights_written_at = now;
             }
         }
-        // KV: all active contexts read; one vector appended per context;
-        // prefill KV written. The tier and the batch are disjoint fields,
-        // so the batch is walked in place — no per-iteration `Vec` of
-        // retentions on the hot path.
+        // KV: all active contexts read; one vector appended per context,
+        // in one tier call over the retention column; prefill KV written.
+        // The tier and the batch are disjoint fields, so the column is
+        // lent in place — no per-iteration `Vec` of retentions.
         {
             let Accel {
                 hbm, alt, batch, ..
@@ -1257,11 +1258,9 @@ impl<'t> ClusterSim<'t> {
                 _ => alt.as_mut().expect("policy requires an alternate tier"),
             };
             t += kvt.stream_read(kv_read_total);
-            for &rt in &batch.retention {
-                t += kvt.stream_write(kvpt, rt);
-            }
+            t += kvt.append_each(kvpt, &batch.retention);
             if prefill_write_bytes > 0 {
-                // Prefill writes use the batch-average retention.
+                // Prefill writes use the first slot's retention class.
                 let rt = batch.retention.first().copied().unwrap_or(native);
                 t += kvt.stream_write(prefill_write_bytes, rt);
             }

@@ -12,6 +12,12 @@ use mrm_device::tech::Technology;
 use mrm_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
+/// Most write retentions a tier keeps priced. The cluster experiments meet
+/// at most two per tier (a DCM KV tier: two ladder classes); a retention
+/// met once the table is full is priced on every call instead, so the
+/// bound caps the table's size, never the result.
+const WRITE_POINTS: usize = 16;
+
 /// The role a tier plays in the §4 layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TierKind {
@@ -53,12 +59,13 @@ pub struct Tier {
     bytes_written: u64,
     /// Metered energy (bulk streams, background, scrubs).
     energy: EnergyBreakdown,
-    /// Last `(retention, write pJ/bit)` operating point, memoized: batches
-    /// overwhelmingly share one retention class, so the tradeoff-curve
-    /// math runs once per class change instead of once per write. The
-    /// cached value is the exact f64 the curve produces, so metered energy
-    /// is bit-identical to the unmemoized path.
-    write_point_memo: Option<(SimDuration, f64)>,
+    /// `(retention, write pJ/bit)` operating points already priced, searched
+    /// linearly and bounded by [`WRITE_POINTS`]: a DCM batch mixes retention
+    /// classes, so the tradeoff-curve math runs once per distinct retention
+    /// rather than on every class change. Each value is the exact f64 the
+    /// curve produces, so metered energy is bit-identical to pricing every
+    /// write afresh.
+    write_points: Vec<(SimDuration, f64)>,
 }
 
 impl Tier {
@@ -82,7 +89,7 @@ impl Tier {
             bytes_read: 0,
             bytes_written: 0,
             energy: EnergyBreakdown::default(),
-            write_point_memo: None,
+            write_points: Vec::new(),
         }
     }
 
@@ -132,26 +139,40 @@ impl Tier {
     /// Time to write `bytes` sequentially at aggregate tier bandwidth,
     /// charged at the retention-scaled energy point.
     pub fn stream_write(&mut self, bytes: u64, retention: SimDuration) -> SimDuration {
-        self.bytes_written += bytes;
-        self.meter_write_energy(bytes, retention);
-        SimDuration::from_secs_f64(bytes as f64 / self.write_bw)
+        self.append_each(bytes, std::slice::from_ref(&retention))
+    }
+
+    /// Writes `bytes` once per entry of `retentions`, each charged at its
+    /// own retention's energy point, and returns the summed write time.
+    ///
+    /// Identical, bit for bit, to one [`Tier::stream_write`] per entry in
+    /// slice order: every write takes the same integer-ns time, and the
+    /// energy is added to the running total one write at a time with the
+    /// same per-write value.
+    pub fn append_each(&mut self, bytes: u64, retentions: &[SimDuration]) -> SimDuration {
+        let n = retentions.len() as u64;
+        self.bytes_written += bytes * n;
+        for &rt in retentions {
+            let j = bytes as f64 * 8.0 * self.write_pj_bit(rt) * 1e-12;
+            self.energy.write_j += j;
+        }
+        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * n
     }
 
     fn meter_read_energy(&mut self, bytes: u64) {
         self.energy.read_j += self.tech.read_energy_j(bytes);
     }
 
-    fn meter_write_energy(&mut self, bytes: u64, retention: SimDuration) {
-        let pj_bit = match self.write_point_memo {
-            Some((r, pj)) if r == retention => pj,
-            _ => {
-                let pj = self.tech.tradeoff().at(retention).write_energy_pj_bit;
-                self.write_point_memo = Some((retention, pj));
-                pj
-            }
-        };
-        let j = bytes as f64 * 8.0 * pj_bit * 1e-12;
-        self.energy.write_j += j;
+    /// Write energy at `retention`, pJ/bit, from the write-point table.
+    fn write_pj_bit(&mut self, retention: SimDuration) -> f64 {
+        if let Some(&(_, pj)) = self.write_points.iter().find(|(r, _)| *r == retention) {
+            return pj;
+        }
+        let pj = self.tech.tradeoff().at(retention).write_energy_pj_bit;
+        if self.write_points.len() < WRITE_POINTS {
+            self.write_points.push((retention, pj));
+        }
+        pj
     }
 
     /// Charges `elapsed` of background cost: idle power, plus refresh power
@@ -234,6 +255,83 @@ mod tests {
         short.stream_write(GIB, SimDuration::from_mins(10));
         long.stream_write(GIB, SimDuration::from_days(7));
         assert!(short.energy().write_j < long.energy().write_j);
+    }
+
+    /// Checks `append_each` against one `stream_write` per entry on a twin
+    /// tier, and both against writes priced straight from the curve. Both
+    /// tiers start from an earlier write, so a batch summed apart and then
+    /// folded into the total would round differently and fail.
+    fn assert_append_matches_loop(tech: Technology, bytes: u64, retentions: &[SimDuration]) {
+        let mut batched = Tier::new(TierKind::Mrm, tech.clone(), 2);
+        let mut looped = Tier::new(TierKind::Mrm, tech, 2);
+        for t in [&mut batched, &mut looped] {
+            t.stream_write(3 * GIB + 7, SimDuration::from_secs(90));
+        }
+        let mut j_curve = looped.energy().write_j;
+        let d_batched = batched.append_each(bytes, retentions);
+        let mut d_looped = SimDuration::ZERO;
+        for &rt in retentions {
+            d_looped += looped.stream_write(bytes, rt);
+        }
+        let curve = looped.tech.tradeoff();
+        for &rt in retentions {
+            j_curve += bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12;
+        }
+        assert_eq!(d_batched, d_looped);
+        assert_eq!(batched.traffic(), looped.traffic());
+        assert_eq!(
+            batched.energy().write_j.to_bits(),
+            looped.energy().write_j.to_bits()
+        );
+        assert_eq!(looped.energy().write_j.to_bits(), j_curve.to_bits());
+    }
+
+    #[test]
+    fn append_each_matches_per_write_loop_on_ladder() {
+        use mrm_controller::dcm::RetentionClass;
+        let ladder = RetentionClass::ladder().map(RetentionClass::duration);
+        let mixed: Vec<SimDuration> = [3, 0, 4, 4, 1, 0, 2, 3, 3, 1, 4, 0, 2, 2]
+            .iter()
+            .map(|&i| ladder[i])
+            .collect();
+        for tech in [presets::mrm_days(), presets::hbm3e()] {
+            assert_append_matches_loop(tech, 327_680, &mixed);
+        }
+    }
+
+    #[test]
+    fn append_each_of_nothing_charges_nothing() {
+        let mut t = Tier::new(TierKind::Mrm, presets::mrm_days(), 1);
+        assert_eq!(t.append_each(MIB, &[]), SimDuration::ZERO);
+        assert_eq!(t.traffic(), (0, 0));
+        assert_eq!(t.energy().write_j.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn append_each_past_the_table_bound_matches_loop() {
+        let distinct: Vec<SimDuration> = (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect();
+        // Every retention twice, the second pass served from the table for
+        // the first `WRITE_POINTS` and priced afresh for the rest.
+        let twice: Vec<SimDuration> = distinct.iter().chain(distinct.iter()).copied().collect();
+        assert_append_matches_loop(presets::mrm_days(), 4096, &twice);
+        let mut t = Tier::new(TierKind::Mrm, presets::mrm_days(), 1);
+        t.append_each(4096, &twice);
+        assert_eq!(t.write_points.len(), WRITE_POINTS);
+    }
+
+    #[test]
+    fn table_served_write_charges_the_curve_point() {
+        let r = SimDuration::from_hours(12);
+        for tech in [presets::mrm_days(), presets::hbm3e()] {
+            let pj_bit = tech.tradeoff().at(r).write_energy_pj_bit;
+            let mut t = Tier::new(TierKind::Mrm, tech, 1);
+            t.stream_write(GIB, r);
+            assert_eq!(t.write_points, vec![(r, pj_bit)]);
+            // The second write is served from the table.
+            t.stream_write(GIB, r);
+            let j = GIB as f64 * 8.0 * pj_bit * 1e-12;
+            assert_eq!(t.energy().write_j.to_bits(), (0.0 + j + j).to_bits());
+        }
     }
 
     #[test]
