@@ -111,11 +111,23 @@ pub struct AuditRecord {
     pub bytes: u64,
 }
 
-/// Append-only decision log with per-action counts.
+/// Append-only decision log with per-action counts and the
+/// REQUIRED-DURABLE index.
+///
+/// The index is exact because the recovered set only grows: a reclaim
+/// with no earlier recovery of its `(class, id)` at append time has none
+/// in any later full scan either, and one with an earlier recovery keeps
+/// it. So each reclaim's verdict is settled once, in [`AuditLog::record`],
+/// and only the registry (which may be reconfigured) is left to a query.
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
     records: Vec<AuditRecord>,
     counts: [u64; 9],
+    /// `(class, id)` pairs with a recovery record so far.
+    recovered: BTreeSet<(ControlClass, u64)>,
+    /// Per class (by [`ControlClass::index`]), in append order: the seqs of
+    /// reclaims with no earlier recovery of their `(class, id)`.
+    unrecovered_reclaims: [Vec<u64>; 5],
 }
 
 impl AuditLog {
@@ -141,6 +153,11 @@ impl AuditLog {
         );
         let seq = self.records.len() as u64;
         self.counts[action.index()] += 1;
+        if action.is_recovery() {
+            self.recovered.insert((class, id));
+        } else if action.is_reclaim() && !self.recovered.contains(&(class, id)) {
+            self.unrecovered_reclaims[class.index()].push(seq);
+        }
         self.records.push(AuditRecord {
             seq,
             at,
@@ -173,25 +190,40 @@ impl AuditLog {
         self.counts[action.index()]
     }
 
-    /// REQUIRED-DURABLE oracle: sequence numbers of every reclaim
-    /// (drop/evict) of a class the registry declares `Required` that is
-    /// *not* preceded by a recovery record (refetch/recompute) for the
-    /// same `(class, id)`. An empty result is the invariant the chaos
-    /// suite asserts. `Retire` (need ended) is always legal.
+    /// REQUIRED-DURABLE oracle: sequence numbers, ascending, of every
+    /// reclaim (drop/evict) of a class the registry treats as `Required`
+    /// (an undeclared class counts as `Required`) that is *not* preceded
+    /// by a recovery record (refetch/recompute) for the same `(class,
+    /// id)`. An empty result is the invariant the chaos suite asserts.
+    /// `Retire` (need ended) is always legal.
     pub fn required_drop_violations(&self, registry: &RetentionRegistry) -> Vec<u64> {
-        let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
-        let mut violations = Vec::new();
-        for r in &self.records {
-            if r.action.is_recovery() {
-                recovered.insert((r.class, r.id));
-            } else if r.action.is_reclaim()
-                && registry.is_required(r.class)
-                && !recovered.contains(&(r.class, r.id))
-            {
-                violations.push(r.seq);
-            }
-        }
+        let mut violations: Vec<u64> = self
+            .required_lists(registry)
+            .flat_map(|seqs| seqs.iter().copied())
+            .collect();
+        // Concatenated ascending runs: the stable sort merges them.
+        violations.sort();
         violations
+    }
+
+    /// How many seqs [`AuditLog::required_drop_violations`] would return,
+    /// without building the list.
+    pub fn required_drop_count(&self, registry: &RetentionRegistry) -> u64 {
+        self.required_lists(registry)
+            .map(|seqs| seqs.len() as u64)
+            .sum()
+    }
+
+    /// The unrecovered-reclaim lists of the classes `registry` treats as
+    /// `Required`.
+    fn required_lists<'a>(
+        &'a self,
+        registry: &'a RetentionRegistry,
+    ) -> impl Iterator<Item = &'a Vec<u64>> + 'a {
+        ControlClass::all()
+            .into_iter()
+            .filter(|&class| registry.is_required(class))
+            .map(|class| &self.unrecovered_reclaims[class.index()])
     }
 
     /// Emits the `control_*` counters (monotone totals). Observe-only:
@@ -346,6 +378,87 @@ mod tests {
             log.required_drop_violations(&RetentionRegistry::new()),
             vec![0]
         );
+    }
+
+    /// The pre-index oracle: one walk of the whole log under `registry`.
+    fn full_scan(log: &AuditLog, registry: &RetentionRegistry) -> Vec<u64> {
+        let mut recovered = BTreeSet::new();
+        let mut violations = Vec::new();
+        for r in log.records() {
+            if r.action.is_recovery() {
+                recovered.insert((r.class, r.id));
+            } else if r.action.is_reclaim()
+                && registry.is_required(r.class)
+                && !recovered.contains(&(r.class, r.id))
+            {
+                violations.push(r.seq);
+            }
+        }
+        violations
+    }
+
+    fn assert_index_matches_scan(log: &AuditLog, registry: &RetentionRegistry) -> Vec<u64> {
+        let got = log.required_drop_violations(registry);
+        assert_eq!(got, full_scan(log, registry));
+        assert_eq!(log.required_drop_count(registry), got.len() as u64);
+        got
+    }
+
+    #[test]
+    fn index_matches_full_scan_across_reconfiguration() {
+        let kv_prefix = |durability_required: bool| {
+            let mut reg = serving();
+            if durability_required {
+                reg.declare(ControlClass::KvPrefix, RetentionPolicy::required());
+            }
+            reg
+        };
+        let mut log = AuditLog::new();
+        let prefix = ControlClass::KvPrefix;
+        // Reclaims of id 5 before its recovery, interleaved with a Required
+        // class so the merged answer must be in seq order.
+        log.record(t(1), prefix, 5, AuditAction::Store, "park", 8);
+        log.record(t(2), prefix, 5, AuditAction::Evict, "pressure", 8);
+        log.record(t(2), ControlClass::KvTail, 1, AuditAction::Drop, "bug", 8);
+        log.record(t(3), prefix, 5, AuditAction::Drop, "ttl", 8);
+        assert_eq!(assert_index_matches_scan(&log, &kv_prefix(true)), [1, 2, 3]);
+        assert_eq!(assert_index_matches_scan(&log, &kv_prefix(false)), [2]);
+        // Recovery of id 5, then reclaims of it (legal) and of id 6 (not).
+        log.record(t(4), prefix, 5, AuditAction::Recompute, "fault", 8);
+        log.record(t(4), prefix, 5, AuditAction::Drop, "fault", 8);
+        log.record(t(5), prefix, 6, AuditAction::Evict, "pressure", 8);
+        log.record(t(5), prefix, 5, AuditAction::Evict, "pressure", 8);
+        assert_eq!(
+            assert_index_matches_scan(&log, &kv_prefix(true)),
+            [1, 2, 3, 6]
+        );
+        assert_eq!(assert_index_matches_scan(&log, &kv_prefix(false)), [2]);
+        assert_eq!(
+            assert_index_matches_scan(&log, &kv_prefix(true)),
+            [1, 2, 3, 6]
+        );
+        // The empty registry treats every class as Required.
+        assert_eq!(
+            assert_index_matches_scan(&log, &RetentionRegistry::new()),
+            [1, 2, 3, 6]
+        );
+    }
+
+    #[test]
+    fn required_drop_count_is_the_violation_count() {
+        let mut log = AuditLog::new();
+        let registries = [serving(), RetentionRegistry::new()];
+        for (i, class) in ControlClass::all().into_iter().enumerate() {
+            let id = i as u64 % 2;
+            log.record(t(1), class, id, AuditAction::Drop, "bug", 1);
+            log.record(t(1), class, 1, AuditAction::Refetch, "fault", 1);
+            log.record(t(1), class, id, AuditAction::Evict, "pressure", 1);
+            for reg in &registries {
+                assert_index_matches_scan(&log, reg);
+            }
+        }
+        assert_eq!(log.required_drop_count(&serving()), 6);
+        assert_eq!(log.required_drop_count(&RetentionRegistry::new()), 8);
     }
 
     #[test]

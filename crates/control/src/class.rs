@@ -42,6 +42,12 @@ impl ControlClass {
         ]
     }
 
+    /// Position in [`ControlClass::all`]: the slot of this class's
+    /// per-class state.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable label for telemetry and reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -64,5 +70,12 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, class) in ControlClass::all().into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 }

@@ -129,7 +129,7 @@ impl ControlPlane {
     pub fn emit_telemetry(&self, sink: &mut SimTelemetry) {
         sink.gauge(
             "control_required_drop_violations",
-            self.audit.required_drop_violations(&self.registry).len() as f64,
+            self.audit.required_drop_count(&self.registry) as f64,
         );
         self.audit.emit_telemetry(sink);
     }
@@ -147,8 +147,7 @@ impl ControlPlane {
             escalations: self.audit.count(AuditAction::Escalate),
             refetches: self.audit.count(AuditAction::Refetch),
             recomputes: self.audit.count(AuditAction::Recompute),
-            required_drop_violations: self.audit.required_drop_violations(&self.registry).len()
-                as u64,
+            required_drop_violations: self.audit.required_drop_count(&self.registry),
         }
     }
 }

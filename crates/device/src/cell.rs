@@ -238,6 +238,60 @@ impl RetentionTradeoff {
     }
 }
 
+/// Most retentions a [`WritePoints`] table keeps. The cluster tiers meet
+/// at most two and a DCM device its ladder classes; a retention met once
+/// the table is full is priced on every call instead, so the bound caps
+/// the table's size, never the result.
+const WRITE_POINTS: usize = 16;
+
+/// A retention curve with the operating points it has already priced.
+///
+/// Writes that program retention per write (DCM, §4) meet a few distinct
+/// retentions over and over; the table evaluates the curve (`ln`, `powf`)
+/// once per distinct retention and returns the stored point after that.
+/// The points sit in a `Vec` of at most 16 entries, searched linearly and
+/// allocated on first use. Each is the exact value
+/// [`RetentionTradeoff::at`] returns, so a table-served write is
+/// bit-identical to one priced from the curve.
+#[derive(Clone, Debug)]
+pub struct WritePoints {
+    curve: RetentionTradeoff,
+    points: Vec<(SimDuration, CellOperatingPoint)>,
+}
+
+impl WritePoints {
+    /// An empty table over `curve`.
+    pub fn new(curve: RetentionTradeoff) -> Self {
+        WritePoints {
+            curve,
+            points: Vec::new(),
+        }
+    }
+
+    /// The operating point for a write programmed for `retention`.
+    ///
+    /// Inlined, so a caller in another crate (a tier's per-request KV
+    /// append) scans the table in place and reads only the field it uses;
+    /// a miss calls out to the curve.
+    #[inline]
+    pub fn at(&mut self, retention: SimDuration) -> CellOperatingPoint {
+        match self.points.iter().find(|(r, _)| *r == retention) {
+            Some(&(_, point)) => point,
+            None => self.price(retention),
+        }
+    }
+
+    /// Evaluates the curve at `retention`, keeping the point if there is
+    /// room.
+    fn price(&mut self, retention: SimDuration) -> CellOperatingPoint {
+        let point = self.curve.at(retention);
+        if self.points.len() < WRITE_POINTS {
+            self.points.push((retention, point));
+        }
+        point
+    }
+}
+
 /// Wear accounting for a block/region of cells.
 ///
 /// Tracks cumulative writes against the endurance budget and derives the
@@ -493,5 +547,20 @@ mod tests {
     fn zero_endurance_is_immediately_worn() {
         let w = WearState { cycles: 1 };
         assert!(w.is_worn_out(0.0));
+    }
+
+    #[test]
+    fn write_points_serve_the_curve_point_and_stay_bounded() {
+        let curve = rram_tradeoff();
+        let mut table = WritePoints::new(curve.clone());
+        let distinct: Vec<SimDuration> = (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect();
+        for _ in 0..2 {
+            for &r in &distinct {
+                assert_eq!(table.at(r), curve.at(r), "{r}");
+            }
+        }
+        assert_eq!(table.points.len(), WRITE_POINTS);
+        let kept: Vec<SimDuration> = table.points.iter().map(|&(r, _)| r).collect();
+        assert_eq!(kept, distinct[..WRITE_POINTS]);
     }
 }

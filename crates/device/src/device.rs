@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use mrm_sim::time::{SimDuration, SimTime};
 
-use crate::cell::WearState;
+use crate::cell::{WearState, WritePoints};
 use crate::energy::{EnergyBreakdown, EnergyMeter};
 use crate::geometry::DeviceGeometry;
 use crate::tech::{TechFamily, Technology};
@@ -103,6 +103,9 @@ pub struct MemoryDevice {
     tech: Technology,
     geometry: DeviceGeometry,
     meter: EnergyMeter,
+    /// The technology's retention curve, priced once per distinct write
+    /// retention.
+    write_points: WritePoints,
     blocks: Vec<BlockState>,
     block_bytes: u64,
 }
@@ -126,6 +129,7 @@ impl MemoryDevice {
         let n_blocks = capacity.div_ceil(block_bytes) as usize;
         let meter = EnergyMeter::new(tech.read_energy_pj_bit, tech.write_energy_pj_bit);
         MemoryDevice {
+            write_points: WritePoints::new(tech.tradeoff()),
             tech,
             geometry,
             meter,
@@ -243,7 +247,7 @@ impl MemoryDevice {
         retention: SimDuration,
     ) -> Result<OpResult, DeviceError> {
         self.check_range(addr, len)?;
-        let point = self.tech.tradeoff().at(retention);
+        let point = self.write_points.at(retention);
         // Charge at the retention-scaled energy, not the datasheet anchor.
         let scale =
             point.write_energy_pj_bit / self.tech.write_energy_pj_bit.max(f64::MIN_POSITIVE);
@@ -393,6 +397,51 @@ mod tests {
             r.expired,
             "10-minute-retention write must expire after 30 minutes"
         );
+    }
+
+    /// Replays `retentions` on twin devices: one serves repeats from its
+    /// write-point table, the other is reset to an empty table before every
+    /// write, so each of its writes is priced from the curve.
+    fn assert_table_matches_curve(tech: Technology, retentions: &[SimDuration]) {
+        let mut served = MemoryDevice::new(tech.clone());
+        let mut curve = MemoryDevice::new(tech);
+        for (i, &r) in retentions.iter().enumerate() {
+            let at = now() + SimDuration::from_secs(i as u64);
+            let addr = (i as u64 % 7) * MIB;
+            curve.write_points = WritePoints::new(curve.tech.tradeoff());
+            let a = served.write_with_retention(at, addr, 3 * MIB + 5, r);
+            let b = curve.write_with_retention(at, addr, 3 * MIB + 5, r);
+            assert_eq!(a, b, "write {i} at {r}");
+            let (ea, eb) = (served.energy(), curve.energy());
+            assert_eq!(ea.write_j.to_bits(), eb.write_j.to_bits(), "write {i}");
+            assert_eq!(ea.total_j().to_bits(), eb.total_j().to_bits());
+            assert_eq!(
+                served.max_wear_fraction().to_bits(),
+                curve.max_wear_fraction().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn table_served_writes_match_curve_priced_writes() {
+        let ladder = [
+            SimDuration::from_secs(30),
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(1),
+            SimDuration::from_hours(12),
+            SimDuration::from_days(7),
+        ];
+        let repeats: Vec<SimDuration> = [3, 0, 4, 4, 1, 0, 2, 3, 3, 1, 4, 0, 2, 2]
+            .iter()
+            .map(|&i| ladder[i])
+            .collect();
+        // 20 distinct retentions, twice: past the table's bound of 16.
+        let distinct: Vec<SimDuration> = (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect();
+        let past_bound: Vec<SimDuration> = distinct.iter().chain(&distinct).copied().collect();
+        for tech in [presets::mrm_days(), presets::hbm3e()] {
+            assert_table_matches_curve(tech.clone(), &repeats);
+            assert_table_matches_curve(tech, &past_bound);
+        }
     }
 
     #[test]

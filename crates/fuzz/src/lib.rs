@@ -4,7 +4,7 @@
 //! calendar queue retains [`mrm_sim::event::LegacyHeapQueue`], the pool
 //! has a spec computed from its live set, the SECDED and BCH decoders
 //! promise an exact error budget, the FTL and zone controller have plain-map models, and
-//! the control plane has the `AuditLog` safety scan. This
+//! the control plane's `AuditLog` index has a full walk of its stream. This
 //! crate turns those one-shot conformance tests into a standing
 //! adversary: a seeded structured-mutation engine drives open-ended op
 //! traces through implementation and oracle side by side, shrinks any

@@ -1,25 +1,28 @@
 //! Control-plane target: synthetic work-item streams vs the
-//! [`AuditLog`] safety scan.
+//! [`AuditLog`] REQUIRED-DURABLE index.
 //!
 //! The audit log is the control plane's flight recorder, and
 //! `required_drop_violations` is the REQUIRED-DURABLE acceptance oracle
-//! the chaos suite leans on — so the scan itself deserves an adversary.
-//! This target generates arbitrary decision streams (every action ×
-//! every class × lean-biased ids and times) and checks the scan against
-//! an independent reimplementation kept deliberately dumb: a `BTreeSet`
-//! of recovered `(class, id)` pairs and a linear walk. Two registries
-//! are consulted — the serving default, and the empty registry (under
-//! which *every* class is Required) — plus the log's structural
-//! contract: dense sequence numbers, nondecreasing sim-time, and a
-//! summary histogram that reconciles against the raw records.
+//! the chaos suite leans on — so its index deserves an adversary. This
+//! target generates arbitrary decision streams (every action × every
+//! class × lean-biased ids and times) and checks the index against a
+//! model kept deliberately dumb: the appended stream and a full linear
+//! walk of it with a `BTreeSet` of recovered `(class, id)` pairs. Query
+//! ops compare the two mid-stream under a drawn registry (each class
+//! Required, Ephemeral or undeclared), so the answer must hold across
+//! reconfiguration; at the end of the stream the serving default and the
+//! empty registry (under which *every* class is Required) are checked,
+//! plus the log's structural contract: dense sequence numbers,
+//! nondecreasing sim-time, and a summary histogram that reconciles
+//! against the raw records.
 //!
 //! Sabotage mode credits recovery records to the wrong class in the
-//! *model* — the scan and the model then disagree about which later
+//! *model* — the index and the model then disagree about which later
 //! drops are violations.
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_control::{AuditAction, AuditLog, ControlClass, RetentionRegistry};
+use mrm_control::{AuditAction, AuditLog, ControlClass, RetentionPolicy, RetentionRegistry};
 use mrm_sim::time::{SimDuration, SimTime, NANOS_PER_SEC};
 use std::collections::BTreeSet;
 
@@ -36,6 +39,9 @@ pub enum ControlOp {
         action_idx: u8,
         bytes: u64,
     },
+    /// Check the index mid-stream under a registry that declares class `i`
+    /// Required (`durability[i] % 3 == 0`), Ephemeral (1) or not at all (2).
+    Query { durability: [u8; 5] },
 }
 
 pub struct ControlTarget {
@@ -64,6 +70,80 @@ fn is_recovery(a: AuditAction) -> bool {
 
 fn is_reclaim(a: AuditAction) -> bool {
     matches!(a, AuditAction::Drop | AuditAction::Evict)
+}
+
+fn registry_of(durability: &[u8; 5]) -> RetentionRegistry {
+    let mut reg = RetentionRegistry::new();
+    for (class, d) in ControlClass::all().into_iter().zip(durability) {
+        match d % 3 {
+            0 => reg.declare(class, RetentionPolicy::required()),
+            1 => reg.declare(
+                class,
+                RetentionPolicy::ephemeral(SimDuration::from_secs(20)),
+            ),
+            _ => {}
+        }
+    }
+    reg
+}
+
+fn draw_durability(rng: &mut FuzzRng) -> [u8; 5] {
+    std::array::from_fn(|_| rng.below(3) as u8)
+}
+
+impl ControlTarget {
+    /// The model's answer: one walk of the whole appended stream. Under
+    /// sabotage a recovery is credited to the next class instead of its
+    /// own.
+    fn scan(
+        &self,
+        stream: &[(ControlClass, u64, AuditAction)],
+        reg: &RetentionRegistry,
+    ) -> Vec<u64> {
+        let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
+        let mut violations = Vec::new();
+        for (seq, &(class, id, action)) in stream.iter().enumerate() {
+            if is_recovery(action) {
+                let credit = if self.sabotage {
+                    class_of(class.index() as u8 + 1)
+                } else {
+                    class
+                };
+                recovered.insert((credit, id));
+            } else if is_reclaim(action)
+                && reg.is_required(class)
+                && !recovered.contains(&(class, id))
+            {
+                violations.push(seq as u64);
+            }
+        }
+        violations
+    }
+
+    /// The index against the model's full scan under `reg`.
+    fn check_index(
+        &self,
+        log: &AuditLog,
+        stream: &[(ControlClass, u64, AuditAction)],
+        reg: &RetentionRegistry,
+        what: &str,
+    ) -> Result<(), String> {
+        let got = log.required_drop_violations(reg);
+        let want = self.scan(stream, reg);
+        if got != want {
+            return Err(format!(
+                "{what}: index found violations {got:?}, model scan expects {want:?}"
+            ));
+        }
+        let count = log.required_drop_count(reg);
+        if count != want.len() as u64 {
+            return Err(format!(
+                "{what}: required_drop_count {count}, model scan found {}",
+                want.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl FuzzTarget for ControlTarget {
@@ -104,6 +184,23 @@ impl FuzzTarget for ControlTarget {
                 rec(2, 5, 0),
                 rec(2, 5, 3),
             ],
+            // KvPrefix flips Required → Ephemeral → Required between
+            // queries, with reclaims of id 4 before and after its recovery.
+            vec![
+                rec(1, 4, 4), // KvPrefix/4 evict — unrecovered
+                ControlOp::Query {
+                    durability: [0, 0, 0, 0, 0],
+                },
+                rec(1, 4, 8), // KvPrefix/4 recompute
+                rec(1, 4, 3), // KvPrefix/4 drop — recovered, legal
+                ControlOp::Query {
+                    durability: [0, 1, 0, 1, 0],
+                },
+                rec(1, 5, 3), // KvPrefix/5 drop — unrecovered
+                ControlOp::Query {
+                    durability: [2, 0, 2, 2, 2],
+                },
+            ],
         ]
     }
 
@@ -111,6 +208,10 @@ impl FuzzTarget for ControlTarget {
         if rng.one_in(4) {
             ControlOp::Advance {
                 secs: rng.lean_below(10_000),
+            }
+        } else if rng.one_in(8) {
+            ControlOp::Query {
+                durability: draw_durability(rng),
             }
         } else {
             ControlOp::Record {
@@ -128,6 +229,11 @@ impl FuzzTarget for ControlTarget {
             ControlOp::Advance { .. } => ControlOp::Advance {
                 secs: rng.lean_u64(),
             },
+            ControlOp::Query { durability } => {
+                let mut durability = *durability;
+                durability[rng.index(5)] = rng.below(3) as u8;
+                ControlOp::Query { durability }
+            }
             ControlOp::Record {
                 class_idx,
                 id,
@@ -165,6 +271,13 @@ impl FuzzTarget for ControlTarget {
     fn simplify_op(&self, op: &ControlOp) -> Option<ControlOp> {
         match op {
             ControlOp::Advance { secs } if *secs > 0 => Some(ControlOp::Advance { secs: secs / 2 }),
+            // Toward all-Required, one class at a time.
+            ControlOp::Query { durability } => {
+                let i = durability.iter().position(|&d| d != 0)?;
+                let mut durability = *durability;
+                durability[i] = 0;
+                Some(ControlOp::Query { durability })
+            }
             ControlOp::Record {
                 class_idx,
                 id,
@@ -199,11 +312,9 @@ impl FuzzTarget for ControlTarget {
         let mut log = AuditLog::new();
         let mut now = SimTime::ZERO;
 
-        // The independent model: recovered pairs, expected violations per
-        // registry, an action histogram, and the record timeline.
-        let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
-        let mut expect_serving: Vec<u64> = Vec::new();
-        let mut expect_empty: Vec<u64> = Vec::new();
+        // The independent model: the appended stream (scanned whole at
+        // every check), an action histogram, and the record timeline.
+        let mut stream: Vec<(ControlClass, u64, AuditAction)> = Vec::new();
         let mut histogram = [0u64; 9];
         let mut times: Vec<SimTime> = Vec::new();
 
@@ -224,44 +335,22 @@ impl FuzzTarget for ControlTarget {
                 } => {
                     let class = class_of(*class_idx);
                     let action = action_of(*action_idx);
-                    let seq = log.record(now, class, *id, action, "fuzz-stream", *bytes);
-                    if is_recovery(action) {
-                        let credit = if self.sabotage {
-                            // Documented sabotage: the model credits the
-                            // recovery to the wrong class.
-                            class_of(class_idx.wrapping_add(1))
-                        } else {
-                            class
-                        };
-                        recovered.insert((credit, *id));
-                    } else if is_reclaim(action) && !recovered.contains(&(class, *id)) {
-                        if serving.is_required(class) {
-                            expect_serving.push(seq);
-                        }
-                        // The empty registry treats everything as Required.
-                        expect_empty.push(seq);
-                    }
+                    log.record(now, class, *id, action, "fuzz-stream", *bytes);
+                    stream.push((class, *id, action));
                     histogram[action.index()] += 1;
                     times.push(now);
+                }
+                ControlOp::Query { durability } => {
+                    let reg = registry_of(durability);
+                    let what = format!("query {durability:?} after {} records", stream.len());
+                    self.check_index(&log, &stream, &reg, &what)?;
                 }
             }
         }
 
-        // The scan agrees with the dumb model under both registries.
-        let got_serving = log.required_drop_violations(&serving);
-        if got_serving != expect_serving {
-            return Err(format!(
-                "serving registry: scan found violations {got_serving:?}, \
-                 model expects {expect_serving:?}"
-            ));
-        }
-        let got_empty = log.required_drop_violations(&empty);
-        if got_empty != expect_empty {
-            return Err(format!(
-                "empty registry: scan found violations {got_empty:?}, \
-                 model expects {expect_empty:?}"
-            ));
-        }
+        // The index agrees with the model under both end registries.
+        self.check_index(&log, &stream, &serving, "serving registry")?;
+        self.check_index(&log, &stream, &empty, "empty registry")?;
 
         // Structural contract: dense seqs, the recorded (nondecreasing)
         // timeline, a reconciling histogram.

@@ -7,16 +7,11 @@
 //! device state.
 
 use mrm_core::pool::{Allocation, Pool, PoolError};
+use mrm_device::cell::WritePoints;
 use mrm_device::energy::EnergyBreakdown;
 use mrm_device::tech::Technology;
 use mrm_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
-
-/// Most write retentions a tier keeps priced. The cluster experiments meet
-/// at most two per tier (a DCM KV tier: two ladder classes); a retention
-/// met once the table is full is priced on every call instead, so the
-/// bound caps the table's size, never the result.
-const WRITE_POINTS: usize = 16;
 
 /// The role a tier plays in the §4 layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,13 +54,9 @@ pub struct Tier {
     bytes_written: u64,
     /// Metered energy (bulk streams, background, scrubs).
     energy: EnergyBreakdown,
-    /// `(retention, write pJ/bit)` operating points already priced, searched
-    /// linearly and bounded by [`WRITE_POINTS`]: a DCM batch mixes retention
-    /// classes, so the tradeoff-curve math runs once per distinct retention
-    /// rather than on every class change. Each value is the exact f64 the
-    /// curve produces, so metered energy is bit-identical to pricing every
-    /// write afresh.
-    write_points: Vec<(SimDuration, f64)>,
+    /// The technology's retention curve, priced once per distinct write
+    /// retention: a DCM batch mixes retention classes.
+    write_points: WritePoints,
 }
 
 impl Tier {
@@ -82,6 +73,7 @@ impl Tier {
         Tier {
             kind,
             pool: Pool::new(fused.capacity_bytes),
+            write_points: WritePoints::new(fused.tradeoff()),
             tech: fused,
             read_bw,
             write_bw,
@@ -89,7 +81,6 @@ impl Tier {
             bytes_read: 0,
             bytes_written: 0,
             energy: EnergyBreakdown::default(),
-            write_points: Vec::new(),
         }
     }
 
@@ -153,7 +144,7 @@ impl Tier {
         let n = retentions.len() as u64;
         self.bytes_written += bytes * n;
         for &rt in retentions {
-            let j = bytes as f64 * 8.0 * self.write_pj_bit(rt) * 1e-12;
+            let j = bytes as f64 * 8.0 * self.write_points.at(rt).write_energy_pj_bit * 1e-12;
             self.energy.write_j += j;
         }
         SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * n
@@ -161,18 +152,6 @@ impl Tier {
 
     fn meter_read_energy(&mut self, bytes: u64) {
         self.energy.read_j += self.tech.read_energy_j(bytes);
-    }
-
-    /// Write energy at `retention`, pJ/bit, from the write-point table.
-    fn write_pj_bit(&mut self, retention: SimDuration) -> f64 {
-        if let Some(&(_, pj)) = self.write_points.iter().find(|(r, _)| *r == retention) {
-            return pj;
-        }
-        let pj = self.tech.tradeoff().at(retention).write_energy_pj_bit;
-        if self.write_points.len() < WRITE_POINTS {
-            self.write_points.push((retention, pj));
-        }
-        pj
     }
 
     /// Charges `elapsed` of background cost: idle power, plus refresh power
@@ -311,12 +290,9 @@ mod tests {
     fn append_each_past_the_table_bound_matches_loop() {
         let distinct: Vec<SimDuration> = (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect();
         // Every retention twice, the second pass served from the table for
-        // the first `WRITE_POINTS` and priced afresh for the rest.
+        // the first 16 and priced afresh for the rest.
         let twice: Vec<SimDuration> = distinct.iter().chain(distinct.iter()).copied().collect();
         assert_append_matches_loop(presets::mrm_days(), 4096, &twice);
-        let mut t = Tier::new(TierKind::Mrm, presets::mrm_days(), 1);
-        t.append_each(4096, &twice);
-        assert_eq!(t.write_points.len(), WRITE_POINTS);
     }
 
     #[test]
@@ -326,7 +302,6 @@ mod tests {
             let pj_bit = tech.tradeoff().at(r).write_energy_pj_bit;
             let mut t = Tier::new(TierKind::Mrm, tech, 1);
             t.stream_write(GIB, r);
-            assert_eq!(t.write_points, vec![(r, pj_bit)]);
             // The second write is served from the table.
             t.stream_write(GIB, r);
             let j = GIB as f64 * 8.0 * pj_bit * 1e-12;

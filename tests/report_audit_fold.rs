@@ -1,0 +1,185 @@
+//! The cluster report's decision counters against the audit log.
+//!
+//! `ClusterSim` counts its decisions twice: once in plain counters on the
+//! report, and once as records in the `AuditLog` it returns. This test
+//! pins each counter to its fold over the log, on the configurations the
+//! e9, e11 and e13 experiments run, so the counters can later be derived
+//! from the log instead of kept beside it.
+
+use mrm::control::{AuditAction, AuditLog, AuditRecord, ControlClass};
+use mrm::faults::FaultConfig;
+use mrm::sim::time::SimDuration;
+use mrm::tiering::{ClusterConfig, ClusterSim, PlacementPolicy};
+
+/// The configuration the e11/e13 grid points share (short follow-up
+/// window and maintenance period, so cached KV ages span its class).
+fn audited(policy: PlacementPolicy, seed: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::llama70b(policy, 2, 8.0);
+    cfg.duration = SimDuration::from_secs(90);
+    cfg.followup_window = SimDuration::from_secs(20);
+    cfg.hint_window = SimDuration::from_secs(20);
+    cfg.followup_prob = 0.8;
+    cfg.maintenance_period = SimDuration::from_secs(5);
+    cfg.seed = seed;
+    cfg
+}
+
+/// Every grid point of `e9_cluster`'s main grid, `e11_faults` and
+/// `e13_control` (full length, default seeds), plus [`ladder_configs`],
+/// labelled.
+fn configs() -> Vec<(String, ClusterConfig)> {
+    let mut out = Vec::new();
+    for p in PlacementPolicy::all() {
+        let mut cfg = ClusterConfig::llama70b(p, 4, 16.0);
+        cfg.duration = SimDuration::from_secs(120);
+        out.push((format!("e9 {}", p.label()), cfg));
+    }
+    let mrm = [PlacementPolicy::HbmMrm, PlacementPolicy::HbmMrmDcm];
+    for p in mrm {
+        for margin in [10.0, 5.0, 2.5, 1.5, 1.25, 1.0] {
+            let mut cfg = audited(p, 0xC1A5_7E12);
+            cfg.faults = FaultConfig {
+                provision_margin: Some(margin),
+                ..FaultConfig::mrm()
+            };
+            out.push((format!("e11 {} margin {margin}", p.label()), cfg));
+        }
+    }
+    for p in mrm {
+        out.push((format!("e13 {} healthy", p.label()), audited(p, 0xC0_47_01)));
+        let mut cfg = audited(p, 0xC0_47_01);
+        cfg.faults = FaultConfig {
+            ber_scale: 40.0,
+            provision_margin: Some(1.0),
+            ..FaultConfig::mrm()
+        };
+        out.push((format!("e13 {} margin-1x", p.label()), cfg));
+    }
+    out.extend(ladder_configs());
+    out
+}
+
+/// Points that fire the counters the experiment grids leave at zero:
+/// scrubs, migrations, escalations, redeploys and weight re-fetches.
+fn ladder_configs() -> Vec<(String, ClusterConfig)> {
+    // Scrub verification at 40x BER near end-of-retention escalates.
+    let mut escalate = audited(PlacementPolicy::HbmMrm, 1);
+    escalate.followup_prob = 0.2;
+    escalate.maintenance_period = SimDuration::from_secs(2);
+    escalate.faults = FaultConfig {
+        ber_scale: 40.0,
+        provision_margin: Some(0.25),
+        ..FaultConfig::mrm()
+    };
+    // Optimistic hints: DCM programs short classes the sweep must scrub
+    // or migrate to keep cached contexts alive.
+    let mut scrub = ClusterConfig::llama70b(PlacementPolicy::HbmMrmDcm, 1, 0.2);
+    scrub.duration = SimDuration::from_secs(1200);
+    scrub.hint_window = SimDuration::from_mins(1);
+    scrub.followup_window = SimDuration::from_mins(30);
+    scrub.followup_prob = 0.0;
+    scrub.maintenance_period = SimDuration::from_secs(30);
+    // Weights redeployed every 30 s into the 30 s DCM class (no lifetime
+    // margin), read at 40x BER as they age toward it: re-fetches.
+    let mut redeploy = audited(PlacementPolicy::HbmMrmDcm, 2);
+    redeploy.weight_redeploy_period = Some(SimDuration::from_secs(30));
+    redeploy.lifetime_margin = 1.0;
+    redeploy.faults = FaultConfig {
+        ber_scale: 40.0,
+        provision_margin: Some(1.0),
+        ..FaultConfig::mrm()
+    };
+    vec![
+        ("scrub escalation".to_string(), escalate),
+        ("optimistic hints".to_string(), scrub),
+        ("redeploy at 40x BER".to_string(), redeploy),
+    ]
+}
+
+fn fold(audit: &AuditLog, pick: impl Fn(&AuditRecord) -> bool) -> u64 {
+    audit.records().iter().filter(|r| pick(r)).count() as u64
+}
+
+#[test]
+fn decision_counters_equal_their_audit_folds() {
+    let mut mismatches = Vec::new();
+    let mut fired = [0u64; 9];
+    for (label, cfg) in configs() {
+        let (report, audit) = ClusterSim::new(cfg).run_with_audit();
+        let a = |action: AuditAction| move |r: &AuditRecord| r.action == action;
+        let counters = [
+            (
+                "completions",
+                report.completions,
+                fold(&audit, |r| {
+                    r.class == ControlClass::KvTail && r.action == AuditAction::Retire
+                }),
+            ),
+            (
+                "scrubs",
+                report.scrubs,
+                fold(&audit, a(AuditAction::Refresh)),
+            ),
+            (
+                "migrations",
+                report.migrations,
+                fold(&audit, |r| {
+                    matches!(r.action, AuditAction::Migrate | AuditAction::Escalate)
+                }),
+            ),
+            // The reconciler's reclaims: need lapsed (drop) or ended
+            // (retire), as planned by a maintenance sweep.
+            (
+                "drops",
+                report.drops,
+                fold(&audit, |r| {
+                    matches!(r.reason, "need-lapsed" | "need-ended")
+                        && matches!(r.action, AuditAction::Drop | AuditAction::Retire)
+                }),
+            ),
+            (
+                "evictions",
+                report.evictions,
+                fold(&audit, a(AuditAction::Evict)),
+            ),
+            (
+                "redeploys",
+                report.redeploys,
+                fold(&audit, |r| {
+                    r.class == ControlClass::Weights
+                        && r.action == AuditAction::Store
+                        && r.reason == "redeploy"
+                }),
+            ),
+            (
+                "faults.weight_refetches",
+                report.faults.weight_refetches,
+                fold(&audit, a(AuditAction::Refetch)),
+            ),
+            (
+                "faults.kv_recomputes",
+                report.faults.kv_recomputes,
+                fold(&audit, |r| {
+                    r.action == AuditAction::Recompute && r.reason == "uncorrectable-read"
+                }),
+            ),
+            (
+                "faults.scrub_escalations",
+                report.faults.scrub_escalations,
+                fold(&audit, a(AuditAction::Escalate)),
+            ),
+        ];
+        for (i, (name, counter, folded)) in counters.into_iter().enumerate() {
+            fired[i] += counter;
+            if counter != folded {
+                mismatches.push(format!(
+                    "{label}: {name} = {counter}, audit fold = {folded}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    // Every counter fired somewhere, so no equality above is a vacuous
+    // zero against zero.
+    assert!(fired.iter().all(|&n| n > 0), "counter totals {fired:?}");
+}
