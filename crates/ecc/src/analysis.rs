@@ -3,9 +3,10 @@
 //! Given a raw bit error rate `p` (from the device model's age/wear curves)
 //! and a `t`-error-correcting code over `n`-bit codewords, the codeword
 //! failure probability is the binomial tail `P[X > t]`, `X ~ Bin(n, p)`.
-//! These functions compute that tail stably in log space, invert it to find
-//! the `t` a target reliability requires, and produce the paper's two §4
-//! curves:
+//! These functions compute that tail stably in log space (a [`FailureLaw`]
+//! keeps the coefficients of one codeword length across queries), invert it
+//! to find the `t` a target reliability requires, and produce the paper's
+//! two §4 curves:
 //!
 //! * **overhead vs. codeword size at iso-reliability** — the Dolinar effect:
 //!   larger blocks need proportionally fewer check bits;
@@ -34,72 +35,116 @@ fn ln_factorial(n: u64) -> f64 {
     x * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI * x).ln() + 1.0 / (12.0 * x)
 }
 
-/// Probability that a codeword of `n` bits with raw bit error rate `p`
-/// contains **more than** `t` errors — i.e. the probability the codeword is
-/// uncorrectable by a t-error-correcting code.
+/// `ln x` with `x` floored at the smallest positive normal, so a `1 - p`
+/// that rounds to zero gives a finite log.
+fn ln_floored(x: f64) -> f64 {
+    x.max(f64::MIN_POSITIVE).ln()
+}
+
+/// The uncorrectable-codeword law of one codeword length `n`: the binomial
+/// tail `P[X > t]`, `X ~ Bin(n, p)`, for any `t` and `p`.
 ///
-/// Computed as the complement of the lower binomial CDF in log space for
-/// numerical stability down to ~1e-300.
-pub fn codeword_failure_prob(n: u64, t: u64, p: f64) -> f64 {
-    if p <= 0.0 {
-        return 0.0;
+/// Each `ln C(n, k)` a query needs is computed once, by the same expression
+/// a fresh evaluation uses, and kept; later queries reuse it. The table
+/// grows on demand (a few dozen entries in practice, at most `n + 1`), so a
+/// law costs nothing until it is first queried, and [`FailureLaw::at`]
+/// returns exactly the bits of [`codeword_failure_prob`].
+#[derive(Clone, Debug)]
+pub struct FailureLaw {
+    n: u64,
+    /// `ln C(n, k)` for every `k < ln_choose.len()`.
+    ln_choose: Vec<f64>,
+}
+
+impl FailureLaw {
+    /// The law of `n`-bit codewords, with nothing computed yet.
+    pub fn new(n: u64) -> Self {
+        FailureLaw {
+            n,
+            ln_choose: Vec::new(),
+        }
     }
-    if p >= 1.0 {
-        return if t < n { 1.0 } else { 0.0 };
+
+    /// `ln C(n, k)` for `k ≤ n`, computed the first time it is needed.
+    fn ln_choose(&mut self, k: u64) -> f64 {
+        while self.ln_choose.len() as u64 <= k {
+            let next = self.ln_choose.len() as u64;
+            self.ln_choose.push(ln_choose(self.n, next));
+        }
+        self.ln_choose[k as usize]
     }
-    let ln_p = p.ln();
-    let ln_q = (1.0 - p).ln_1p_safe();
-    // Sum the tail directly when it is the smaller side (p·n below t);
-    // otherwise sum the head and subtract.
-    let mean = n as f64 * p;
-    if mean <= t as f64 {
-        // Tail sum: k = t+1 ..= n. Terms decay geometrically; stop when
-        // negligible.
-        let mut total = 0.0f64;
-        let mut k = t + 1;
-        let mut last_term = f64::NEG_INFINITY;
-        while k <= n {
-            let ln_term = ln_choose(n, k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
-            total += ln_term.exp();
-            // Convergence: terms shrinking and tiny relative to total.
-            if ln_term < last_term && ln_term.exp() < total * 1e-16 {
-                break;
+
+    /// Probability that a codeword with raw bit error rate `p` contains
+    /// **more than** `t` errors — i.e. the probability the codeword is
+    /// uncorrectable by a t-error-correcting code.
+    ///
+    /// Computed as the complement of the lower binomial CDF in log space
+    /// for numerical stability down to ~1e-300.
+    pub fn at(&mut self, t: u64, p: f64) -> f64 {
+        let n = self.n;
+        if p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 1.0 {
+            return if t < n { 1.0 } else { 0.0 };
+        }
+        let ln_p = p.ln();
+        let ln_q = ln_floored(1.0 - p);
+        // Sum the tail directly when it is the smaller side (p·n below t);
+        // otherwise sum the head and subtract.
+        let mean = n as f64 * p;
+        if mean <= t as f64 {
+            // Tail sum: k = t+1 ..= n. Terms decay geometrically; stop when
+            // negligible.
+            let mut total = 0.0f64;
+            let mut k = t + 1;
+            let mut last_term = f64::NEG_INFINITY;
+            while k <= n {
+                let ln_term = self.ln_choose(k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
+                let term = ln_term.exp();
+                total += term;
+                // Convergence: terms shrinking and tiny relative to total.
+                if ln_term < last_term && term < total * 1e-16 {
+                    break;
+                }
+                last_term = ln_term;
+                k += 1;
             }
-            last_term = ln_term;
-            k += 1;
+            total.min(1.0)
+        } else {
+            // Head sum: k = 0 ..= t.
+            let mut head = 0.0f64;
+            for k in 0..=t.min(n) {
+                let ln_term = self.ln_choose(k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
+                head += ln_term.exp();
+            }
+            (1.0 - head).clamp(0.0, 1.0)
         }
-        total.min(1.0)
-    } else {
-        // Head sum: k = 0 ..= t.
-        let mut head = 0.0f64;
-        for k in 0..=t.min(n) {
-            let ln_term = ln_choose(n, k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
-            head += ln_term.exp();
+    }
+
+    /// The smallest `t` that meets `target` codeword failure probability
+    /// at raw bit error rate `rber`; `None` if even `t = n` cannot (i.e.
+    /// target is 0).
+    pub fn required_t(&mut self, rber: f64, target: f64) -> Option<u64> {
+        if target <= 0.0 {
+            return None;
         }
-        (1.0 - head).clamp(0.0, 1.0)
+        (0..=self.n).find(|&t| self.at(t, rber) <= target)
     }
 }
 
-/// Extension trait: `ln(1+x)`-style safe log of `1-p` values near 1.
-trait Ln1pSafe {
-    fn ln_1p_safe(self) -> f64;
-}
-
-impl Ln1pSafe for f64 {
-    fn ln_1p_safe(self) -> f64 {
-        // self is ln argument (1-p) already computed; just ln with a floor.
-        self.max(f64::MIN_POSITIVE).ln()
-    }
+/// Probability that a codeword of `n` bits with raw bit error rate `p`
+/// contains **more than** `t` errors: a one-off [`FailureLaw::at`]. Callers
+/// that query one `n` repeatedly keep a [`FailureLaw`] instead.
+pub fn codeword_failure_prob(n: u64, t: u64, p: f64) -> f64 {
+    FailureLaw::new(n).at(t, p)
 }
 
 /// The smallest `t` such that a t-error-correcting code over `n`-bit
 /// codewords meets `target` codeword failure probability at raw bit error
 /// rate `rber`. Returns `None` if even `t = n` cannot (i.e. target is 0).
 pub fn required_t(n: u64, rber: f64, target: f64) -> Option<u64> {
-    if target <= 0.0 {
-        return None;
-    }
-    (0..=n).find(|&t| codeword_failure_prob(n, t, rber) <= target)
+    FailureLaw::new(n).required_t(rber, target)
 }
 
 /// One row of the iso-reliability overhead curve.
@@ -136,7 +181,8 @@ pub fn iso_reliability_overhead(
             // Fixed point on (t, m): start from n = data.
             let mut n = data;
             for _ in 0..32 {
-                let t = required_t(n, rber, target_cw_fail)?;
+                let mut law = FailureLaw::new(n);
+                let t = law.required_t(rber, target_cw_fail)?;
                 let m = u64::from(64 - (n + 1).leading_zeros()); // ⌈log2(n+1)⌉
                 let n_next = data + m * t;
                 if n_next == n {
@@ -146,7 +192,7 @@ pub fn iso_reliability_overhead(
                         t,
                         parity_bits: m * t,
                         overhead: (m * t) as f64 / n as f64,
-                        achieved_cw_fail: codeword_failure_prob(n, t, rber),
+                        achieved_cw_fail: law.at(t, rber),
                     });
                 }
                 n = n_next;
@@ -177,7 +223,8 @@ pub fn max_safe_age_fraction<F>(n: u64, t: u64, target_cw_fail: f64, rber_at: F)
 where
     F: Fn(f64) -> f64,
 {
-    let ok = |frac: f64| codeword_failure_prob(n, t, rber_at(frac)) <= target_cw_fail;
+    let mut law = FailureLaw::new(n);
+    let mut ok = |frac: f64| law.at(t, rber_at(frac)) <= target_cw_fail;
     if !ok(1e-6) {
         return 0.0;
     }
@@ -200,6 +247,92 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test oracle: the one-shot binomial tail, rebuilding every `ln C(n, k)`
+    /// from scratch. [`FailureLaw::at`] must reproduce it bit for bit.
+    fn codeword_failure_prob_reference(n: u64, t: u64, p: f64) -> f64 {
+        if p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 1.0 {
+            return if t < n { 1.0 } else { 0.0 };
+        }
+        let ln_p = p.ln();
+        let ln_q = ln_floored(1.0 - p);
+        // Sum the tail directly when it is the smaller side (p·n below t);
+        // otherwise sum the head and subtract.
+        let mean = n as f64 * p;
+        if mean <= t as f64 {
+            // Tail sum: k = t+1 ..= n. Terms decay geometrically; stop when
+            // negligible.
+            let mut total = 0.0f64;
+            let mut k = t + 1;
+            let mut last_term = f64::NEG_INFINITY;
+            while k <= n {
+                let ln_term = ln_choose(n, k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
+                total += ln_term.exp();
+                // Convergence: terms shrinking and tiny relative to total.
+                if ln_term < last_term && ln_term.exp() < total * 1e-16 {
+                    break;
+                }
+                last_term = ln_term;
+                k += 1;
+            }
+            total.min(1.0)
+        } else {
+            // Head sum: k = 0 ..= t.
+            let mut head = 0.0f64;
+            for k in 0..=t.min(n) {
+                let ln_term = ln_choose(n, k) + k as f64 * ln_p + (n - k) as f64 * ln_q;
+                head += ln_term.exp();
+            }
+            (1.0 - head).clamp(0.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn kept_law_is_bit_identical_to_the_reference() {
+        const TS: [u64; 4] = [0, 1, 2, 8];
+        for n in [10u64, 100, 532, 4096] {
+            // Log-spaced grid, 1e-12 ..= 0.5, plus each branch boundary
+            // p = t/n and its two neighbours.
+            let mut queries = Vec::new();
+            for i in 0..=46 {
+                let p = (1e-12f64.ln() + f64::from(i) / 46.0 * (0.5f64.ln() - 1e-12f64.ln())).exp();
+                queries.extend(TS.map(|t| (t, p)));
+            }
+            for t in TS.into_iter().filter(|&t| t > 0) {
+                let edge = t as f64 / n as f64;
+                let bits = edge.to_bits();
+                for p in [f64::from_bits(bits - 1), edge, f64::from_bits(bits + 1)] {
+                    queries.extend(TS.map(|tq| (tq, p)));
+                }
+            }
+            // Fisher–Yates under a fixed LCG, so the table fills out of
+            // order; then force a head-branch query first and a deep tail
+            // query second.
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n;
+            for i in (1..queries.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                queries.swap(i, ((state >> 33) % (i as u64 + 1)) as usize);
+            }
+            queries.insert(0, (8, 1e-12));
+            queries.insert(0, (0, 0.5));
+            let mut law = FailureLaw::new(n);
+            for (t, p) in queries {
+                let want = codeword_failure_prob_reference(n, t, p).to_bits();
+                assert_eq!(law.at(t, p).to_bits(), want, "law n={n} t={t} p={p:e}");
+                assert_eq!(
+                    codeword_failure_prob(n, t, p).to_bits(),
+                    want,
+                    "wrapper n={n} t={t} p={p:e}"
+                );
+            }
+            assert!(law.ln_choose.len() as u64 <= n + 1);
+        }
+    }
 
     #[test]
     fn ln_choose_small_values() {

@@ -3,8 +3,9 @@
 //! A read of `len` bytes at raw bit error rate `p` (the device model's
 //! age/wear curve output, see `mrm_device::cell`) is decomposed into ECC
 //! codewords. The *number* of raw flips and the per-codeword outcome
-//! classes are sampled exactly from their binomial laws using
-//! `mrm_ecc::analysis::codeword_failure_prob`, and a bounded number of
+//! classes are sampled exactly from their binomial laws; the uncorrectable
+//! class is priced by the model's own [`FailureLaw`], which keeps the
+//! binomial coefficients its queries need. A bounded number of
 //! uncorrectable candidates are classified by the *real* BCH decoder
 //! (`mrm_ecc::Bch`, t = 2 over 512 data bits) as t+1 random error
 //! positions, so detected-vs-miscorrected is decided by actual decoder
@@ -26,7 +27,7 @@
 //! the stream stays aligned across runs and thread counts (the
 //! hard-determinism contract).
 
-use mrm_ecc::analysis::codeword_failure_prob;
+use mrm_ecc::analysis::FailureLaw;
 use mrm_ecc::Bch;
 
 use crate::rng::FaultRng;
@@ -150,6 +151,8 @@ pub struct FaultModel {
     k: u64,
     /// Correction capability of the inner code.
     t: u64,
+    /// The uncorrectable-codeword law of `n`-bit codewords.
+    law: FailureLaw,
     rng: FaultRng,
     stats: FaultStats,
 }
@@ -166,6 +169,7 @@ impl FaultModel {
             n,
             k,
             t,
+            law: FailureLaw::new(n),
             rng: FaultRng::for_seed(sim_seed),
             stats: FaultStats::default(),
         }
@@ -225,7 +229,7 @@ impl FaultModel {
             // class conditioned on not-UE.
             let nf = self.n as f64;
             let p_any = -(nf * (-p).ln_1p()).exp_m1();
-            let p_ue = codeword_failure_prob(self.n, self.t, p);
+            let p_ue = self.law.at(self.t, p);
             let ue = sample_binomial(&mut self.rng, out.codewords, p_ue);
             let p_corr = if p_ue < 1.0 {
                 ((p_any - p_ue) / (1.0 - p_ue)).clamp(0.0, 1.0)
@@ -400,7 +404,8 @@ fn inverse_normal_cdf(u: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrm_sim::units::MIB;
+    use mrm_ecc::analysis::codeword_failure_prob;
+    use mrm_sim::units::{GIB, KIB, MIB};
 
     #[test]
     fn zero_rate_is_a_true_noop() {
@@ -493,7 +498,7 @@ mod tests {
         // Correctable codewords are never decoded, and a t+1 probe never
         // lands in the corrected class (`t_plus_one_probe_never_corrects`),
         // so the corrected mean is held to the law it is sampled from, and
-        // the UE total (probes included) to `codeword_failure_prob`.
+        // the UE total (probes included) to the uncorrectable-codeword law.
         let p = 1e-4;
         let mut m = FaultModel::new(FaultConfig::mrm(), 5);
         let (mut codewords, mut corrected, mut ue) = (0u64, 0u64, 0u64);
@@ -637,6 +642,46 @@ mod tests {
         // Extremes stay finite.
         assert!(inverse_normal_cdf(0.0).is_finite());
         assert!(inverse_normal_cdf(1.0).is_finite());
+    }
+
+    /// Golden: a fixed-seed read sequence over the RBER range the cluster
+    /// and soak experiments visit (1e-9 .. 1e-3, half-decade steps), at
+    /// KV-sized and weights-shard-sized reads. The totals pin the whole
+    /// fault stream: the class law, the sampler and the probe draws.
+    #[test]
+    fn fault_stream_totals_are_pinned() {
+        let mut got = FaultStats::default();
+        for (seed, outer_crc) in [(42u64, true), (43, false)] {
+            let mut m = FaultModel::new(
+                FaultConfig {
+                    outer_crc,
+                    ..FaultConfig::mrm()
+                },
+                seed,
+            );
+            for round in 0..4u64 {
+                for step in 0..13 {
+                    let rber = 1e-9 * 10f64.powf(f64::from(step) * 0.5);
+                    for len in [4 * KIB + round * 512, 160 * MIB, 17 * GIB + round * MIB] {
+                        m.inject_read(len, rber);
+                    }
+                }
+            }
+            got.merge(m.stats());
+        }
+        assert_eq!(
+            got,
+            FaultStats {
+                reads: 312,
+                codewords: 29_937_311_456,
+                bits: 15_926_649_694_592,
+                raw_flips: 1_791_681_580,
+                corrected: 1_442_190_143,
+                detected_ue: 40_501_941,
+                miscorrected: 20,
+                silent: 15,
+            }
+        );
     }
 
     #[test]

@@ -332,8 +332,8 @@ impl RuleId {
 pub struct FileCtx {
     /// Repo-relative path with forward slashes (used in diagnostics).
     pub path: String,
-    /// True for crates whose code runs on the simulated timeline:
-    /// sim, device, controller, tiering, workload, ecc.
+    /// True for crates whose code runs on the simulated timeline
+    /// ([`SIM_PATH_CRATES`]).
     pub sim_path: bool,
     /// True for `crates/telemetry`.
     pub telemetry: bool,
@@ -353,8 +353,9 @@ pub struct FileCtx {
 }
 
 /// Crates whose simulation results must be bit-identical for a given seed.
-pub const SIM_PATH_CRATES: [&str; 8] = [
+pub const SIM_PATH_CRATES: [&str; 9] = [
     "sim",
+    "core",
     "device",
     "controller",
     "control",
@@ -1138,6 +1139,9 @@ mod tests {
     fn classify_paths() {
         let c = FileCtx::classify("crates/tiering/src/prefix.rs");
         assert!(c.sim_path && c.library && !c.telemetry);
+        // `mrm-tiering` links `core` for every KV allocation.
+        let c = FileCtx::classify("crates/core/src/pool.rs");
+        assert!(c.sim_path && c.library);
         let c = FileCtx::classify("crates/telemetry/src/sink.rs");
         assert!(c.telemetry && !c.sim_path);
         let c = FileCtx::classify("crates/bench/src/bin/e7_dcm.rs");
