@@ -2,12 +2,13 @@
 //!
 //! A [`Tier`] aggregates `n` identical devices (HBM stacks, MRM packages,
 //! LPDDR packages) into one pool with summed capacity and bandwidth — the
-//! granularity the placement policies reason at. It keeps the fused
-//! [`Technology`] for the energy rates it charges and models no per-block
-//! device state.
+//! granularity the placement policies reason at. It counts the traffic it
+//! carries in integer ledgers (bytes read, bytes written per retention,
+//! scrub bytes, background time), prices them from the fused
+//! [`Technology`] only when [`Tier::energy`] is asked, and models no
+//! per-block device state.
 
 use mrm_core::pool::{Allocation, Pool, PoolError};
-use mrm_device::cell::WritePoints;
 use mrm_device::energy::EnergyBreakdown;
 use mrm_device::tech::Technology;
 use mrm_sim::time::SimDuration;
@@ -49,14 +50,16 @@ pub struct Tier {
     write_bw: f64,
     /// Relative cost of the tier (capacity GB × cost/GB).
     cost_units: f64,
-    /// Demand bytes moved (for utilization reporting).
+    /// Demand bytes read.
     bytes_read: u64,
-    bytes_written: u64,
-    /// Metered energy (bulk streams, background, scrubs).
-    energy: EnergyBreakdown,
-    /// The technology's retention curve, priced once per distinct write
-    /// retention: a DCM batch mixes retention classes.
-    write_points: WritePoints,
+    /// Demand bytes written per retention, ascending by retention. Never
+    /// capped: every written byte stays in the ledger, so the energy
+    /// priced from it does not depend on the order of the writes.
+    written: Vec<(SimDuration, u64)>,
+    /// Bytes read and rewritten by software scrubs.
+    scrub_bytes: u64,
+    /// Elapsed time charged for idle and refresh power.
+    background: SimDuration,
 }
 
 impl Tier {
@@ -73,14 +76,14 @@ impl Tier {
         Tier {
             kind,
             pool: Pool::new(fused.capacity_bytes),
-            write_points: WritePoints::new(fused.tradeoff()),
             tech: fused,
             read_bw,
             write_bw,
             cost_units,
             bytes_read: 0,
-            bytes_written: 0,
-            energy: EnergyBreakdown::default(),
+            written: Vec::new(),
+            scrub_bytes: 0,
+            background: SimDuration::ZERO,
         }
     }
 
@@ -106,7 +109,7 @@ impl Tier {
 
     /// Demand traffic so far: `(bytes_read, bytes_written)`.
     pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_read, self.bytes_written)
+        (self.bytes_read, self.written.iter().map(|&(_, b)| b).sum())
     }
 
     /// Allocates from the tier.
@@ -120,61 +123,68 @@ impl Tier {
     }
 
     /// Time to read `bytes` sequentially at aggregate tier bandwidth.
-    /// Traffic and energy are metered.
+    /// The bytes enter the read ledger.
     pub fn stream_read(&mut self, bytes: u64) -> SimDuration {
         self.bytes_read += bytes;
-        self.meter_read_energy(bytes);
         SimDuration::from_secs_f64(bytes as f64 / self.read_bw)
     }
 
-    /// Time to write `bytes` sequentially at aggregate tier bandwidth,
-    /// charged at the retention-scaled energy point.
+    /// Time to write `bytes` sequentially at aggregate tier bandwidth. The
+    /// bytes enter the write ledger under `retention`.
     pub fn stream_write(&mut self, bytes: u64, retention: SimDuration) -> SimDuration {
         self.append_each(bytes, std::slice::from_ref(&retention))
     }
 
-    /// Writes `bytes` once per entry of `retentions`, each charged at its
-    /// own retention's energy point, and returns the summed write time.
-    ///
-    /// Identical, bit for bit, to one [`Tier::stream_write`] per entry in
-    /// slice order: every write takes the same integer-ns time, and the
-    /// energy is added to the running total one write at a time with the
-    /// same per-write value.
+    /// Writes `bytes` once per entry of `retentions`, each entering the
+    /// write ledger under its own retention, and returns the summed write
+    /// time: the same as one [`Tier::stream_write`] per entry.
     pub fn append_each(&mut self, bytes: u64, retentions: &[SimDuration]) -> SimDuration {
-        let n = retentions.len() as u64;
-        self.bytes_written += bytes * n;
         for &rt in retentions {
-            let j = bytes as f64 * 8.0 * self.write_points.at(rt).write_energy_pj_bit * 1e-12;
-            self.energy.write_j += j;
+            self.ledger_write(rt, bytes);
         }
-        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * n
+        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * retentions.len() as u64
     }
 
-    fn meter_read_energy(&mut self, bytes: u64) {
-        self.energy.read_j += self.tech.read_energy_j(bytes);
+    /// Adds `bytes` to the write ledger's `retention` entry, inserting it in
+    /// retention order on first use.
+    fn ledger_write(&mut self, retention: SimDuration, bytes: u64) {
+        match self.written.binary_search_by_key(&retention, |&(r, _)| r) {
+            Ok(i) => self.written[i].1 += bytes,
+            Err(i) => self.written.insert(i, (retention, bytes)),
+        }
     }
 
     /// Charges `elapsed` of background cost: idle power, plus refresh power
     /// for DRAM-family technologies (the §2.1 "consuming power even when
     /// the memory is idle" term).
     pub fn charge_background(&mut self, elapsed: SimDuration) {
-        let tech = &self.tech;
-        let idle_j = tech.idle_power_w() * elapsed.as_secs_f64();
-        let refresh_j = tech.refresh_power_w() * elapsed.as_secs_f64();
-        self.energy.idle_j += idle_j;
-        self.energy.housekeeping_j += refresh_j;
+        self.background += elapsed;
     }
 
     /// Charges a software scrub (read + rewrite) of `bytes`.
     pub fn charge_scrub(&mut self, bytes: u64) {
-        let tech = &self.tech;
-        let j = tech.read_energy_j(bytes) + tech.write_energy_j(bytes);
-        self.energy.housekeeping_j += j;
+        self.scrub_bytes += bytes;
     }
 
-    /// Total metered energy.
+    /// Total energy, priced from the ledgers: reads at the technology's
+    /// read energy, each retention's written bytes at its point on the
+    /// retention curve (summed in ascending retention order), scrubs as a
+    /// read plus a datasheet-point rewrite, and background time at idle
+    /// and refresh power.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.energy
+        let tech = &self.tech;
+        let curve = tech.tradeoff();
+        let write_j = self.written.iter().fold(0.0, |j, &(rt, bytes)| {
+            j + bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12
+        });
+        let secs = self.background.as_secs_f64();
+        let scrub_j = tech.read_energy_j(self.scrub_bytes) + tech.write_energy_j(self.scrub_bytes);
+        EnergyBreakdown {
+            read_j: tech.read_energy_j(self.bytes_read),
+            write_j,
+            housekeeping_j: scrub_j + tech.refresh_power_w() * secs,
+            idle_j: tech.idle_power_w() * secs,
+        }
     }
 }
 
@@ -236,77 +246,101 @@ mod tests {
         assert!(short.energy().write_j < long.energy().write_j);
     }
 
-    /// Checks `append_each` against one `stream_write` per entry on a twin
-    /// tier, and both against writes priced straight from the curve. Both
-    /// tiers start from an earlier write, so a batch summed apart and then
-    /// folded into the total would round differently and fail.
-    fn assert_append_matches_loop(tech: Technology, bytes: u64, retentions: &[SimDuration]) {
-        let mut batched = Tier::new(TierKind::Mrm, tech.clone(), 2);
-        let mut looped = Tier::new(TierKind::Mrm, tech, 2);
-        for t in [&mut batched, &mut looped] {
-            t.stream_write(3 * GIB + 7, SimDuration::from_secs(90));
+    /// 20 distinct retentions, more than a bounded write-point table held.
+    fn many_retentions() -> Vec<SimDuration> {
+        (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect()
+    }
+
+    /// One tier charged with `ops` in the given order: `Some(rt)` writes
+    /// `bytes` at `rt`, `None` reads `bytes`.
+    fn charged(tech: &Technology, ops: &[(u64, Option<SimDuration>)]) -> Tier {
+        let mut t = Tier::new(TierKind::Mrm, tech.clone(), 2);
+        for &(bytes, rt) in ops {
+            match rt {
+                Some(rt) => {
+                    t.stream_write(bytes, rt);
+                }
+                None => {
+                    t.stream_read(bytes);
+                }
+            }
         }
-        let mut j_curve = looped.energy().write_j;
-        let d_batched = batched.append_each(bytes, retentions);
-        let mut d_looped = SimDuration::ZERO;
-        for &rt in retentions {
-            d_looped += looped.stream_write(bytes, rt);
-        }
-        let curve = looped.tech.tradeoff();
-        for &rt in retentions {
-            j_curve += bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12;
-        }
-        assert_eq!(d_batched, d_looped);
-        assert_eq!(batched.traffic(), looped.traffic());
-        assert_eq!(
-            batched.energy().write_j.to_bits(),
-            looped.energy().write_j.to_bits()
-        );
-        assert_eq!(looped.energy().write_j.to_bits(), j_curve.to_bits());
+        t
     }
 
     #[test]
-    fn append_each_matches_per_write_loop_on_ladder() {
-        use mrm_controller::dcm::RetentionClass;
-        let ladder = RetentionClass::ladder().map(RetentionClass::duration);
-        let mixed: Vec<SimDuration> = [3, 0, 4, 4, 1, 0, 2, 3, 3, 1, 4, 0, 2, 2]
-            .iter()
-            .map(|&i| ladder[i])
-            .collect();
+    fn energy_bits_do_not_depend_on_charge_order() {
+        let rts = many_retentions();
+        let mut ops: Vec<(u64, Option<SimDuration>)> = Vec::new();
+        for (i, &rt) in rts.iter().enumerate() {
+            let i = i as u64;
+            ops.push((327_680 + 4096 * i, Some(rt)));
+            ops.push((3 * GIB + 7 * i, None));
+            ops.push((4096 * (i % 3 + 1), Some(rts[(i as usize * 7) % rts.len()])));
+        }
         for tech in [presets::mrm_days(), presets::hbm3e()] {
-            assert_append_matches_loop(tech, 327_680, &mixed);
+            let reference = charged(&tech, &ops).energy();
+            // Reversed, then a fixed stride permutation, then interleaved
+            // from both ends.
+            let mut reversed = ops.clone();
+            reversed.reverse();
+            let strided: Vec<_> = (0..ops.len()).map(|i| ops[(i * 7) % ops.len()]).collect();
+            let mut ends = Vec::new();
+            for i in 0..ops.len() / 2 {
+                ends.push(ops[i]);
+                ends.push(ops[ops.len() - 1 - i]);
+            }
+            for order in [reversed, strided, ends] {
+                let e = charged(&tech, &order).energy();
+                for (got, want) in [
+                    (e.read_j, reference.read_j),
+                    (e.write_j, reference.write_j),
+                    (e.housekeeping_j, reference.housekeeping_j),
+                    (e.idle_j, reference.idle_j),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{}", tech.name);
+                }
+            }
         }
     }
 
     #[test]
-    fn append_each_of_nothing_charges_nothing() {
+    fn write_energy_sums_the_ledger_in_retention_order() {
+        let rts = many_retentions();
+        for tech in [presets::mrm_days(), presets::hbm3e()] {
+            let mut t = Tier::new(TierKind::Mrm, tech.clone(), 2);
+            // Written in descending retention order, twice each, with a
+            // per-retention size.
+            for (k, &rt) in rts.iter().enumerate().rev() {
+                for _ in 0..2 {
+                    t.stream_write(4096 * (k as u64 + 1), rt);
+                }
+            }
+            let curve = tech.tradeoff();
+            let mut want = 0.0;
+            for (k, &rt) in rts.iter().enumerate() {
+                let bytes = 2 * 4096 * (k as u64 + 1);
+                want += bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12;
+            }
+            assert_eq!(
+                t.energy().write_j.to_bits(),
+                want.to_bits(),
+                "{}",
+                tech.name
+            );
+            let bytes: u64 = (1..=rts.len() as u64).map(|k| 2 * 4096 * k).sum();
+            assert_eq!(t.traffic(), (0, bytes));
+        }
+    }
+
+    #[test]
+    fn empty_append_charges_nothing() {
         let mut t = Tier::new(TierKind::Mrm, presets::mrm_days(), 1);
         assert_eq!(t.append_each(MIB, &[]), SimDuration::ZERO);
         assert_eq!(t.traffic(), (0, 0));
-        assert_eq!(t.energy().write_j.to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn append_each_past_the_table_bound_matches_loop() {
-        let distinct: Vec<SimDuration> = (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect();
-        // Every retention twice, the second pass served from the table for
-        // the first 16 and priced afresh for the rest.
-        let twice: Vec<SimDuration> = distinct.iter().chain(distinct.iter()).copied().collect();
-        assert_append_matches_loop(presets::mrm_days(), 4096, &twice);
-    }
-
-    #[test]
-    fn table_served_write_charges_the_curve_point() {
-        let r = SimDuration::from_hours(12);
-        for tech in [presets::mrm_days(), presets::hbm3e()] {
-            let pj_bit = tech.tradeoff().at(r).write_energy_pj_bit;
-            let mut t = Tier::new(TierKind::Mrm, tech, 1);
-            t.stream_write(GIB, r);
-            // The second write is served from the table.
-            t.stream_write(GIB, r);
-            let j = GIB as f64 * 8.0 * pj_bit * 1e-12;
-            assert_eq!(t.energy().write_j.to_bits(), (0.0 + j + j).to_bits());
-        }
+        let e = t.energy();
+        assert_eq!(e.write_j.to_bits(), 0.0f64.to_bits());
+        assert_eq!(e.total_j().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
