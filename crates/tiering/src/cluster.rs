@@ -369,45 +369,76 @@ struct Pending {
     reuse: Option<u64>,
 }
 
+/// One request in the decode batch, as admitted or as finished.
 #[derive(Clone, Debug)]
 struct Active {
     arrival: SimTime,
     /// Admission-order id: the audit identity of this request's KV tail.
     req: u64,
+    /// Context tokens: at admission when pushed, at completion when
+    /// returned by [`ActiveBatch::iter_done`].
     context_tokens: u32,
-    output_remaining: u32,
+    /// Tokens the request decodes, at least 1.
+    output_tokens: u32,
     kv_allocs: Vec<mrm_core::pool::Allocation>,
     kv_bytes: u64,
     retention: SimDuration,
-    /// Whether the first output token has been produced (TTFT recorded).
-    first_token_done: bool,
 }
 
-/// The in-flight decode batch in struct-of-arrays layout.
+/// The in-flight decode batch of one accelerator, in struct-of-arrays
+/// layout, with the aggregates a decode iteration reads kept up to date.
 ///
-/// Every decode iteration sums `context_tokens` to size the KV read and
-/// hands the `retention` column to one `Tier::append_each` call for the
-/// per-context KV append, and the completion sweep walks four more fields.
-/// Splitting them into parallel dense columns keeps those scans on
-/// contiguous homogeneous memory instead of striding over `Active` records
-/// dragging the cold `kv_allocs` vectors through cache, and lets the
-/// retention column go to the tier as one slice. Slot `i` means the same
-/// request in every column, and removal is a columnwise `swap_remove` —
-/// the exact ordering the AoS `Vec<Active>` had, so event order (and
-/// therefore every byte of every report) is unchanged.
-#[derive(Clone, Debug, Default)]
+/// An iteration reads Σ context tokens (the KV read size) and appends one
+/// KV vector per slot at the slot's retention, so the batch keeps `ctx_sum`
+/// and per-retention slot counts instead of handing the tier its columns.
+/// A slot stores the iteration it was admitted at and the one it finishes
+/// at rather than counters decremented every iteration, so an iteration in
+/// which no slot finishes costs O(1) plus the first-token records of the
+/// slots admitted just before it (`fresh_start..len`). Only the iteration
+/// that reaches `min_finish` walks the batch, with the columnwise
+/// `swap_remove` scan the per-request loop always used, so completion and
+/// first-token order (and every byte of every report) are unchanged.
+#[derive(Clone, Debug)]
 struct ActiveBatch {
-    // Hot columns: scanned every iteration.
-    context_tokens: Vec<u32>,
-    output_remaining: Vec<u32>,
+    /// Decode iterations this accelerator has completed.
+    done: u64,
+    /// Σ context tokens over the slots, as of `done` iterations.
+    ctx_sum: u64,
+    /// Slot count per retention, ascending by retention, no zero counts.
+    retention_counts: Vec<(SimDuration, u32)>,
+    /// The earliest `finish` of any slot; `u64::MAX` when empty.
+    min_finish: u64,
+    /// The first slot admitted since the last completed iteration.
+    fresh_start: usize,
+    // Columns; slot `i` means the same request in every one.
+    admitted: Vec<u64>,
+    finish: Vec<u64>,
+    admit_context: Vec<u32>,
     retention: Vec<SimDuration>,
-    first_token_done: Vec<bool>,
-    // Warm columns: touched at TTFT and completion.
     arrival: Vec<SimTime>,
     req: Vec<u64>,
     kv_bytes: Vec<u64>,
-    // Cold: allocation handles, moved only at admission and completion.
     kv_allocs: Vec<Vec<mrm_core::pool::Allocation>>,
+}
+
+impl Default for ActiveBatch {
+    fn default() -> Self {
+        ActiveBatch {
+            done: 0,
+            ctx_sum: 0,
+            retention_counts: Vec::new(),
+            min_finish: u64::MAX,
+            fresh_start: 0,
+            admitted: Vec::new(),
+            finish: Vec::new(),
+            admit_context: Vec::new(),
+            retention: Vec::new(),
+            arrival: Vec::new(),
+            req: Vec::new(),
+            kv_bytes: Vec::new(),
+            kv_allocs: Vec::new(),
+        }
+    }
 }
 
 impl ActiveBatch {
@@ -419,28 +450,139 @@ impl ActiveBatch {
         self.req.is_empty()
     }
 
+    /// Admits `a` for the next iteration.
     fn push(&mut self, a: Active) {
-        self.context_tokens.push(a.context_tokens);
-        self.output_remaining.push(a.output_remaining);
+        debug_assert!(a.output_tokens > 0, "a request decodes at least one token");
+        let finish = self.done + u64::from(a.output_tokens);
+        self.min_finish = self.min_finish.min(finish);
+        self.ctx_sum += u64::from(a.context_tokens);
+        match self
+            .retention_counts
+            .binary_search_by_key(&a.retention, |&(r, _)| r)
+        {
+            Ok(i) => self.retention_counts[i].1 += 1,
+            Err(i) => self.retention_counts.insert(i, (a.retention, 1)),
+        }
+        self.admitted.push(self.done);
+        self.finish.push(finish);
+        self.admit_context.push(a.context_tokens);
         self.retention.push(a.retention);
-        self.first_token_done.push(a.first_token_done);
         self.arrival.push(a.arrival);
         self.req.push(a.req);
         self.kv_bytes.push(a.kv_bytes);
         self.kv_allocs.push(a.kv_allocs);
     }
 
+    /// Removes finished slot `i` at iteration `done`, returning it with its
+    /// context at completion.
     fn swap_remove(&mut self, i: usize) -> Active {
+        let admitted = self.admitted.swap_remove(i);
+        let output = self.finish.swap_remove(i) - admitted;
+        let context = u64::from(self.admit_context.swap_remove(i)) + output;
+        self.ctx_sum -= context;
+        let retention = self.retention.swap_remove(i);
+        let k = self
+            .retention_counts
+            .binary_search_by_key(&retention, |&(r, _)| r)
+            .expect("every slot's retention is counted");
+        self.retention_counts[k].1 -= 1;
+        if self.retention_counts[k].1 == 0 {
+            self.retention_counts.remove(k);
+        }
         Active {
-            context_tokens: self.context_tokens.swap_remove(i),
-            output_remaining: self.output_remaining.swap_remove(i),
-            retention: self.retention.swap_remove(i),
-            first_token_done: self.first_token_done.swap_remove(i),
             arrival: self.arrival.swap_remove(i),
             req: self.req.swap_remove(i),
-            kv_bytes: self.kv_bytes.swap_remove(i),
+            context_tokens: context as u32,
+            output_tokens: output as u32,
             kv_allocs: self.kv_allocs.swap_remove(i),
+            kv_bytes: self.kv_bytes.swap_remove(i),
+            retention,
         }
+    }
+
+    /// Completes one decode iteration: every slot gains a token. Calls
+    /// `first_token(arrival, req)` for each slot emitting its first token
+    /// and appends each slot emitting its last to `finished`, both in the
+    /// per-request scan's order. Returns the tokens emitted.
+    fn iter_done(
+        &mut self,
+        finished: &mut Vec<Active>,
+        mut first_token: impl FnMut(SimTime, u64),
+    ) -> u64 {
+        let emitted = self.len();
+        self.done += 1;
+        self.ctx_sum += emitted as u64;
+        if self.done < self.min_finish {
+            for i in self.fresh_start..emitted {
+                first_token(self.arrival[i], self.req[i]);
+            }
+        } else {
+            let mut i = 0;
+            while i < self.len() {
+                if self.admitted[i] + 1 == self.done {
+                    first_token(self.arrival[i], self.req[i]);
+                }
+                if self.finish[i] == self.done {
+                    finished.push(self.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            self.min_finish = self.finish.iter().copied().min().unwrap_or(u64::MAX);
+        }
+        self.fresh_start = self.len();
+        emitted as u64
+    }
+}
+
+/// The per-request scan [`ActiveBatch::iter_done`] replaced, kept as the
+/// reference its differential test checks completion order against: every
+/// iteration bumps each slot's context, decrements its remaining output,
+/// records its first token once, and `swap_remove`s it when done.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct ScanBatch {
+    req: Vec<u64>,
+    context_tokens: Vec<u32>,
+    output_remaining: Vec<u32>,
+    first_token_done: Vec<bool>,
+    retention: Vec<SimDuration>,
+}
+
+#[cfg(test)]
+impl ScanBatch {
+    fn push(&mut self, req: u64, context: u32, output: u32, retention: SimDuration) {
+        self.req.push(req);
+        self.context_tokens.push(context);
+        self.output_remaining.push(output);
+        self.first_token_done.push(false);
+        self.retention.push(retention);
+    }
+
+    /// One iteration: appends first-token reqs to `first` and finished
+    /// `(req, context)` pairs to `finished`; returns the tokens emitted.
+    fn iter_done(&mut self, first: &mut Vec<u64>, finished: &mut Vec<(u64, u32)>) -> u64 {
+        let mut tokens = 0;
+        let mut i = 0;
+        while i < self.req.len() {
+            self.context_tokens[i] += 1;
+            self.output_remaining[i] -= 1;
+            tokens += 1;
+            if !self.first_token_done[i] {
+                self.first_token_done[i] = true;
+                first.push(self.req[i]);
+            }
+            if self.output_remaining[i] == 0 {
+                self.output_remaining.swap_remove(i);
+                self.first_token_done.swap_remove(i);
+                self.retention.swap_remove(i);
+                let context = self.context_tokens.swap_remove(i);
+                finished.push((self.req.swap_remove(i), context));
+            } else {
+                i += 1;
+            }
+        }
+        tokens
     }
 }
 
@@ -978,7 +1120,8 @@ impl<'t> ClusterSim<'t> {
             prompt_tokens: prompt,
             // Every admitted request decodes at least one token: a recorded
             // trace may carry output_tokens == 0 (e.g. a truncated entry),
-            // which would underflow output_remaining on iteration completion.
+            // and a batch slot finishes after its last token, never before
+            // its first.
             output_tokens: output.max(1),
             reuse: None,
         });
@@ -1172,11 +1315,10 @@ impl<'t> ClusterSim<'t> {
                 arrival,
                 req,
                 context_tokens: base_tokens + prompt_tokens,
-                output_remaining: output_tokens,
+                output_tokens,
                 kv_allocs,
                 kv_bytes: base_bytes + need,
                 retention,
-                first_token_done: false,
             });
             self.active_total += 1;
         }
@@ -1193,12 +1335,7 @@ impl<'t> ClusterSim<'t> {
         // Iteration duration from memory traffic (§2.2 arithmetic).
         let weights_bytes = self.weights_bytes;
         let batch_len = a.batch.len() as u64;
-        let kv_read_total: u64 = a
-            .batch
-            .context_tokens
-            .iter()
-            .map(|&c| u64::from(c) * kvpt)
-            .sum();
+        let kv_read_total = a.batch.ctx_sum * kvpt;
         let act_bytes = self
             .cfg
             .model
@@ -1246,9 +1383,9 @@ impl<'t> ClusterSim<'t> {
             }
         }
         // KV: all active contexts read; one vector appended per context,
-        // in one tier call over the retention column; prefill KV written.
-        // The tier and the batch are disjoint fields, so the column is
-        // lent in place — no per-iteration `Vec` of retentions.
+        // in one tier call over the batch's per-retention counts; prefill
+        // KV written. The tier and the batch are disjoint fields, so the
+        // counts are lent in place.
         {
             let Accel {
                 hbm, alt, batch, ..
@@ -1258,7 +1395,7 @@ impl<'t> ClusterSim<'t> {
                 _ => alt.as_mut().expect("policy requires an alternate tier"),
             };
             t += kvt.stream_read(kv_read_total);
-            t += kvt.append_each(kvpt, &batch.retention);
+            t += kvt.append(kvpt, &batch.retention_counts);
             if prefill_write_bytes > 0 {
                 // Prefill writes use the first slot's retention class.
                 let rt = batch.retention.first().copied().unwrap_or(native);
@@ -1289,31 +1426,18 @@ impl<'t> ClusterSim<'t> {
         self.obs.iter_end(now, acc);
         self.accels[acc].running = false;
         let mut finished: Vec<Active> = Vec::new();
-        {
-            let a = &mut self.accels[acc];
-            let mut i = 0;
-            while i < a.batch.len() {
-                a.batch.context_tokens[i] += 1;
-                a.batch.output_remaining[i] -= 1;
-                self.tokens += 1;
-                if !a.batch.first_token_done[i] {
-                    a.batch.first_token_done[i] = true;
-                    let ttft = now.duration_since(a.batch.arrival[i]);
-                    let ttft_ms = ttft.as_secs_f64() * 1e3;
-                    self.ttft_ms.record(ttft_ms);
-                    if let Some(sink) = self.telemetry.as_deref_mut() {
-                        sink.observe("ttft_ms", ttft_ms);
-                    }
-                    self.obs.first_token(now, acc, a.batch.req[i]);
+        let (ttft, telemetry, obs) = (&mut self.ttft_ms, &mut self.telemetry, &mut self.obs);
+        self.tokens += self.accels[acc]
+            .batch
+            .iter_done(&mut finished, |arrival, req| {
+                let ttft_ms = now.duration_since(arrival).as_secs_f64() * 1e3;
+                ttft.record(ttft_ms);
+                if let Some(sink) = telemetry.as_deref_mut() {
+                    sink.observe("ttft_ms", ttft_ms);
                 }
-                if a.batch.output_remaining[i] == 0 {
-                    finished.push(a.batch.swap_remove(i));
-                    self.active_total -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
+                obs.first_token(now, acc, req);
+            });
+        self.active_total -= finished.len();
         for r in finished {
             self.completions += 1;
             let latency = now.duration_since(r.arrival);
@@ -1711,7 +1835,7 @@ impl<'t> ClusterSim<'t> {
     /// will be overwritten anyway); fixed systems pay the native class.
     fn on_weight_redeploy(&mut self, now: SimTime, acc: usize) {
         let policy = self.cfg.policy;
-        let weights_bytes = self.cfg.model.weights_bytes(self.cfg.quant);
+        let weights_bytes = self.weights_bytes;
         let period = self
             .cfg
             .weight_redeploy_period
@@ -1720,7 +1844,8 @@ impl<'t> ClusterSim<'t> {
             policy.tier_for(DataClass::Weights) == TierKind::Mrm,
             policy.uses_dcm(),
             period,
-            presets::mrm_hours().retention,
+            // The MRM preset's native retention, hoisted with its curve.
+            self.mrm_tradeoff.ref_retention,
             self.cfg.lifetime_margin,
         );
         // The old shard's need ends (Retire — always legal for Required
@@ -1882,6 +2007,96 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(policy, 2, 8.0);
         cfg.duration = SimDuration::from_secs(30);
         run(cfg)
+    }
+
+    /// Replays seeded random admission/iteration traces through the
+    /// walk-free batch and the per-request scan, and checks they agree on
+    /// every observable after every iteration.
+    #[test]
+    fn walk_free_batch_matches_per_request_scan() {
+        let ladder = [
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(1),
+            SimDuration::from_hours(6),
+            SimDuration::from_days(1),
+            SimDuration::from_days(7),
+        ];
+        let (mut quiet, mut finishing, mut one_token) = (0u64, 0u64, 0u64);
+        for seed in 0..200u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let max_batch = 1 + rng.gen_range_u64(64) as usize;
+            let mut fast = ActiveBatch::default();
+            let mut scan = ScanBatch::default();
+            let mut next_req = 0u64;
+            let mut arrival_of = BTreeMap::new();
+            for _ in 0..300 {
+                // Admission: a burst up to the batch bound, or nothing.
+                let room = (max_batch - fast.len()) as u64;
+                let admit = if rng.gen_bool(0.4) {
+                    rng.gen_range_u64(room + 1)
+                } else {
+                    0
+                };
+                for _ in 0..admit {
+                    let output = match rng.gen_range_u64(4) {
+                        0 => 1,
+                        1 => 1 + rng.gen_range_u64(4) as u32,
+                        _ => 1 + rng.gen_range_u64(200) as u32,
+                    };
+                    one_token += u64::from(output == 1);
+                    let context = 1 + rng.gen_range_u64(4000) as u32;
+                    let retention = ladder[rng.gen_index(ladder.len())];
+                    let arrival = SimTime::from_nanos(rng.gen_range_u64(1_000_000_000_000));
+                    arrival_of.insert(next_req, arrival);
+                    fast.push(Active {
+                        arrival,
+                        req: next_req,
+                        context_tokens: context,
+                        output_tokens: output,
+                        kv_allocs: Vec::new(),
+                        kv_bytes: next_req * 3,
+                        retention,
+                    });
+                    scan.push(next_req, context, output, retention);
+                    next_req += 1;
+                }
+                if fast.is_empty() {
+                    continue;
+                }
+                let (mut first_fast, mut first_scan) = (Vec::new(), Vec::new());
+                let (mut done_fast, mut done_scan) = (Vec::new(), Vec::new());
+                let tokens = fast.iter_done(&mut done_fast, |arrival, req| {
+                    assert_eq!(arrival_of[&req], arrival);
+                    first_fast.push(req);
+                });
+                assert_eq!(tokens, scan.iter_done(&mut first_scan, &mut done_scan));
+                assert_eq!(first_fast, first_scan, "seed {seed}");
+                let got: Vec<(u64, u32)> = done_fast
+                    .iter()
+                    .map(|a| (a.req, a.context_tokens))
+                    .collect();
+                assert_eq!(got, done_scan, "seed {seed}");
+                for a in &done_fast {
+                    assert_eq!(a.kv_bytes, a.req * 3);
+                    assert_eq!(a.arrival, arrival_of[&a.req]);
+                }
+                if done_scan.is_empty() {
+                    quiet += 1;
+                } else {
+                    finishing += 1;
+                }
+                assert_eq!(fast.req, scan.req, "seed {seed}: slot order");
+                let ctx: u64 = scan.context_tokens.iter().map(|&c| u64::from(c)).sum();
+                assert_eq!(fast.ctx_sum, ctx, "seed {seed}");
+                let mut counts: BTreeMap<SimDuration, u32> = BTreeMap::new();
+                for &rt in &scan.retention {
+                    *counts.entry(rt).or_default() += 1;
+                }
+                let counts: Vec<(SimDuration, u32)> = counts.into_iter().collect();
+                assert_eq!(fast.retention_counts, counts, "seed {seed}");
+            }
+        }
+        assert!(quiet > 1000 && finishing > 1000 && one_token > 1000);
     }
 
     #[test]

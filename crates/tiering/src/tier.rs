@@ -132,17 +132,20 @@ impl Tier {
     /// Time to write `bytes` sequentially at aggregate tier bandwidth. The
     /// bytes enter the write ledger under `retention`.
     pub fn stream_write(&mut self, bytes: u64, retention: SimDuration) -> SimDuration {
-        self.append_each(bytes, std::slice::from_ref(&retention))
+        self.append(bytes, &[(retention, 1)])
     }
 
-    /// Writes `bytes` once per entry of `retentions`, each entering the
-    /// write ledger under its own retention, and returns the summed write
-    /// time: the same as one [`Tier::stream_write`] per entry.
-    pub fn append_each(&mut self, bytes: u64, retentions: &[SimDuration]) -> SimDuration {
-        for &rt in retentions {
-            self.ledger_write(rt, bytes);
+    /// Writes `bytes` `count` times for each `(retention, count)` pair, the
+    /// bytes entering the write ledger under their retention, and returns
+    /// the summed write time: the same as one [`Tier::stream_write`] per
+    /// write.
+    pub fn append(&mut self, bytes: u64, counts: &[(SimDuration, u32)]) -> SimDuration {
+        let mut writes = 0u64;
+        for &(rt, n) in counts {
+            self.ledger_write(rt, bytes * u64::from(n));
+            writes += u64::from(n);
         }
-        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * retentions.len() as u64
+        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * writes
     }
 
     /// Adds `bytes` to the write ledger's `retention` entry, inserting it in
@@ -336,7 +339,7 @@ mod tests {
     #[test]
     fn empty_append_charges_nothing() {
         let mut t = Tier::new(TierKind::Mrm, presets::mrm_days(), 1);
-        assert_eq!(t.append_each(MIB, &[]), SimDuration::ZERO);
+        assert_eq!(t.append(MIB, &[]), SimDuration::ZERO);
         assert_eq!(t.traffic(), (0, 0));
         let e = t.energy();
         assert_eq!(e.write_j.to_bits(), 0.0f64.to_bits());
