@@ -238,10 +238,10 @@ impl RetentionTradeoff {
     }
 }
 
-/// Most retentions a [`WritePoints`] table keeps. The cluster tiers meet
-/// at most two and a DCM device its ladder classes; a retention met once
-/// the table is full is priced on every call instead, so the bound caps
-/// the table's size, never the result.
+/// Most retentions a [`WritePoints`] table keeps. A DCM device meets its
+/// ladder classes; a retention met once the table is full is priced on
+/// every call instead, so the bound caps the table's size, never the
+/// result.
 const WRITE_POINTS: usize = 16;
 
 /// A retention curve with the operating points it has already priced.
@@ -270,9 +270,8 @@ impl WritePoints {
 
     /// The operating point for a write programmed for `retention`.
     ///
-    /// Inlined, so a caller in another crate (a tier's per-request KV
-    /// append) scans the table in place and reads only the field it uses;
-    /// a miss calls out to the curve.
+    /// Inlined, so a device write scans the table in place and reads only
+    /// the fields it uses; a miss calls out to the curve.
     #[inline]
     pub fn at(&mut self, retention: SimDuration) -> CellOperatingPoint {
         match self.points.iter().find(|(r, _)| *r == retention) {

@@ -398,7 +398,7 @@ struct Active {
 /// that reaches `min_finish` walks the batch, with the columnwise
 /// `swap_remove` scan the per-request loop always used, so completion and
 /// first-token order (and every byte of every report) are unchanged.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct ActiveBatch {
     /// Decode iterations this accelerator has completed.
     done: u64,
@@ -406,7 +406,7 @@ struct ActiveBatch {
     ctx_sum: u64,
     /// Slot count per retention, ascending by retention, no zero counts.
     retention_counts: Vec<(SimDuration, u32)>,
-    /// The earliest `finish` of any slot; `u64::MAX` when empty.
+    /// The earliest `finish` of any slot (unused while empty).
     min_finish: u64,
     /// The first slot admitted since the last completed iteration.
     fresh_start: usize,
@@ -419,26 +419,6 @@ struct ActiveBatch {
     req: Vec<u64>,
     kv_bytes: Vec<u64>,
     kv_allocs: Vec<Vec<mrm_core::pool::Allocation>>,
-}
-
-impl Default for ActiveBatch {
-    fn default() -> Self {
-        ActiveBatch {
-            done: 0,
-            ctx_sum: 0,
-            retention_counts: Vec::new(),
-            min_finish: u64::MAX,
-            fresh_start: 0,
-            admitted: Vec::new(),
-            finish: Vec::new(),
-            admit_context: Vec::new(),
-            retention: Vec::new(),
-            arrival: Vec::new(),
-            req: Vec::new(),
-            kv_bytes: Vec::new(),
-            kv_allocs: Vec::new(),
-        }
-    }
 }
 
 impl ActiveBatch {
@@ -454,7 +434,11 @@ impl ActiveBatch {
     fn push(&mut self, a: Active) {
         debug_assert!(a.output_tokens > 0, "a request decodes at least one token");
         let finish = self.done + u64::from(a.output_tokens);
-        self.min_finish = self.min_finish.min(finish);
+        self.min_finish = if self.is_empty() {
+            finish
+        } else {
+            self.min_finish.min(finish)
+        };
         self.ctx_sum += u64::from(a.context_tokens);
         match self
             .retention_counts

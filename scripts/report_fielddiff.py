@@ -8,12 +8,12 @@ folded to `[]`, so `tiers[].energy.read_j` covers every tier's entry.
 Non-numeric differences and fields present on one side only count as an
 infinite delta.
 
-Exits 1 if a field whose name does not fully match an `--allow` regex
+Exits 1 if a field whose name does not fully match the `--allow` regex
 differs, or if any delta exceeds `--rtol` (default: no bound); exits 0
 otherwise, printing "identical" when nothing differs.
 
     python3 scripts/report_fielddiff.py before.json after.json \\
-        --allow 'energy_total_j|j_per_token|housekeeping_j|tiers\\[\\]\\.energy\\..*' \\
+        --allow '(.*\\.)?(energy_total_j|j_per_token|housekeeping_j|tiers\\[\\]\\.energy\\.\\w+)' \\
         --rtol 1e-9
 """
 
@@ -65,15 +65,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="baseline JSON report")
     ap.add_argument("b", help="changed JSON report")
-    ap.add_argument("--allow", action="append", default=[], metavar="REGEX",
-                    help="field names (full match) that may differ; repeatable")
+    ap.add_argument("--allow", metavar="REGEX",
+                    help="field names (full match) that may differ")
     ap.add_argument("--rtol", type=float, default=math.inf,
                     help="largest relative delta any field may show")
     args = ap.parse_args()
 
     with open(args.a) as fa, open(args.b) as fb:
         a, b = json.load(fa), json.load(fb)
-    allow = [re.compile(r) for r in args.allow]
+    allow = re.compile(args.allow) if args.allow else None
     diffs = {}
     walk(a, b, "", diffs)
 
@@ -82,7 +82,7 @@ def main():
         print("identical")
     wide = max([len(f) for f in diffs] + [5])
     for field, (count, worst) in diffs.items():
-        allowed = any(r.fullmatch(field) for r in allow)
+        allowed = bool(allow and allow.fullmatch(field))
         flags = []
         if not allowed:
             flags.append("NOT ALLOWED")
