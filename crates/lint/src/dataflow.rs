@@ -1,16 +1,9 @@
-//! The interprocedural analyses: D9 (transitive determinism over the call
-//! graph), D10 (RNG stream-separation taint), and U2 (unit-dimension
-//! propagation).
+//! The interprocedural analyses: D10 (RNG stream-separation taint) and U2
+//! (unit-dimension propagation).
 //!
-//! All three are deliberately conservative over-approximations driven by
-//! names, not types (DESIGN.md §6.2 spells out the limits):
+//! Both are deliberately conservative over-approximations driven by names,
+//! not types (DESIGN.md §6.2 spells out the limits):
 //!
-//! * **D9** walks the call graph from sim entry points and flags paths
-//!   that reach a forbidden-sink function in a non-sim crate. Sinks inside
-//!   sim-path crates are excluded — the lexical D1–D3 already own those —
-//!   as are the observe-only crates (`obs`, `telemetry`), whose contracts
-//!   (D4/D8 plus the byte-identity smokes) pin that they cannot perturb a
-//!   run and whose wall profiler reads wall-clock *by design*.
 //! * **D10** runs per function: values drawn from a `FaultRng` are
 //!   fault-tainted, single-assignment propagation carries the taint
 //!   through locals, and a tainted atom inside a sink call (`SimRng`
@@ -24,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{call_sites, renames_of, resolve, CallGraph, CallSite};
+use crate::calls::{call_sites, renames_of, resolve, CallSite};
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{unit_class, RelatedSite, RuleId, Violation, MIXING_OPS};
 use crate::symbols::{FnDef, FnId, SymbolTable};
@@ -73,177 +66,6 @@ fn seq3(code: &[Token], i: usize, a: &str, b: &str, c: &str) -> bool {
     code.get(i).is_some_and(|t| t.is_ident(a))
         && code.get(i + 1).is_some_and(|t| t.is_punct(b))
         && code.get(i + 2).is_some_and(|t| t.is_ident(c))
-}
-
-// ---------------------------------------------------------------------------
-// D9 — transitive determinism
-// ---------------------------------------------------------------------------
-
-/// Sim entry-point names: the surfaces the event loop and the harness call
-/// into. Anything transitively reachable from one of these runs on the
-/// simulated timeline.
-fn is_entry_name(name: &str) -> bool {
-    name.starts_with("run")
-        || name.starts_with("on_")
-        || name.starts_with("handle")
-        || name.starts_with("read")
-        || name.starts_with("write")
-        || matches!(name, "dispatch" | "tick" | "step")
-}
-
-/// Sim-path functions D9 treats as roots of the reachability walk.
-pub fn entry_points(table: &SymbolTable) -> Vec<FnId> {
-    table
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| {
-            table.files[d.file].ctx.sim_path && !d.item.is_test && is_entry_name(&d.item.name)
-        })
-        .map(|(id, _)| id)
-        .collect()
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum SinkKind {
-    WallClock,
-    Entropy,
-    UnorderedIter,
-}
-
-impl SinkKind {
-    fn describe(self) -> &'static str {
-        match self {
-            SinkKind::WallClock => "wall-clock time",
-            SinkKind::Entropy => "ambient entropy",
-            SinkKind::UnorderedIter => "unordered HashMap/HashSet iteration",
-        }
-    }
-}
-
-const WALL_CLOCK_IDENTS: [&str; 3] = ["Instant", "SystemTime", "UNIX_EPOCH"];
-const ENTROPY_IDENTS: [&str; 5] = [
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
-    "RandomState",
-];
-const ITER_IDENTS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "retain",
-];
-
-/// Forbidden sinks inside one function's body — only in non-sim,
-/// non-observe-only crates (see the module doc for why those are excluded).
-/// Returns at most one site per kind.
-fn sinks_in(table: &SymbolTable, id: FnId) -> Vec<(SinkKind, u32, String)> {
-    let def = &table.fns[id];
-    let ctx = &table.files[def.file].ctx;
-    if ctx.sim_path || matches!(def.crate_name.as_str(), "obs" | "telemetry") {
-        return Vec::new();
-    }
-    let code = &table.files[def.file].parsed.code;
-    let body = &code[def.item.body.clone()];
-    let mut out: Vec<(SinkKind, u32, String)> = Vec::new();
-    let mut push = |kind: SinkKind, line: u32, tok: &str| {
-        if !out.iter().any(|(k, _, _)| *k == kind) {
-            out.push((kind, line, tok.to_string()));
-        }
-    };
-    let has_unordered_map = body
-        .iter()
-        .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"));
-    for t in body {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = t.text.as_str();
-        if WALL_CLOCK_IDENTS.contains(&name) {
-            push(SinkKind::WallClock, t.line, name);
-        } else if ENTROPY_IDENTS.contains(&name) {
-            push(SinkKind::Entropy, t.line, name);
-        } else if has_unordered_map && ITER_IDENTS.contains(&name) {
-            push(SinkKind::UnorderedIter, t.line, name);
-        }
-    }
-    out.sort_by_key(|(k, _, _)| *k);
-    out
-}
-
-/// D9: reachability from sim entry points to forbidden sinks, reported with
-/// the full call chain. The diagnostic anchors on the *first edge out of
-/// the entry point* — the commitment point where the sim path leaves the
-/// entry function — so an `allow(D9)` annotation sits next to the call that
-/// starts the chain.
-pub fn analyze_d9(table: &SymbolTable, graph: &CallGraph) -> Vec<Violation> {
-    let entries = entry_points(table);
-    let parent = graph.reachable_from(&entries);
-    let mut out = Vec::new();
-    for &id in parent.keys() {
-        for (kind, sink_line, sink_tok) in sinks_in(table, id) {
-            let chain = graph.chain_to(&parent, id);
-            // Entries live in sim-path crates and sinks are excluded there,
-            // so a chain always has an entry distinct from the sink.
-            let Some((entry_id, _)) = chain.first() else {
-                continue;
-            };
-            let Some((_, Some(first_edge))) = chain.get(1) else {
-                continue;
-            };
-            let entry = &table.fns[*entry_id];
-            let sink = &table.fns[id];
-            let mut hops = format!("`{}`", entry.item.qual());
-            let mut related = Vec::new();
-            for (hop_id, edge) in chain.iter().skip(1) {
-                let hop = &table.fns[*hop_id];
-                let edge = edge.as_ref().expect("non-root chain hops have an edge");
-                hops.push_str(&format!(
-                    " -> `{}` ({}:{})",
-                    hop.item.qual(),
-                    hop.path,
-                    hop.item.line
-                ));
-                related.push(RelatedSite {
-                    path: table.fns[*hop_id].path.clone(),
-                    line: hop.item.line,
-                    note: format!(
-                        "reached via call `{}` at line {}",
-                        edge.call_repr, edge.line
-                    ),
-                });
-            }
-            related.push(RelatedSite {
-                path: sink.path.clone(),
-                line: sink_line,
-                note: format!("{} via `{sink_tok}` here", kind.describe()),
-            });
-            out.push(Violation {
-                rule: RuleId::D9,
-                path: entry.path.clone(),
-                line: first_edge.line,
-                message: format!(
-                    "sim entry `{}` transitively reaches {} (`{}` in `{}`, {}:{}): {} — \
-                     results stop being a pure function of (config, seed)",
-                    entry.item.qual(),
-                    kind.describe(),
-                    sink_tok,
-                    sink.item.qual(),
-                    sink.path,
-                    sink_line,
-                    hops
-                ),
-                related,
-            });
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -796,7 +618,7 @@ fn check_call_dims(
 // ---------------------------------------------------------------------------
 
 /// Runs the intraprocedural analyses (D10, U2) over every non-test function
-/// defined in `file_idx`. D9 is workspace-level — see [`analyze_d9`].
+/// defined in `file_idx`.
 pub fn analyze_file(table: &SymbolTable, file_idx: usize) -> Vec<Violation> {
     let mut out = Vec::new();
     let renames = renames_of(&table.files[file_idx]);
@@ -818,12 +640,14 @@ mod tests {
     use crate::symbols::FileEntry;
 
     fn table(files: &[(&str, &str)]) -> SymbolTable {
+        // D10 and U2 never read the sim path.
+        let no_sim = BTreeSet::new();
         SymbolTable::build(
             files
                 .iter()
                 .map(|(path, src)| FileEntry {
                     parsed: parse_file(src),
-                    ctx: FileCtx::classify(path),
+                    ctx: FileCtx::classify(path, &no_sim),
                 })
                 .collect(),
         )
@@ -831,63 +655,6 @@ mod tests {
 
     fn rules_of(vs: &[Violation]) -> Vec<RuleId> {
         vs.iter().map(|v| v.rule).collect()
-    }
-
-    #[test]
-    fn d9_flags_transitive_wall_clock_with_chain() {
-        let t = table(&[
-            (
-                "crates/sim/src/lib.rs",
-                "pub fn run_sim(n: u64) { helper(n); }\n",
-            ),
-            (
-                "crates/util/src/lib.rs",
-                "pub fn helper(n: u64) { let _ = Instant::now(); }\n",
-            ),
-        ]);
-        let g = CallGraph::build(&t);
-        let vs = analyze_d9(&t, &g);
-        assert_eq!(rules_of(&vs), vec![RuleId::D9]);
-        let v = &vs[0];
-        assert_eq!(v.path, "crates/sim/src/lib.rs");
-        assert!(v.message.contains("run_sim"), "{}", v.message);
-        assert!(v.message.contains("helper"), "{}", v.message);
-        assert!(v.message.contains("wall-clock"), "{}", v.message);
-        assert!(!v.related.is_empty());
-    }
-
-    #[test]
-    fn d9_ignores_sinks_in_sim_and_observe_only_crates() {
-        // Sink in a sim-path crate: D1's territory, not D9's.
-        let t = table(&[(
-            "crates/sim/src/lib.rs",
-            "pub fn run_sim() { let _ = Instant::now(); }\n",
-        )]);
-        let g = CallGraph::build(&t);
-        assert!(analyze_d9(&t, &g).is_empty());
-        // Sink in obs: the wall profiler is wall-clock by design.
-        let t = table(&[
-            ("crates/sim/src/lib.rs", "pub fn run_sim() { observe(); }\n"),
-            (
-                "crates/obs/src/lib.rs",
-                "pub fn observe() { let _ = Instant::now(); }\n",
-            ),
-        ]);
-        let g = CallGraph::build(&t);
-        assert!(analyze_d9(&t, &g).is_empty());
-    }
-
-    #[test]
-    fn d9_unreachable_sinks_do_not_fire() {
-        let t = table(&[
-            ("crates/sim/src/lib.rs", "pub fn run_sim() {}\n"),
-            (
-                "crates/util/src/lib.rs",
-                "pub fn unused() { let _ = Instant::now(); }\n",
-            ),
-        ]);
-        let g = CallGraph::build(&t);
-        assert!(analyze_d9(&t, &g).is_empty());
     }
 
     #[test]
@@ -1007,20 +774,5 @@ mod tests {
         // not flagged: the rhs atom is a call, not an ident.)
         let vs = analyze_file(&t, 0);
         assert!(rules_of(&vs).is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn entry_points_cover_run_on_tick_surfaces() {
-        let t = table(&[
-            (
-                "crates/tiering/src/cluster.rs",
-                "impl ClusterSim { pub fn run(&mut self) {} fn on_arrival(&mut self) {} }\n\
-                 pub fn helper() {}\n",
-            ),
-            ("crates/bench/src/lib.rs", "pub fn run_bench() {}\n"),
-        ]);
-        let e = entry_points(&t);
-        let names: Vec<&str> = e.iter().map(|&id| t.fns[id].item.name.as_str()).collect();
-        assert_eq!(names, vec!["run", "on_arrival"], "bench is not sim-path");
     }
 }

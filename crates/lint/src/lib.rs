@@ -12,65 +12,54 @@
 //! Two layers of analysis (DESIGN.md §6):
 //!
 //! * **Lexical** (D1–D8, U1): per-line token scans, path-gated by
-//!   [`rules::FileCtx`].
-//! * **Interprocedural** (D9, D10, U2): an item parser ([`parse`]) feeds a
-//!   workspace symbol table ([`symbols`]) and call graph ([`callgraph`]);
-//!   [`dataflow`] then walks reachability from sim entry points (D9), runs
-//!   a per-function RNG-taint pass (D10), and propagates unit-suffix
-//!   dimensions through bindings and call boundaries (U2).
+//!   [`rules::FileCtx`]. The sim path that gates D1–D3, D7 and D8 is read
+//!   from the workspace's Cargo manifests ([`manifest`]).
+//! * **Interprocedural** (D10, U2): an item parser ([`parse`]) feeds a
+//!   workspace symbol table ([`symbols`]) and name-based call resolution
+//!   ([`calls`]); [`dataflow`] then runs a per-function RNG-taint pass
+//!   (D10) and propagates unit-suffix dimensions through bindings and call
+//!   boundaries (U2).
 //!
 //! See [`rules`] for the catalogue, [`sarif`] for the SARIF 2.1.0
 //! reporter, and the `mrm-lint` binary for the CLI.
 //!
 //! ```
+//! use std::path::Path;
+//! use mrm_lint::manifest::sim_path_crates;
 //! use mrm_lint::rules::{lint_source, FileCtx, RuleId};
+//! use mrm_lint::walk::find_workspace_root;
 //!
-//! let ctx = FileCtx::classify("crates/tiering/src/prefix.rs");
+//! let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+//!     .expect("the lint crate lives inside the workspace");
+//! let sim = sim_path_crates(&root).expect("workspace manifests are readable");
+//! let ctx = FileCtx::classify("crates/tiering/src/prefix.rs", &sim);
 //! let report = lint_source("use std::collections::HashMap;", &ctx);
 //! assert_eq!(report.violations[0].rule, RuleId::D2);
 //! ```
 
-pub mod callgraph;
+pub mod calls;
 pub mod dataflow;
 pub mod lexer;
+pub mod manifest;
 pub mod parse;
 pub mod rules;
 pub mod sarif;
 pub mod symbols;
 pub mod walk;
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use callgraph::CallGraph;
 use rules::{scan_lexical, FileCtx, Violation};
 use symbols::{FileEntry, SymbolTable};
 
-/// The full result of analyzing a workspace: the merged diagnostics plus
-/// the symbol table and call graph they were computed on (kept for
-/// `--dump-callgraph` and the tests' oracles).
-pub struct WorkspaceAnalysis {
-    /// All violations, sorted by (path, line, rule), suppression applied.
-    pub violations: Vec<Violation>,
-    pub table: SymbolTable,
-    pub graph: CallGraph,
-}
-
-impl WorkspaceAnalysis {
-    /// DOT export of the sim-reachable subgraph (entry points render as
-    /// boxes), for `--dump-callgraph` and DESIGN.md.
-    pub fn callgraph_dot(&self) -> String {
-        let entries = dataflow::entry_points(&self.table);
-        let parent = self.graph.reachable_from(&entries);
-        let keep: BTreeSet<symbols::FnId> = parent.keys().copied().collect();
-        self.graph.to_dot(&self.table, &keep, &entries)
-    }
-}
-
-/// Analyzes every auditable source file under `root`: lexical rules per
-/// file, then the workspace-wide interprocedural pass.
+/// Lints every auditable source file under `root`: lexical rules per file,
+/// then the workspace-wide interprocedural pass. Returns all violations,
+/// sorted by (path, line, rule), suppression applied.
+///
+/// Fails when the walk cannot read a file, or when `root`'s manifests do
+/// not yield a sim path ([`manifest::sim_path_crates`]).
 ///
 /// The lexical layer runs in two passes: the first discovers
 /// `#[cfg(test)] mod x;` declarations so the out-of-line module files they
@@ -78,13 +67,14 @@ impl WorkspaceAnalysis {
 /// code, where D5 does not apply. The same downgraded context feeds the
 /// symbol table, so test-only modules contribute no callable definitions
 /// either.
-pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceAnalysis> {
+pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Violation>> {
+    let sim_crates = manifest::sim_path_crates(root)?;
     let files = walk::workspace_sources(root)?;
     let mut sources = Vec::with_capacity(files.len());
     let mut test_only_files: Vec<String> = Vec::new();
     for rel in &files {
         let source = fs::read_to_string(root.join(rel))?;
-        let scan = scan_lexical(&source, &FileCtx::classify(rel));
+        let scan = scan_lexical(&source, &FileCtx::classify(rel, &sim_crates));
         for m in &scan.test_only_modules {
             test_only_files.extend(test_module_candidates(rel, m));
         }
@@ -96,7 +86,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceAnalysis> {
     let mut scans = Vec::with_capacity(sources.len());
     let mut entries = Vec::with_capacity(sources.len());
     for (rel, source) in &sources {
-        let mut ctx = FileCtx::classify(rel);
+        let mut ctx = FileCtx::classify(rel, &sim_crates);
         if test_only_files.contains(rel) {
             ctx.library = false;
         }
@@ -107,46 +97,16 @@ pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceAnalysis> {
         });
     }
 
+    // Interprocedural findings anchor in the file they are computed for,
+    // so each joins that file's suppression state.
     let table = SymbolTable::build(entries);
-    let graph = CallGraph::build(&table);
-
-    // Interprocedural findings, routed to their anchor file's suppression
-    // state (an `allow(D9)` sits at the chain's first call site, etc.).
-    let mut inter: BTreeMap<String, Vec<Violation>> = BTreeMap::new();
-    let mut route = |vs: Vec<Violation>| {
-        for v in vs {
-            inter.entry(v.path.clone()).or_default().push(v);
-        }
-    };
-    for file_idx in 0..table.files.len() {
-        route(dataflow::analyze_file(&table, file_idx));
-    }
-    route(dataflow::analyze_d9(&table, &graph));
-
     let mut violations = Vec::new();
-    for ((rel, _), mut scan) in sources.iter().zip(scans) {
-        if let Some(vs) = inter.remove(rel.as_str()) {
-            scan.raw.extend(vs);
-        }
+    for (file_idx, mut scan) in scans.into_iter().enumerate() {
+        scan.raw.extend(dataflow::analyze_file(&table, file_idx));
         violations.extend(scan.finish());
     }
-    // Findings whose anchor fell outside the walked set (cannot happen for
-    // well-formed tables, but never silently drop a diagnostic).
-    for (_, vs) in inter {
-        violations.extend(vs);
-    }
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(WorkspaceAnalysis {
-        violations,
-        table,
-        graph,
-    })
-}
-
-/// Lints every auditable source file under `root`. Convenience wrapper
-/// around [`analyze_workspace`] for callers that only need diagnostics.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    Ok(analyze_workspace(root)?.violations)
+    Ok(violations)
 }
 
 /// Paths (repo-relative) where `mod name;` declared in `decl_file` may live.

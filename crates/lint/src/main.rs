@@ -4,8 +4,7 @@
 //! cargo run -p mrm-lint                    # report, always exit 0
 //! cargo run -p mrm-lint -- --deny          # CI gate: nonzero on violations
 //! cargo run -p mrm-lint -- --format sarif  # SARIF 2.1.0 log on stdout
-//! cargo run -p mrm-lint -- --explain D9
-//! cargo run -p mrm-lint -- --dump-callgraph > callgraph.dot
+//! cargo run -p mrm-lint -- --explain D1
 //! cargo run -p mrm-lint -- --rules
 //! ```
 
@@ -26,7 +25,6 @@ OPTIONS:
   --root <DIR>         Workspace root (default: nearest ancestor with [workspace])
   --format <FMT>       Output format: text (default) or sarif (SARIF 2.1.0)
   --explain <RULE>     Print the extended explanation for one rule and exit
-  --dump-callgraph     Print the sim-reachable call graph as DOT and exit
   --rules              Print the rule catalogue and exit
   -h, --help           Show this help
 
@@ -45,7 +43,6 @@ struct Args {
     rules: bool,
     format: Format,
     explain: Option<String>,
-    dump_callgraph: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -55,14 +52,12 @@ fn parse_args() -> Result<Args, String> {
         rules: false,
         format: Format::Text,
         explain: None,
-        dump_callgraph: false,
     };
     let mut it = env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deny" => args.deny = true,
             "--rules" => args.rules = true,
-            "--dump-callgraph" => args.dump_callgraph = true,
             "--root" => {
                 args.root = Some(PathBuf::from(
                     it.next().ok_or("--root needs a directory argument")?,
@@ -77,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--explain" => {
-                args.explain = Some(it.next().ok_or("--explain needs a rule name (e.g. D9)")?)
+                args.explain = Some(it.next().ok_or("--explain needs a rule name (e.g. D1)")?)
             }
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -139,19 +134,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze_workspace(&root) {
-        Ok(a) => a,
+    // A root without a readable workspace manifest or an `mrm-tiering`
+    // member fails here: linting it would report an empty sim path clean.
+    let mut violations = match analyze_workspace(&root) {
+        Ok(v) => v,
         Err(e) => {
-            eprintln!("mrm-lint: walk failed: {e}");
+            eprintln!("mrm-lint: cannot lint {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if args.dump_callgraph {
-        print!("{}", analysis.callgraph_dot());
-        return ExitCode::SUCCESS;
-    }
-    let mut violations = analysis.violations;
     violations.sort_by(|a, b| {
         (a.rule.severity(), &a.path, a.line, a.rule).cmp(&(
             b.rule.severity(),

@@ -1,6 +1,6 @@
 //! A lightweight item parser on top of the lexer.
 //!
-//! The interprocedural rules (D9/D10/U2) need more structure than a token
+//! The interprocedural rules (D10/U2) need more structure than a token
 //! scan: which functions a file defines, what `impl`/`mod` they sit in,
 //! their parameter names, where their bodies start and end, and what the
 //! file's `use` declarations resolve a bare name to. This module recovers
@@ -12,8 +12,8 @@
 //!
 //! Known limits (documented in DESIGN.md §6.2): nested functions are
 //! recorded as their own items but their tokens also remain inside the
-//! enclosing body (transitively sound for reachability, imprecise for
-//! attribution); macro-generated items are invisible; `<T as Trait>::`
+//! enclosing body (the enclosing function's passes see them too, so a
+//! finding may be attributed to both); macro-generated items are invisible; `<T as Trait>::`
 //! qualified paths are not resolved.
 
 use crate::lexer::{lex, Token, TokenKind};

@@ -6,7 +6,9 @@
 //! * **D1–D3** pin the determinism contract of the simulation kernel
 //!   (DESIGN.md §3.8): results must be bit-identical for a given seed at any
 //!   thread count. Wall-clock reads, unordered map iteration and ambient
-//!   entropy are the three ways Rust code silently breaks that.
+//!   entropy are the three ways Rust code silently breaks that. They apply
+//!   to every crate the simulation links, read from the Cargo manifests
+//!   ([`crate::manifest`]), so a helper crate cannot hide a sink from them.
 //! * **D4** pins PR 2's telemetry contract: sinks observe, they never draw
 //!   randomness or schedule events.
 //! * **D5** keeps panics out of library hot paths: a controller that
@@ -29,14 +31,15 @@
 //! * **U1** guards the unit conventions of `sim/src/units.rs`: the paper's
 //!   cost-model conclusions die silently when `*_ns` meets `*_bytes` in an
 //!   addition, or a capacity is re-derived as `1 << 30` with the wrong shift.
-//! * **D9/D10/U2** are the *interprocedural* versions of the contracts
-//!   above, computed in [`crate::dataflow`] on the workspace symbol table
-//!   and call graph ([`crate::symbols`], [`crate::callgraph`]): D9 walks
-//!   reachability from sim entry points to forbidden sinks hiding in
-//!   non-sim helper crates, D10 taints `FaultRng`-derived values so the
-//!   two-stream contract cannot be laundered through a local variable, and
-//!   U2 propagates unit-suffix dimensions through let-bindings and call
-//!   boundaries where U1's single-expression check goes blind.
+//! * **D10/U2** are the *interprocedural* versions of the contracts above,
+//!   computed in [`crate::dataflow`] on the workspace symbol table and
+//!   name-based call resolution ([`crate::symbols`], [`crate::calls`]): D10
+//!   taints `FaultRng`-derived values so the two-stream contract cannot be
+//!   laundered through a local variable, and U2 propagates unit-suffix
+//!   dimensions through let-bindings and call boundaries where U1's
+//!   single-expression check goes blind.
+
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -65,12 +68,6 @@ pub enum RuleId {
     /// to observe-only `Observer` methods (`crates/tiering/src/observe.rs`)
     /// off the RNG/scheduling paths.
     D8,
-    /// Transitive determinism: a sim entry point (event handler,
-    /// `ClusterSim::run*`, controller `tick`/`read`/`write` surface)
-    /// reaches wall-clock, ambient entropy, or `HashMap`/`HashSet`
-    /// iteration through a helper in a non-sim crate. Reported with the
-    /// full call chain.
-    D9,
     /// RNG stream separation: a `FaultRng`-derived value flows into
     /// `SimRng` seeding, event-queue scheduling, or `TraceId` derivation
     /// (or a `SimRng`-derived value into `FaultRng` seeding).
@@ -94,7 +91,7 @@ pub enum Severity {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -103,7 +100,6 @@ impl RuleId {
         RuleId::D6,
         RuleId::D7,
         RuleId::D8,
-        RuleId::D9,
         RuleId::D10,
         RuleId::U1,
         RuleId::U2,
@@ -119,7 +115,6 @@ impl RuleId {
             RuleId::D6 => "D6",
             RuleId::D7 => "D7",
             RuleId::D8 => "D8",
-            RuleId::D9 => "D9",
             RuleId::D10 => "D10",
             RuleId::U1 => "U1",
             RuleId::U2 => "U2",
@@ -137,7 +132,6 @@ impl RuleId {
             "D6" => Some(RuleId::D6),
             "D7" => Some(RuleId::D7),
             "D8" => Some(RuleId::D8),
-            "D9" => Some(RuleId::D9),
             "D10" => Some(RuleId::D10),
             "U1" => Some(RuleId::U1),
             "U2" => Some(RuleId::U2),
@@ -175,10 +169,6 @@ impl RuleId {
                  draw randomness or mutate the event queue; confine them to Observer \
                  methods (crates/tiering/src/observe.rs)"
             }
-            RuleId::D9 => {
-                "no sim entry point may transitively reach wall-clock, ambient \
-                 entropy, or HashMap/HashSet iteration through non-sim helper crates"
-            }
             RuleId::D10 => {
                 "FaultRng-derived values must not flow into SimRng seeding, \
                  event scheduling, or TraceId derivation (nor SimRng draws into FaultRng)"
@@ -207,7 +197,10 @@ impl RuleId {
                  the host machine, so two runs of the same experiment stop being\n\
                  byte-identical. Use `SimTime` / `EventQueue::now` for anything the\n\
                  simulation can observe. Benchmarks and the test harness may time\n\
-                 things — D1 is scoped to the sim-path crates only.\n\n\
+                 things — D1 is scoped to the sim-path crates only: `mrm-tiering`\n\
+                 and every crate it links through `[dependencies]`, read from the\n\
+                 Cargo manifests, minus the observe-only `mrm-telemetry` and\n\
+                 `mrm-obs`. Linking a crate puts it on the sim path.\n\n\
                  Fix: thread the event-queue clock through the call; if the read is\n\
                  provably observation-only, annotate `// mrm-lint: allow(D1) reason`."
             }
@@ -217,8 +210,7 @@ impl RuleId {
                  loop over a HashMap can reorder events, allocations, or report rows\n\
                  between runs. Use `BTreeMap`/`BTreeSet` (deterministic order) or an\n\
                  index-keyed Vec. If a map is provably never iterated, annotate\n\
-                 `// mrm-lint: allow(D2) reason` — and see D9, which catches the\n\
-                 same hazard hiding behind a helper in a non-sim crate."
+                 `// mrm-lint: allow(D2) reason`."
             }
             RuleId::D3 => {
                 "D3 — no entropy source other than SimRng in sim-path crates.\n\n\
@@ -265,22 +257,6 @@ impl RuleId {
                  making results depend on whether observation is attached. Fix: move\n\
                  the hook into an `Observer` method (`crates/tiering/src/observe.rs`)\n\
                  that only observes."
-            }
-            RuleId::D9 => {
-                "D9 — transitive determinism (interprocedural D1/D2/D3).\n\n\
-                 D1–D3 are lexical and scoped to sim-path crates, so a wall-clock\n\
-                 read or HashMap iteration wrapped in a helper function in a non-sim\n\
-                 crate sails straight through them. D9 closes the gap: it builds the\n\
-                 workspace call graph, walks reachability from sim entry points\n\
-                 (event handlers `on_*`/`dispatch`, `ClusterSim::run*`, controller\n\
-                 `tick`/`read*`/`write*`/`step` surfaces), and reports any path that\n\
-                 reaches wall-clock, ambient entropy, or HashMap/HashSet iteration in\n\
-                 a non-sim crate — with the full call chain, entry to sink.\n\n\
-                 The observe-only crates (`telemetry`, `obs`) are excluded as sinks:\n\
-                 their own contracts (D4, D8, byte-identity CI smokes) pin that they\n\
-                 cannot perturb a run, and the wall profiler reads wall-clock by\n\
-                 design. Suppress a false positive with `// mrm-lint: allow(D9)\n\
-                 reason` at the reported call site (the chain's first edge)."
             }
             RuleId::D10 => {
                 "D10 — RNG stream separation, value-level.\n\n\
@@ -333,7 +309,7 @@ pub struct FileCtx {
     /// Repo-relative path with forward slashes (used in diagnostics).
     pub path: String,
     /// True for crates whose code runs on the simulated timeline
-    /// ([`SIM_PATH_CRATES`]).
+    /// ([`crate::manifest::sim_path_crates`]).
     pub sim_path: bool,
     /// True for `crates/telemetry`.
     pub telemetry: bool,
@@ -352,22 +328,10 @@ pub struct FileCtx {
     pub control: bool,
 }
 
-/// Crates whose simulation results must be bit-identical for a given seed.
-pub const SIM_PATH_CRATES: [&str; 9] = [
-    "sim",
-    "core",
-    "device",
-    "controller",
-    "control",
-    "tiering",
-    "workload",
-    "ecc",
-    "faults",
-];
-
 impl FileCtx {
-    /// Classifies a repo-relative path (forward slashes).
-    pub fn classify(rel_path: &str) -> FileCtx {
+    /// Classifies a repo-relative path (forward slashes). `sim_crates` is
+    /// the workspace's sim path, from [`crate::manifest::sim_path_crates`].
+    pub fn classify(rel_path: &str, sim_crates: &BTreeSet<String>) -> FileCtx {
         let parts: Vec<&str> = rel_path.split('/').collect();
         let crate_name = if parts.len() >= 2 && parts[0] == "crates" {
             Some(parts[1])
@@ -385,7 +349,7 @@ impl FileCtx {
                 .any(|p| *p == "tests" || *p == "benches" || *p == "examples");
         FileCtx {
             path: rel_path.to_string(),
-            sim_path: crate_name.is_some_and(|c| SIM_PATH_CRATES.contains(&c)),
+            sim_path: crate_name.is_some_and(|c| sim_crates.contains(c)),
             telemetry: crate_name == Some("telemetry"),
             faults: crate_name == Some("faults"),
             faults_rng_file: rel_path == "crates/faults/src/rng.rs",
@@ -396,9 +360,9 @@ impl FileCtx {
     }
 }
 
-/// A secondary location attached to a diagnostic — one hop of a D9 call
-/// chain, or the declaration a U2 dimension was propagated from. Rendered
-/// as `relatedLocations`/`codeFlows` in SARIF output.
+/// A secondary location attached to a diagnostic — the declaration of the
+/// callee whose parameter a U2 argument violates. Rendered as
+/// `relatedLocations` in SARIF output.
 #[derive(Clone, Debug)]
 pub struct RelatedSite {
     pub path: String,
@@ -442,8 +406,8 @@ pub struct FileReport {
 
 /// Lints one file's source under the given context: the lexical rules plus
 /// the single-file slice of the interprocedural analyses (D10 and U2 run on
-/// a symbol table built from just this file; D9 needs the workspace — see
-/// [`crate::analyze_workspace`]).
+/// a symbol table built from just this file; [`crate::analyze_workspace`]
+/// resolves their calls across the workspace).
 pub fn lint_source(source: &str, ctx: &FileCtx) -> FileReport {
     let mut scan = scan_lexical(source, ctx);
     let table = crate::symbols::SymbolTable::build(vec![crate::symbols::FileEntry {
@@ -1131,24 +1095,29 @@ mod tests {
         }
     }
 
+    /// The context the real workspace gives `path`.
+    fn ws_ctx(path: &str) -> FileCtx {
+        FileCtx::classify(path, &crate::manifest::workspace_sim_crates())
+    }
+
     fn rules_of(report: &FileReport) -> Vec<RuleId> {
         report.violations.iter().map(|v| v.rule).collect()
     }
 
     #[test]
     fn classify_paths() {
-        let c = FileCtx::classify("crates/tiering/src/prefix.rs");
+        let c = ws_ctx("crates/tiering/src/prefix.rs");
         assert!(c.sim_path && c.library && !c.telemetry);
         // `mrm-tiering` links `core` for every KV allocation.
-        let c = FileCtx::classify("crates/core/src/pool.rs");
+        let c = ws_ctx("crates/core/src/pool.rs");
         assert!(c.sim_path && c.library);
-        let c = FileCtx::classify("crates/telemetry/src/sink.rs");
+        let c = ws_ctx("crates/telemetry/src/sink.rs");
         assert!(c.telemetry && !c.sim_path);
-        let c = FileCtx::classify("crates/bench/src/bin/e7_dcm.rs");
+        let c = ws_ctx("crates/bench/src/bin/e7_dcm.rs");
         assert!(!c.library);
-        let c = FileCtx::classify("crates/sim/src/units.rs");
+        let c = ws_ctx("crates/sim/src/units.rs");
         assert!(c.units_file);
-        let c = FileCtx::classify("tests/determinism.rs");
+        let c = ws_ctx("tests/determinism.rs");
         assert!(!c.library && !c.sim_path);
     }
 
@@ -1224,38 +1193,35 @@ mod tests {
         assert_eq!(rules_of(&r), vec![RuleId::U1]);
         let r = lint_source("let flags = 1 << 3;", &ctx_sim());
         assert!(r.violations.is_empty(), "small shifts are not capacities");
-        let units = FileCtx::classify("crates/sim/src/units.rs");
+        let units = ws_ctx("crates/sim/src/units.rs");
         let r = lint_source("pub const GIB: u64 = 1 << 30;", &units);
         assert!(r.violations.is_empty(), "units.rs is the one allowed home");
     }
 
     #[test]
     fn d4_in_telemetry_only() {
-        let tele = FileCtx::classify("crates/telemetry/src/sink.rs");
+        let tele = ws_ctx("crates/telemetry/src/sink.rs");
         let r = lint_source("use mrm_sim::SimRng;", &tele);
         assert_eq!(rules_of(&r), vec![RuleId::D4]);
-        let r = lint_source(
-            "use mrm_sim::SimRng;",
-            &FileCtx::classify("crates/bench/src/lib.rs"),
-        );
+        let r = lint_source("use mrm_sim::SimRng;", &ws_ctx("crates/bench/src/lib.rs"));
         assert!(r.violations.is_empty());
     }
 
     #[test]
     fn d6_in_faults_crate_outside_rng_file() {
-        let model = FileCtx::classify("crates/faults/src/model.rs");
+        let model = ws_ctx("crates/faults/src/model.rs");
         assert!(model.faults && model.sim_path && !model.faults_rng_file);
         let r = lint_source("use mrm_sim::rng::SimRng;", &model);
         assert_eq!(rules_of(&r), vec![RuleId::D6]);
         // The FaultRng wrapper is the one allowed home.
-        let rng = FileCtx::classify("crates/faults/src/rng.rs");
+        let rng = ws_ctx("crates/faults/src/rng.rs");
         assert!(rng.faults_rng_file);
         let r = lint_source("use mrm_sim::rng::SimRng;", &rng);
         assert!(r.violations.is_empty());
         // Other crates are out of D6's scope.
         let r = lint_source(
             "use mrm_sim::rng::SimRng;",
-            &FileCtx::classify("crates/sweep/src/lib.rs"),
+            &ws_ctx("crates/sweep/src/lib.rs"),
         );
         assert!(r.violations.is_empty());
     }
@@ -1268,7 +1234,7 @@ mod tests {
         let r = lint_source("let r = policy.retention_for(c, h, n, m);", &ctx_sim());
         assert_eq!(rules_of(&r), vec![RuleId::D7]);
         // The control crate is the decision API's home.
-        let control = FileCtx::classify("crates/control/src/expiry.rs");
+        let control = ws_ctx("crates/control/src/expiry.rs");
         assert!(control.control && control.sim_path);
         let r = lint_source("pub struct ExpiryTracker;", &control);
         assert!(r.violations.is_empty());
@@ -1276,13 +1242,13 @@ mod tests {
         // any other naming.
         let r = lint_source(
             "pub use mrm_control::expiry::ExpiryTracker;",
-            &FileCtx::classify("crates/tiering/src/lib.rs"),
+            &ws_ctx("crates/tiering/src/lib.rs"),
         );
         assert_eq!(rules_of(&r), vec![RuleId::D7]);
         // Tests and bins sit outside D7's library scope.
         let r = lint_source(
             "use mrm::control::expiry::ExpiryTracker;",
-            &FileCtx::classify("tests/fault_invariants.rs"),
+            &ws_ctx("tests/fault_invariants.rs"),
         );
         assert!(r.violations.is_empty());
     }
@@ -1324,7 +1290,7 @@ mod tests {
         // Non-sim-path crates are out of D8's scope.
         let r = lint_source(
             "fn h() { q.pop(); o.tracer.finish(t); }",
-            &FileCtx::classify("crates/bench/src/lib.rs"),
+            &ws_ctx("crates/bench/src/lib.rs"),
         );
         assert!(r.violations.is_empty());
     }
@@ -1335,7 +1301,7 @@ mod tests {
         assert_eq!(rules_of(&r), vec![RuleId::D1]);
         let r = lint_source("let mut rng = thread_rng();", &ctx_sim());
         assert_eq!(rules_of(&r), vec![RuleId::D3]);
-        let bench = FileCtx::classify("crates/bench/benches/device_ops.rs");
+        let bench = ws_ctx("crates/bench/benches/device_ops.rs");
         let r = lint_source("let t = Instant::now();", &bench);
         assert!(r.violations.is_empty(), "bench harness may time things");
     }

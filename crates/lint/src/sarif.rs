@@ -4,10 +4,8 @@
 //! The shape follows the subset CI and code-review UIs actually consume:
 //! `runs[0].tool.driver.rules` carries the catalogue (short description,
 //! full description, long-form help from [`RuleId::explain`]), each result
-//! carries a physical location, and multi-site diagnostics (D9 chains, U2
-//! declaration sites) are emitted both as `relatedLocations` and — for D9,
-//! whose `related` list is an ordered path — as a `codeFlows` thread flow,
-//! which viewers render as a step-through of the call chain.
+//! carries a physical location, and multi-site diagnostics (U2 callee
+//! declaration sites) carry their extra sites as `relatedLocations`.
 
 use crate::rules::{RuleId, Severity, Violation};
 
@@ -84,20 +82,6 @@ pub fn render(violations: &[Violation]) -> String {
                     .collect();
                 extra.push_str(&format!(r#","relatedLocations":[{}]"#, rel.join(",")));
             }
-            if v.rule == RuleId::D9 && !v.related.is_empty() {
-                // The chain as a thread flow: anchor first, then each hop.
-                let mut steps = vec![format!(
-                    r#"{{"location":{}}}"#,
-                    location(&v.path, v.line, Some("sim entry commits to the chain here"))
-                )];
-                steps.extend(v.related.iter().map(|r| {
-                    format!(r#"{{"location":{}}}"#, location(&r.path, r.line, Some(&r.note)))
-                }));
-                extra.push_str(&format!(
-                    r#","codeFlows":[{{"threadFlows":[{{"locations":[{}]}}]}}]"#,
-                    steps.join(",")
-                ));
-            }
             format!(
                 r#"{{"ruleId":"{}","ruleIndex":{rule_index},"level":"{level}","message":{{"text":"{}"}},"locations":[{}]{extra}}}"#,
                 v.rule.as_str(),
@@ -158,27 +142,7 @@ mod tests {
         assert!(s.contains(r#"a \"quoted\" message\nwith a newline"#));
         assert!(s.contains(r#""uri":"crates/sim/src/lib.rs""#));
         assert!(s.contains(r#""startLine":7"#));
-        assert!(!s.contains("codeFlows"), "no chain, no flow");
-    }
-
-    #[test]
-    fn d9_chains_become_code_flows() {
-        let related = vec![
-            RelatedSite {
-                path: "crates/util/src/lib.rs".into(),
-                line: 3,
-                note: "reached via call `helper` at line 9".into(),
-            },
-            RelatedSite {
-                path: "crates/util/src/lib.rs".into(),
-                line: 4,
-                note: "wall-clock time via `Instant` here".into(),
-            },
-        ];
-        let s = render(&[v(RuleId::D9, related)]);
-        assert!(s.contains("relatedLocations"));
-        assert!(s.contains("codeFlows"));
-        assert!(s.contains("threadFlows"));
+        assert!(!s.contains("relatedLocations"), "one site, no related list");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The workspace symbol table: every `fn` item from every file, flattened
 //! into one arena with name-based indexes.
 //!
-//! Resolution in [`crate::callgraph`] is conservative class-hierarchy
+//! Resolution in [`crate::calls`] is conservative class-hierarchy
 //! analysis over names — no type inference — so the table's job is just to
 //! answer "which workspace functions could this name refer to" quickly:
 //! free functions by bare name, methods by method name, and `Type::method`
 //! pairs by qualified name. Only *library* files contribute definitions
 //! (tests, benches, examples, and bins call into the workspace but are not
-//! called from it); entry-point discovery for D9 also reads this table.
+//! called from it).
 
 use std::collections::BTreeMap;
 
@@ -128,13 +128,16 @@ impl SymbolTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::parse::parse_file;
 
     fn entry(path: &str, src: &str) -> FileEntry {
         FileEntry {
             parsed: parse_file(src),
-            ctx: FileCtx::classify(path),
+            // The table never reads the sim path.
+            ctx: FileCtx::classify(path, &BTreeSet::new()),
         }
     }
 
