@@ -32,6 +32,7 @@ use mrm_sim::stats::LogHistogram;
 use mrm_sim::time::{SimDuration, SimTime};
 use mrm_telemetry::SimTelemetry;
 use mrm_workload::access::DataClass;
+use mrm_workload::engine::DecodeEngine;
 use mrm_workload::model::{ModelConfig, Quantization};
 use mrm_workload::replay::RequestTrace;
 use mrm_workload::traces::TraceMix;
@@ -261,12 +262,14 @@ pub struct FaultSummary {
     /// Read retries (first rung of the recovery ladder).
     pub retries: u64,
     /// Weight shards re-fetched after a persistent uncorrectable read.
+    /// Audit: `Refetch` records.
     pub weight_refetches: u64,
     /// Follow-up cache hits demoted to recomputes by a persistent
-    /// uncorrectable KV read.
+    /// uncorrectable KV read. Audit: `Recompute` records with reason
+    /// `uncorrectable-read`.
     pub kv_recomputes: u64,
     /// Maintenance refreshes escalated to a longer-class migration after
-    /// the scrub verification read failed.
+    /// the scrub verification read failed. Audit: `Escalate` records.
     pub scrub_escalations: u64,
 }
 
@@ -281,7 +284,7 @@ pub struct ClusterReport {
     pub duration_s: f64,
     /// Requests that arrived.
     pub arrivals: u64,
-    /// Requests completed.
+    /// Requests completed. Audit: `(KvTail, Retire)` records.
     pub completions: u64,
     /// Tokens decoded.
     pub tokens: u64,
@@ -289,17 +292,25 @@ pub struct ClusterReport {
     pub tokens_per_s: f64,
     /// Follow-ups that hit cached KV state.
     pub cache_hits: u64,
-    /// Follow-ups that found their KV state expired and recomputed.
+    /// Follow-ups that recomputed their context instead of reusing cached
+    /// KV: its retention lapsed, its read stayed uncorrectable, or it was
+    /// already gone. Audit: `Recompute` records.
     pub recomputes: u64,
-    /// Control-plane scrub (refresh) operations.
+    /// Control-plane scrub (refresh) operations. Audit: `Refresh` records.
     pub scrubs: u64,
-    /// Control-plane migrations to a longer retention class.
+    /// Rewrites at a longer retention class, planned or after a failed
+    /// scrub. Audit: `Migrate` and `Escalate` records.
     pub migrations: u64,
-    /// Expired cached contexts dropped.
+    /// Cached contexts the maintenance sweep reclaimed because their need
+    /// lapsed or ended; TTL-expiry and recompute drops are not counted.
+    /// Audit: `Drop` records with reason `need-lapsed` and `Retire` records
+    /// with reason `need-ended`.
     pub drops: u64,
     /// Cached contexts evicted under memory pressure (best-effort cache).
+    /// Audit: `Evict` records.
     pub evictions: u64,
-    /// Model (weight) redeployments performed.
+    /// Model (weight) redeployments performed. Audit: `(Weights, Retire)`
+    /// records.
     pub redeploys: u64,
     /// Total energy, joules.
     pub energy_total_j: f64,
@@ -635,6 +646,61 @@ fn tier_index(kind: TierKind) -> usize {
     }
 }
 
+/// The report's decision counters, folded from the audit log. Each is a
+/// predicate on a record's `(class, action)`; `drops` and `kv_recomputes`
+/// also read its reason. `cursor` is the number of records folded, so a
+/// run that snapshots telemetry still reads each record once.
+#[derive(Default)]
+struct DecisionCounts {
+    cursor: usize,
+    completions: u64,
+    redeploys: u64,
+    scrubs: u64,
+    scrub_bytes: u64,
+    migrations: u64,
+    migration_bytes: u64,
+    escalations: u64,
+    evictions: u64,
+    refetches: u64,
+    recomputes: u64,
+    kv_recomputes: u64,
+    drops: u64,
+}
+
+impl DecisionCounts {
+    /// Folds the records appended since the last call.
+    fn advance(&mut self, log: &AuditLog) {
+        for r in &log.records()[self.cursor..] {
+            match (r.class, r.action, r.reason) {
+                (ControlClass::KvTail, AuditAction::Retire, _) => self.completions += 1,
+                (ControlClass::Weights, AuditAction::Retire, _) => self.redeploys += 1,
+                // The reconciler's reclaims: need lapsed (drop) or ended
+                // (retire).
+                (_, AuditAction::Drop, "need-lapsed") | (_, AuditAction::Retire, "need-ended") => {
+                    self.drops += 1
+                }
+                (_, AuditAction::Refresh, _) => {
+                    self.scrubs += 1;
+                    self.scrub_bytes += r.bytes;
+                }
+                (_, AuditAction::Migrate | AuditAction::Escalate, _) => {
+                    self.migrations += 1;
+                    self.migration_bytes += r.bytes;
+                    self.escalations += u64::from(r.action == AuditAction::Escalate);
+                }
+                (_, AuditAction::Evict, _) => self.evictions += 1,
+                (_, AuditAction::Refetch, _) => self.refetches += 1,
+                (_, AuditAction::Recompute, _) => {
+                    self.recomputes += 1;
+                    self.kv_recomputes += u64::from(r.reason == "uncorrectable-read");
+                }
+                _ => {}
+            }
+        }
+        self.cursor = log.len();
+    }
+}
+
 /// The cluster simulator.
 ///
 /// Build it with [`ClusterSim::new`], optionally attach observers
@@ -657,35 +723,19 @@ pub struct ClusterSim<'t> {
     // Decisions are *routed* through it (registry policy, reconciler work
     // items); the log itself is observe-only bookkeeping.
     control: ControlPlane,
-    // Counters.
+    // The decision counters, folded from `control.audit`.
+    decisions: DecisionCounts,
+    // Counters of what the audit log does not record.
     arrivals: u64,
-    completions: u64,
     tokens: u64,
     cache_hits: u64,
-    recomputes: u64,
-    scrubs: u64,
-    migrations: u64,
-    drops: u64,
-    evictions: u64,
-    redeploys: u64,
-    scrub_bytes: u64,
-    migration_bytes: u64,
     latency_ms: LogHistogram,
     ttft_ms: LogHistogram,
     kv_capacity_bytes: u64,
     iterations: u64,
     batch_sum: u64,
-    // Incremental aggregates for telemetry snapshots: maintained at every
-    // queue/batch/cache mutation so `sample_into` never rescans the
-    // accelerators. Observability only — they feed gauges, never decisions.
-    pending_total: usize,
-    active_total: usize,
-    cached_total: usize,
-    // Per-iteration constants hoisted out of `start_iteration` (derived
-    // once from `cfg`; identical values to recomputing them every
-    // iteration, so this is wall-clock only).
-    kvpt: u64,
-    weights_bytes: u64,
+    // The §2.2 traffic of a decode iteration.
+    engine: DecodeEngine,
     kv_native_retention: SimDuration,
     hbm_retention: SimDuration,
     // Fault layer (None unless `cfg.faults.enabled`). The injector draws
@@ -696,9 +746,6 @@ pub struct ClusterSim<'t> {
     kv_on_mrm: bool,
     weights_on_mrm: bool,
     fault_retries: u64,
-    fault_refetches: u64,
-    fault_recomputes: u64,
-    fault_escalations: u64,
     // Observability only: never consulted by the simulation logic and
     // never draws from `rng`, so an attached sink cannot change a report.
     telemetry: Option<&'t mut SimTelemetry>,
@@ -721,7 +768,8 @@ impl<'t> ClusterSim<'t> {
         }
         let mut rng = SimRng::seed_from(cfg.seed);
         let mix = TraceMix::splitwise_default(cfg.max_context, cfg.arrivals_per_s);
-        let weights_bytes = cfg.model.weights_bytes(cfg.quant);
+        let engine = DecodeEngine::new(cfg.model.clone(), cfg.quant);
+        let weights_bytes = engine.weights_bytes();
         let mut kv_capacity = 0;
 
         let weights_native_retention = match cfg.policy.tier_for(DataClass::Weights) {
@@ -809,7 +857,6 @@ impl<'t> ClusterSim<'t> {
             followup_window: cfg.hint_window,
             ..LifetimeEstimator::default_serving()
         };
-        let kvpt = cfg.model.kv_bytes_per_token(cfg.quant);
         let kv_on_mrm = matches!(cfg.policy.tier_for(DataClass::KvCache), TierKind::Mrm);
         let weights_on_mrm = matches!(cfg.policy.tier_for(DataClass::Weights), TierKind::Mrm);
         // The e11 sweep axis: `provision_margin` re-provisions the KV
@@ -856,28 +903,16 @@ impl<'t> ClusterSim<'t> {
             next_req: 0,
             rr: 0,
             control,
+            decisions: DecisionCounts::default(),
             arrivals: 0,
-            completions: 0,
             tokens: 0,
             cache_hits: 0,
-            recomputes: 0,
-            scrubs: 0,
-            migrations: 0,
-            drops: 0,
-            evictions: 0,
-            redeploys: 0,
-            scrub_bytes: 0,
-            migration_bytes: 0,
             latency_ms: LogHistogram::new(16),
             ttft_ms: LogHistogram::new(16),
             kv_capacity_bytes: kv_capacity,
             iterations: 0,
             batch_sum: 0,
-            pending_total: 0,
-            active_total: 0,
-            cached_total: 0,
-            kvpt,
-            weights_bytes,
+            engine,
             kv_native_retention,
             hbm_retention,
             fault_layer,
@@ -885,9 +920,6 @@ impl<'t> ClusterSim<'t> {
             kv_on_mrm,
             weights_on_mrm,
             fault_retries: 0,
-            fault_refetches: 0,
-            fault_recomputes: 0,
-            fault_escalations: 0,
             telemetry: None,
             obs: Observer::default(),
         }
@@ -988,6 +1020,7 @@ impl<'t> ClusterSim<'t> {
             return;
         };
         while let Some(at) = sink.snapshot_due(now) {
+            self.decisions.advance(&self.control.audit);
             self.sample_into(sink);
             sink.snapshot(at);
         }
@@ -995,21 +1028,23 @@ impl<'t> ClusterSim<'t> {
     }
 
     /// Publishes the simulation's current counters and occupancy into a
-    /// sink. Observe-only: nothing in the simulation changes.
+    /// sink, with `decisions` folded up to now. Observe-only: nothing in
+    /// the simulation changes.
     fn sample_into(&self, sink: &mut SimTelemetry) {
+        let d = &self.decisions;
         sink.count_to("cluster_arrivals", self.arrivals);
-        sink.count_to("cluster_completions", self.completions);
+        sink.count_to("cluster_completions", d.completions);
         sink.count_to("cluster_tokens", self.tokens);
         sink.count_to("cluster_cache_hits", self.cache_hits);
-        sink.count_to("cluster_recomputes", self.recomputes);
-        sink.count_to("cluster_scrubs", self.scrubs);
-        sink.count_to("cluster_migrations", self.migrations);
-        sink.count_to("cluster_drops", self.drops);
-        sink.count_to("cluster_evictions", self.evictions);
-        sink.count_to("cluster_redeploys", self.redeploys);
+        sink.count_to("cluster_recomputes", d.recomputes);
+        sink.count_to("cluster_scrubs", d.scrubs);
+        sink.count_to("cluster_migrations", d.migrations);
+        sink.count_to("cluster_drops", d.drops);
+        sink.count_to("cluster_evictions", d.evictions);
+        sink.count_to("cluster_redeploys", d.redeploys);
         sink.count_to("cluster_iterations", self.iterations);
-        sink.count_to("cluster_scrub_bytes", self.scrub_bytes);
-        sink.count_to("cluster_migration_bytes", self.migration_bytes);
+        sink.count_to("cluster_scrub_bytes", d.scrub_bytes);
+        sink.count_to("cluster_migration_bytes", d.migration_bytes);
 
         if let Some(model) = &self.fault_layer {
             let s = model.stats();
@@ -1020,30 +1055,17 @@ impl<'t> ClusterSim<'t> {
             sink.count_to("cluster_fault_miscorrected", s.miscorrected);
             sink.count_to("cluster_fault_silent", s.silent);
             sink.count_to("cluster_fault_retries", self.fault_retries);
-            sink.count_to("cluster_fault_refetches", self.fault_refetches);
-            sink.count_to("cluster_fault_recomputes", self.fault_recomputes);
-            sink.count_to("cluster_fault_scrub_escalations", self.fault_escalations);
+            sink.count_to("cluster_fault_refetches", d.refetches);
+            sink.count_to("cluster_fault_recomputes", d.kv_recomputes);
+            sink.count_to("cluster_fault_scrub_escalations", d.escalations);
             sink.gauge("cluster_fault_raw_ber", s.raw_ber());
         }
 
-        // Incremental aggregates (updated at each mutation) replace the
-        // per-snapshot rescan of every accelerator; the debug asserts pin
-        // the counters to the ground truth.
-        debug_assert_eq!(
-            self.pending_total,
-            self.accels.iter().map(|a| a.queue.len()).sum::<usize>()
-        );
-        debug_assert_eq!(
-            self.active_total,
-            self.accels.iter().map(|a| a.batch.len()).sum::<usize>()
-        );
-        debug_assert_eq!(
-            self.cached_total,
-            self.accels.iter().map(|a| a.cached.len()).sum::<usize>()
-        );
-        sink.gauge("cluster_pending_requests", self.pending_total as f64);
-        sink.gauge("cluster_active_batch", self.active_total as f64);
-        sink.gauge("cluster_cached_contexts", self.cached_total as f64);
+        // Each `len` is O(1), so occupancy is summed, not kept.
+        let total = |len: fn(&Accel) -> usize| self.accels.iter().map(len).sum::<usize>() as f64;
+        sink.gauge("cluster_pending_requests", total(|a| a.queue.len()));
+        sink.gauge("cluster_active_batch", total(|a| a.batch.len()));
+        sink.gauge("cluster_cached_contexts", total(|a| a.cached.len()));
 
         // Per-tier occupancy, aggregated across accelerators.
         let mut used = [0u64; 3];
@@ -1109,7 +1131,6 @@ impl<'t> ClusterSim<'t> {
             output_tokens: output.max(1),
             reuse: None,
         });
-        self.pending_total += 1;
         self.start_iteration(now, acc);
     }
 
@@ -1120,7 +1141,7 @@ impl<'t> ClusterSim<'t> {
             return;
         }
         let policy = self.cfg.policy;
-        let kvpt = self.kvpt;
+        let kvpt = self.engine.kv_bytes_per_token();
         let native = self.kv_native_retention;
         let kv_on_mrm = self.kv_on_mrm;
         let dcm = policy.uses_dcm();
@@ -1168,7 +1189,6 @@ impl<'t> ClusterSim<'t> {
             let (base_tokens, base_allocs, base_bytes) = match reuse {
                 Some(ctx) => match a.cached.remove(&ctx) {
                     Some(c) => {
-                        self.cached_total -= 1;
                         a.reconciler.observe_release(ctx);
                         self.obs.decide(
                             &mut self.control,
@@ -1198,7 +1218,6 @@ impl<'t> ClusterSim<'t> {
             // under memory pressure: live requests outrank the follow-up
             // cache — §4's scheduler deciding "based on the state of the
             // requests that depend on that data".
-            let mut evicted_here = 0u64;
             let alloc = loop {
                 match a.kv_tier(policy).alloc(need) {
                     Ok(al) => break Some(al),
@@ -1211,7 +1230,6 @@ impl<'t> ClusterSim<'t> {
                         match victim {
                             Some(v) => {
                                 if let Some(c) = a.cached.remove(&v) {
-                                    self.cached_total -= 1;
                                     a.reconciler.observe_release(v);
                                     self.obs.decide(
                                         &mut self.control,
@@ -1229,7 +1247,6 @@ impl<'t> ClusterSim<'t> {
                                         let _ = kvt.free(al);
                                     }
                                 }
-                                evicted_here += 1;
                             }
                             None => break None,
                         }
@@ -1237,7 +1254,6 @@ impl<'t> ClusterSim<'t> {
                     Err(_) => break None,
                 }
             };
-            self.evictions += evicted_here;
             let Some(alloc) = alloc else {
                 // Genuinely out of memory even with an empty cache: put
                 // reused state back and stall admission.
@@ -1253,7 +1269,6 @@ impl<'t> ClusterSim<'t> {
                                 retention,
                             },
                         );
-                        self.cached_total += 1;
                         self.obs.decide(
                             &mut self.control,
                             now,
@@ -1270,7 +1285,6 @@ impl<'t> ClusterSim<'t> {
                 break;
             };
             a.queue.pop_front();
-            self.pending_total -= 1;
             // Admit: the request's KV tail is Required state from here to
             // completion; give it an audit identity.
             let req = self.next_req;
@@ -1304,7 +1318,6 @@ impl<'t> ClusterSim<'t> {
                 kv_bytes: base_bytes + need,
                 retention,
             });
-            self.active_total += 1;
         }
         if admittable {
             self.obs.exit();
@@ -1317,13 +1330,10 @@ impl<'t> ClusterSim<'t> {
         }
 
         // Iteration duration from memory traffic (§2.2 arithmetic).
-        let weights_bytes = self.weights_bytes;
-        let batch_len = a.batch.len() as u64;
-        let kv_read_total = a.batch.ctx_sum * kvpt;
-        let act_bytes = self
-            .cfg
-            .model
-            .activation_bytes(batch_len as u32, self.cfg.quant);
+        let cost = self
+            .engine
+            .batch_cost_sum(a.batch.len() as u32, a.batch.ctx_sum);
+        let weights_bytes = cost.weights_read;
 
         let mut t = SimDuration::ZERO;
         // Weights: one full sequential read per iteration.
@@ -1359,7 +1369,6 @@ impl<'t> ClusterSim<'t> {
                     weights_bytes,
                     fault,
                 );
-                self.fault_refetches += 1;
                 t += self.accels[acc]
                     .weights_tier(policy)
                     .stream_write(weights_bytes, w_ret);
@@ -1378,7 +1387,7 @@ impl<'t> ClusterSim<'t> {
                 TierKind::Hbm => &mut *hbm,
                 _ => alt.as_mut().expect("policy requires an alternate tier"),
             };
-            t += kvt.stream_read(kv_read_total);
+            t += kvt.stream_read(cost.kv_read);
             t += kvt.append(kvpt, &batch.retention_counts);
             if prefill_write_bytes > 0 {
                 // Prefill writes use the first slot's retention class.
@@ -1387,9 +1396,9 @@ impl<'t> ClusterSim<'t> {
             }
         }
         // Activations: write + read back in HBM.
-        let hbm_retention = self.hbm_retention;
-        t += self.accels[acc].hbm.stream_write(act_bytes, hbm_retention);
-        t += self.accels[acc].hbm.stream_read(act_bytes);
+        let hbm = &mut self.accels[acc].hbm;
+        t += hbm.stream_write(cost.activation_rw, self.hbm_retention);
+        t += hbm.stream_read(cost.activation_rw);
         // Prefill compute piggybacks on the decode iteration (chunked
         // prefill, [3]): the iteration takes the max of its memory time
         // and its compute time, not their sum.
@@ -1398,8 +1407,8 @@ impl<'t> ClusterSim<'t> {
         t = t.max(self.cfg.compute_floor).max(prefill_compute);
 
         self.iterations += 1;
-        self.batch_sum += batch_len;
-        self.obs.iter_begin(now, acc, batch_len);
+        self.batch_sum += u64::from(cost.batch);
+        self.obs.iter_begin(now, acc, u64::from(cost.batch));
         self.obs.sim_cost(Handler::DecodeIter, t);
         self.accels[acc].running = true;
         self.queue.schedule(now + t, Ev::IterDone { acc });
@@ -1421,9 +1430,7 @@ impl<'t> ClusterSim<'t> {
                 }
                 obs.first_token(now, acc, req);
             });
-        self.active_total -= finished.len();
         for r in finished {
-            self.completions += 1;
             let latency = now.duration_since(r.arrival);
             let latency_ms = latency.as_secs_f64() * 1e3;
             self.latency_ms.record(latency_ms);
@@ -1474,7 +1481,6 @@ impl<'t> ClusterSim<'t> {
                     retention: r.retention,
                 },
             );
-            self.cached_total += 1;
             if policy.uses_mrm() {
                 a.reconciler
                     .observe_store(ctx, deadline, needed_until, r.retention);
@@ -1520,37 +1526,24 @@ impl<'t> ClusterSim<'t> {
                 let rber = self.aged_rber(self.kv_on_mrm, probe.1, probe.2);
                 hit_survived = self.read_survives(probe.0, rber);
                 if !hit_survived {
-                    self.fault_recomputes += 1;
                     fault_span = self.obs.fault(now, acc, ctx, probe.0);
                 }
             }
         }
-        let a = &mut self.accels[acc];
-        match a.cached.get(&ctx) {
+        let (prompt_tokens, output_tokens, reuse) = match self.accels[acc].cached.get(&ctx) {
             Some(c) if now <= c.deadline && hit_survived => {
                 // Valid cached KV: continue the context without prefill of
                 // the history.
                 self.cache_hits += 1;
-                a.queue.push_back(Pending {
-                    arrival: now,
-                    prompt_tokens: ext,
-                    output_tokens: output,
-                    reuse: Some(ctx),
-                });
-                self.pending_total += 1;
+                (ext, output, Some(ctx))
             }
-            Some(_) => {
+            Some(c) => {
                 // Retention lapsed before the follow-up — or the cached
                 // KV read came back uncorrectable: recompute the whole
                 // context (the §4 soft-state recovery path). The recompute
                 // is recorded before the drop, which is what makes the
                 // reclaim legal under the REQUIRED-DURABLE oracle.
-                self.recomputes += 1;
-                let (tokens, bytes) = a
-                    .cached
-                    .get(&ctx)
-                    .map(|c| (c.tokens, c.kv_bytes))
-                    .unwrap_or((0, 0));
+                let (tokens, bytes) = (c.tokens, c.kv_bytes);
                 let reason = if hit_survived {
                     "retention-lapsed"
                 } else {
@@ -1581,20 +1574,12 @@ impl<'t> ClusterSim<'t> {
                     rec,
                 );
                 self.free_cached(acc, ctx);
-                let a = &mut self.accels[acc];
-                a.queue.push_back(Pending {
-                    arrival: now,
-                    prompt_tokens: tokens + ext,
-                    output_tokens: output,
-                    reuse: None,
-                });
-                self.pending_total += 1;
+                (tokens + ext, output, None)
             }
             None => {
                 // Already evicted (window raced the follow-up): recompute
                 // with a fresh sampled prompt. Nothing is cached, so there
                 // is no drop to account — just the recompute itself.
-                self.recomputes += 1;
                 self.obs.decide(
                     &mut self.control,
                     now,
@@ -1607,16 +1592,15 @@ impl<'t> ClusterSim<'t> {
                     None,
                 );
                 let (_k, p, o) = self.mix.sample_request(&mut self.rng);
-                let a = &mut self.accels[acc];
-                a.queue.push_back(Pending {
-                    arrival: now,
-                    prompt_tokens: p,
-                    output_tokens: o,
-                    reuse: None,
-                });
-                self.pending_total += 1;
+                (p, o, None)
             }
-        }
+        };
+        self.accels[acc].queue.push_back(Pending {
+            arrival: now,
+            prompt_tokens,
+            output_tokens,
+            reuse,
+        });
         self.start_iteration(now, acc);
     }
 
@@ -1632,7 +1616,6 @@ impl<'t> ClusterSim<'t> {
             for al in c.kv_allocs {
                 let _ = kvt.free(al);
             }
-            self.cached_total -= 1;
         }
     }
 
@@ -1713,10 +1696,7 @@ impl<'t> ClusterSim<'t> {
                                 bytes,
                                 None,
                             );
-                            self.scrubs += 1;
-                            self.scrub_bytes += bytes;
                         } else {
-                            self.fault_escalations += 1;
                             let fault = self.obs.fault(now, acc, ctx, bytes);
                             let long = self
                                 .control
@@ -1745,8 +1725,6 @@ impl<'t> ClusterSim<'t> {
                                 bytes,
                                 fault,
                             );
-                            self.migrations += 1;
-                            self.migration_bytes += bytes;
                         }
                     }
                     WorkKind::Migrate { to } => {
@@ -1773,8 +1751,6 @@ impl<'t> ClusterSim<'t> {
                             bytes,
                             None,
                         );
-                        self.migrations += 1;
-                        self.migration_bytes += bytes;
                     }
                     WorkKind::RecomputeDrop | WorkKind::Retire => {
                         // Need lapsed. No recompute happens *now* — the
@@ -1803,7 +1779,6 @@ impl<'t> ClusterSim<'t> {
                             None,
                         );
                         self.free_cached(acc, ctx);
-                        self.drops += 1;
                     }
                     WorkKind::Refetch => unreachable!("plan never emits refetch"),
                 }
@@ -1819,7 +1794,7 @@ impl<'t> ClusterSim<'t> {
     /// will be overwritten anyway); fixed systems pay the native class.
     fn on_weight_redeploy(&mut self, now: SimTime, acc: usize) {
         let policy = self.cfg.policy;
-        let weights_bytes = self.weights_bytes;
+        let weights_bytes = self.engine.weights_bytes();
         let period = self
             .cfg
             .weight_redeploy_period
@@ -1854,7 +1829,6 @@ impl<'t> ClusterSim<'t> {
         let _ = wt.stream_write(weights_bytes, retention);
         self.accels[acc].weights_written_at = now;
         self.accels[acc].weights_retention = retention;
-        self.redeploys += 1;
         self.queue
             .schedule(now + period, Ev::WeightRedeploy { acc });
     }
@@ -1863,6 +1837,7 @@ impl<'t> ClusterSim<'t> {
         // Close out any snapshot boundaries between the last event and the
         // end of the simulated window.
         self.pump_telemetry(end);
+        self.decisions.advance(&self.control.audit);
         self.obs.finish(end);
         let elapsed = end.duration_since(SimTime::ZERO);
         // Background energy for the whole window on every tier.
@@ -1917,9 +1892,9 @@ impl<'t> ClusterSim<'t> {
                     miscorrected: s.miscorrected,
                     silent: s.silent,
                     retries: self.fault_retries,
-                    weight_refetches: self.fault_refetches,
-                    kv_recomputes: self.fault_recomputes,
-                    scrub_escalations: self.fault_escalations,
+                    weight_refetches: self.decisions.refetches,
+                    kv_recomputes: self.decisions.kv_recomputes,
+                    scrub_escalations: self.decisions.escalations,
                 }
             }
             None => FaultSummary::default(),
@@ -1932,16 +1907,16 @@ impl<'t> ClusterSim<'t> {
             accelerators: self.cfg.accelerators,
             duration_s: dur_s,
             arrivals: self.arrivals,
-            completions: self.completions,
+            completions: self.decisions.completions,
             tokens: self.tokens,
             tokens_per_s,
             cache_hits: self.cache_hits,
-            recomputes: self.recomputes,
-            scrubs: self.scrubs,
-            migrations: self.migrations,
-            drops: self.drops,
-            evictions: self.evictions,
-            redeploys: self.redeploys,
+            recomputes: self.decisions.recomputes,
+            scrubs: self.decisions.scrubs,
+            migrations: self.decisions.migrations,
+            drops: self.decisions.drops,
+            evictions: self.decisions.evictions,
+            redeploys: self.decisions.redeploys,
             energy_total_j: total.total_j(),
             j_per_token: total.total_j() / self.tokens.max(1) as f64,
             housekeeping_j: total.housekeeping_j,
@@ -2154,7 +2129,33 @@ mod tests {
                 }
                 let reg = tele.registry();
                 assert_eq!(reg.counter_value("cluster_tokens"), Some(plain.tokens));
-                assert_eq!(reg.counter_value("cluster_scrubs"), Some(plain.scrubs));
+                // Every counter folded from the audit log, at the final
+                // snapshot, against the report (golden telemetry digests
+                // pin the mid-run snapshots).
+                let bytes = |pick: fn(AuditAction) -> bool| -> u64 {
+                    let rs = plain_audit.records().iter().filter(|r| pick(r.action));
+                    rs.map(|r| r.bytes).sum()
+                };
+                let f = &plain.faults;
+                for (name, want) in [
+                    ("cluster_completions", plain.completions),
+                    ("cluster_recomputes", plain.recomputes),
+                    ("cluster_scrubs", plain.scrubs),
+                    ("cluster_migrations", plain.migrations),
+                    ("cluster_drops", plain.drops),
+                    ("cluster_evictions", plain.evictions),
+                    ("cluster_redeploys", plain.redeploys),
+                    ("cluster_fault_refetches", f.weight_refetches),
+                    ("cluster_fault_recomputes", f.kv_recomputes),
+                    ("cluster_fault_scrub_escalations", f.scrub_escalations),
+                    ("cluster_scrub_bytes", bytes(|a| a == AuditAction::Refresh)),
+                    (
+                        "cluster_migration_bytes",
+                        bytes(|a| matches!(a, AuditAction::Migrate | AuditAction::Escalate)),
+                    ),
+                ] {
+                    assert_eq!(reg.counter_value(name), Some(want), "{which}: {name}");
+                }
                 // Under HbmMrmDcm the weights and KV live in MRM; HBM only
                 // streams activations, so its occupancy gauge exists but
                 // may read zero.

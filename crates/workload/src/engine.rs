@@ -81,12 +81,19 @@ impl BatchTokenCost {
 pub struct DecodeEngine {
     model: ModelConfig,
     quant: Quantization,
+    weights_bytes: u64,
+    kv_bytes_per_token: u64,
 }
 
 impl DecodeEngine {
     /// Creates an engine for `model` served at quantization `quant`.
     pub fn new(model: ModelConfig, quant: Quantization) -> Self {
-        DecodeEngine { model, quant }
+        DecodeEngine {
+            weights_bytes: model.weights_bytes(quant),
+            kv_bytes_per_token: model.kv_bytes_per_token(quant),
+            model,
+            quant,
+        }
     }
 
     /// The model configuration.
@@ -99,33 +106,42 @@ impl DecodeEngine {
         self.quant
     }
 
+    /// Bytes of the full weight set, read once per decode iteration.
+    pub fn weights_bytes(&self) -> u64 {
+        self.weights_bytes
+    }
+
+    /// Bytes one token adds to a context's KV cache.
+    pub fn kv_bytes_per_token(&self) -> u64 {
+        self.kv_bytes_per_token
+    }
+
     /// Traffic to decode one token for a single (unbatched) request whose
     /// context currently holds `context_tokens` tokens.
     pub fn token_cost(&self, context_tokens: u32) -> TokenCost {
-        TokenCost {
-            weights_read: self.model.weights_bytes(self.quant),
-            kv_read: self
-                .model
-                .kv_cache_bytes(u64::from(context_tokens), self.quant),
-            kv_write: self.model.kv_bytes_per_token(self.quant),
-            activation_rw: self.model.activation_bytes(1, self.quant),
-        }
+        self.batch_cost_sum(1, u64::from(context_tokens))
+            .per_token()
     }
 
     /// Traffic for one batched decode iteration over requests with the
     /// given context sizes: weights are read **once** and amortized (§2.2
     /// "batching allows weight reuse across requests").
     pub fn batch_cost(&self, context_tokens: &[u32]) -> BatchTokenCost {
-        let batch = context_tokens.len() as u32;
-        let kv_read: u64 = context_tokens
-            .iter()
-            .map(|&c| self.model.kv_cache_bytes(u64::from(c), self.quant))
-            .sum();
+        let context_sum = context_tokens.iter().map(|&c| u64::from(c)).sum();
+        self.batch_cost_sum(context_tokens.len() as u32, context_sum)
+    }
+
+    /// [`DecodeEngine::batch_cost`] from the batch length and Σ context
+    /// tokens alone. Exact: a context's KV read is linear in its tokens.
+    /// Inlined across crates: the cluster calls it once per decode
+    /// iteration.
+    #[inline]
+    pub fn batch_cost_sum(&self, batch: u32, context_sum: u64) -> BatchTokenCost {
         BatchTokenCost {
             batch,
-            weights_read: self.model.weights_bytes(self.quant),
-            kv_read,
-            kv_write: u64::from(batch) * self.model.kv_bytes_per_token(self.quant),
+            weights_read: self.weights_bytes,
+            kv_read: context_sum * self.kv_bytes_per_token,
+            kv_write: u64::from(batch) * self.kv_bytes_per_token,
             activation_rw: self.model.activation_bytes(batch.max(1), self.quant),
         }
     }
@@ -134,6 +150,7 @@ impl DecodeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrm_sim::rng::SimRng;
     use mrm_sim::units::GB;
 
     fn engine() -> DecodeEngine {
@@ -183,6 +200,41 @@ mod tests {
             "ratio {}",
             b.read_write_ratio()
         );
+    }
+
+    /// `batch_cost` sums the contexts before pricing them; the form it
+    /// replaced priced each context's KV read and summed the bytes. Over
+    /// drawn batches of every model and quantization, the two agree.
+    #[test]
+    fn by_sum_cost_equals_the_per_context_sum() {
+        let mut rng = SimRng::seed_from(26);
+        for model in [
+            ModelConfig::llama2_7b(),
+            ModelConfig::llama2_70b(),
+            ModelConfig::frontier_1t(),
+        ] {
+            for quant in Quantization::all() {
+                let e = DecodeEngine::new(model.clone(), quant);
+                for _ in 0..100 {
+                    let len = rng.gen_range_u64(129) as usize;
+                    let contexts: Vec<u32> = (0..len)
+                        .map(|_| rng.gen_range_u64(1_000_000) as u32)
+                        .collect();
+                    let batch = len as u32;
+                    let per_context = BatchTokenCost {
+                        batch,
+                        weights_read: model.weights_bytes(quant),
+                        kv_read: contexts
+                            .iter()
+                            .map(|&c| model.kv_cache_bytes(u64::from(c), quant))
+                            .sum(),
+                        kv_write: u64::from(batch) * model.kv_bytes_per_token(quant),
+                        activation_rw: model.activation_bytes(batch.max(1), quant),
+                    };
+                    assert_eq!(e.batch_cost(&contexts), per_context, "{len} contexts");
+                }
+            }
+        }
     }
 
     #[test]

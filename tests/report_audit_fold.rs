@@ -1,10 +1,10 @@
 //! The cluster report's decision counters against the audit log.
 //!
-//! `ClusterSim` counts its decisions twice: once in plain counters on the
-//! report, and once as records in the `AuditLog` it returns. This test
-//! pins each counter to its fold over the log, on the configurations the
-//! e9, e11 and e13 experiments run, so the counters can later be derived
-//! from the log instead of kept beside it.
+//! `ClusterSim` derives its report's decision counters from the `AuditLog`
+//! it returns, with one cursor fold over the records. The folds here are
+//! the reference that production fold is checked against: written apart
+//! from it, each as a plain filter over the whole log, on the
+//! configurations the e9, e11 and e13 experiments run.
 
 use mrm::control::{AuditAction, AuditLog, AuditRecord, ControlClass};
 use mrm::faults::FaultConfig;
@@ -103,7 +103,7 @@ fn fold(audit: &AuditLog, pick: impl Fn(&AuditRecord) -> bool) -> u64 {
 #[test]
 fn decision_counters_equal_their_audit_folds() {
     let mut mismatches = Vec::new();
-    let mut fired = [0u64; 9];
+    let mut fired = [0u64; 10];
     for (label, cfg) in configs() {
         let (report, audit) = ClusterSim::new(cfg).run_with_audit();
         let a = |action: AuditAction| move |r: &AuditRecord| r.action == action;
@@ -167,6 +167,13 @@ fn decision_counters_equal_their_audit_folds() {
                 "faults.scrub_escalations",
                 report.faults.scrub_escalations,
                 fold(&audit, a(AuditAction::Escalate)),
+            ),
+            // Every recompute: retention lapsed, uncorrectable read, or a
+            // follow-up whose context was already gone.
+            (
+                "recomputes",
+                report.recomputes,
+                fold(&audit, a(AuditAction::Recompute)),
             ),
         ];
         for (i, (name, counter, folded)) in counters.into_iter().enumerate() {
