@@ -54,7 +54,7 @@ impl TraceId {
 }
 
 /// Dense per-trace span identifier: the n-th span recorded gets id `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 /// The span taxonomy over the session/decision lifecycle (DESIGN.md §11).
@@ -188,13 +188,14 @@ pub struct Link {
 /// Cluster-wide track for spans not tied to one accelerator.
 pub const CLUSTER_TRACK: u32 = u32::MAX;
 
-/// Bounded, deterministic span recorder. See the module docs for the
-/// span shapes; all methods are observe-only and O(open spans) worst
-/// case, O(1) typical.
 /// Async-span slot: the first open span inline plus spilled duplicates
 /// (see the `async_open` field doc).
 type AsyncSlot = (SpanRec, Vec<SpanRec>);
 
+/// Bounded, deterministic span recorder. See the module docs for the
+/// span shapes; all methods are observe-only. Recording is O(open spans)
+/// worst case, O(1) typical; the read-side [`CausalTracer::span`] lookup
+/// scans the retained ring.
 pub struct CausalTracer {
     trace_id: TraceId,
     next: u64,
@@ -452,7 +453,10 @@ impl CausalTracer {
         self.closed.iter()
     }
 
-    /// Looks up a retained span by id.
+    /// Looks up a retained span by id: a linear scan of the ring (spans
+    /// close out of id order), fine for one-off lookups. A bulk consumer
+    /// indexes [`CausalTracer::spans`] once instead, as the Perfetto
+    /// export does.
     pub fn span(&self, id: SpanId) -> Option<&SpanRec> {
         self.closed.iter().find(|s| s.id == id)
     }

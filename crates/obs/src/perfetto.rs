@@ -22,7 +22,9 @@
 //! (the `trace_id` rides in `otherData` and every event's args carry
 //! dense ids derived from it).
 
-use crate::causal::{CausalTracer, SpanRec, CLUSTER_TRACK};
+use std::collections::HashMap;
+
+use crate::causal::{CausalTracer, SpanId, SpanRec, CLUSTER_TRACK};
 
 /// Escapes a string for direct inclusion inside JSON quotes.
 fn esc(s: &str) -> String {
@@ -107,21 +109,23 @@ pub fn chrome_trace(points: &[(String, &CausalTracer)]) -> String {
             ));
         }
 
-        // The first recorded cause for each effect rides in its args.
-        let cause_of = |effect: u64| -> Option<u64> {
-            tracer
-                .links()
-                .iter()
-                .find(|l| l.effect.0 == effect)
-                .map(|l| l.cause.0)
-        };
+        // Indexed once per tracer, so the export is linear in spans plus
+        // links: the retained spans by id (for the flow endpoints) and
+        // the first recorded cause of each effect (it rides in the
+        // effect's args). Only looked up, never iterated, so hash order
+        // cannot reach the bytes.
+        let by_id: HashMap<SpanId, &SpanRec> = tracer.spans().map(|s| (s.id, s)).collect();
+        let mut first_cause: HashMap<SpanId, u64> = HashMap::new();
+        for l in tracer.links() {
+            first_cause.entry(l.effect).or_insert(l.cause.0);
+        }
 
         for span in tracer.spans() {
             let name = span.kind.label();
             let cat = span.kind.category();
             let t0 = span.begin.as_nanos();
             let t1 = span.end.as_nanos();
-            let a = args(span, cause_of(span.id.0));
+            let a = args(span, first_cause.get(&span.id).copied());
             if span.is_async {
                 // b/e pair share the span id; ids are scoped per cat+pid.
                 ev.push(format!(
@@ -150,7 +154,7 @@ pub fn chrome_trace(points: &[(String, &CausalTracer)]) -> String {
         }
 
         for link in tracer.links() {
-            let (Some(cause), Some(effect)) = (tracer.span(link.cause), tracer.span(link.effect))
+            let (Some(cause), Some(effect)) = (by_id.get(&link.cause), by_id.get(&link.effect))
             else {
                 continue; // an endpoint fell out of the bounded ring
             };

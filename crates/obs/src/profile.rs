@@ -14,7 +14,9 @@
 //! stacks accumulate in a call-tree of id-keyed nodes — no string is
 //! built and no map is walked while the simulation runs. Back-to-back
 //! handlers hand off through [`Profiler::switch`], which closes one
-//! frame and opens the next on a *single* clock reading.
+//! frame and opens the next on a *single* clock reading, and reads none
+//! when the next handler is the one already open: a run of same-handler
+//! events is timed as one lap, still counted as one call per event.
 //!
 //! Exports: [`Profiler::folded`] emits `inferno`/`flamegraph.pl`-ready
 //! folded stacks (`mrm;dispatch;decode_iter 1234` lines, self wall-ns
@@ -46,6 +48,9 @@ struct Frame {
     node: u32,
     started: Instant,
     child_wall_ns: u64,
+    /// Same-handler laps [`Profiler::switch`] folded into this frame;
+    /// each counts as one call when the frame exits.
+    laps: u64,
 }
 
 /// One position in the call tree (a unique root-to-here handler path).
@@ -159,9 +164,29 @@ impl Profiler {
     }
 
     /// Closes the innermost frame and opens one for `id` on a single
-    /// clock reading — the handler-to-handler lap transition.
+    /// clock reading — the handler-to-handler lap transition. When the
+    /// only open frame is already `id`'s, it reads no clock and counts
+    /// one more lap on that frame instead: laps are contiguous, so the
+    /// one long lap has exactly the wall time its short laps would have
+    /// summed to, and frames nested inside it still subtract as children.
+    ///
+    /// Out of line so the detached dispatch loop around its call site
+    /// compiles as if the profiler were not there.
+    #[inline(never)]
     pub fn switch(&mut self, id: HandlerId) {
-        let t = Instant::now();
+        self.switch_at(id, Instant::now);
+    }
+
+    /// [`Profiler::switch`] with the clock passed in; `now` is called only
+    /// when the lap actually changes handler.
+    fn switch_at(&mut self, id: HandlerId, now: impl FnOnce() -> Instant) {
+        if let [frame] = self.stack.as_mut_slice() {
+            if self.nodes[frame.node as usize].handler == id.0 {
+                frame.laps += 1;
+                return;
+            }
+        }
+        let t = now();
         self.exit_at(t);
         self.enter_at(id, t);
     }
@@ -173,6 +198,7 @@ impl Profiler {
             node,
             started: t,
             child_wall_ns: 0,
+            laps: 1,
         });
     }
 
@@ -187,7 +213,7 @@ impl Profiler {
         node.exited = true;
         let (handler, parent) = (node.handler, node.parent);
         let stat = &mut self.stats[handler as usize];
-        stat.calls += 1;
+        stat.calls += frame.laps;
         stat.wall_total_ns += elapsed;
         stat.wall_self_ns += self_ns;
         stat.used = true;
@@ -480,6 +506,95 @@ mod tests {
         let rep = p.report(10);
         assert_eq!(rep.handlers, 1);
         assert_eq!(rep.top[0].name, "hot");
+    }
+
+    /// One step of a dispatch sequence.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// A popped event handed to its handler.
+        Switch(HandlerId),
+        /// A frame nested inside the current handler.
+        Enter(HandlerId),
+        Exit,
+    }
+
+    /// Replays `steps`, step k at instant `at(k)`, through either the
+    /// coalescing `switch` or the per-event reference (close the lap and
+    /// open the next on every event), then closes the last lap.
+    fn replay(steps: &[Step], coalesce: bool) -> Profiler {
+        let mut p = Profiler::new();
+        for name in ["arrival", "iter_done", "admission"] {
+            p.handle(name);
+        }
+        let base = Instant::now();
+        // Uneven gaps, so a lap mis-attributed to a neighbour shows.
+        let at = |k: u64| base + std::time::Duration::from_nanos(k * 1_000 + (k * k) % 97);
+        for (k, step) in steps.iter().enumerate() {
+            let t = at(k as u64);
+            match *step {
+                Step::Switch(id) if coalesce => p.switch_at(id, || t),
+                Step::Switch(id) => {
+                    p.exit_at(t);
+                    p.enter_at(id, t);
+                }
+                Step::Enter(id) => p.enter_at(id, t),
+                Step::Exit => p.exit_at(t),
+            }
+        }
+        p.exit_at(at(steps.len() as u64));
+        p
+    }
+
+    #[test]
+    fn coalesced_laps_equal_per_event_laps() {
+        let (arrival, iter_done, admission) = (HandlerId(0), HandlerId(1), HandlerId(2));
+        let (a, i) = (Step::Switch(arrival), Step::Switch(iter_done));
+        let steps = [
+            i, // first event: nothing open to close
+            i,
+            i,
+            a,
+            Step::Enter(admission),
+            Step::Exit,
+            i,
+            i,
+            Step::Enter(admission), // nested inside a coalesced run
+            Step::Exit,
+            i,
+            i,
+            a,
+            a,
+            i,
+        ];
+        let fast = replay(&steps, true);
+        let reference = replay(&steps, false);
+        let rep = fast.report(usize::MAX);
+        assert_eq!(
+            format!("{rep:?}"),
+            format!("{:?}", reference.report(usize::MAX))
+        );
+        assert_eq!(fast.folded(), reference.folded());
+        let calls = |name: &str| rep.top.iter().find(|h| h.name == name).unwrap().calls;
+        assert_eq!(
+            (calls("arrival"), calls("iter_done"), calls("admission")),
+            (3, 8, 2)
+        );
+        assert!(rep.top.iter().all(|h| h.wall_self_ns > 0), "{rep:?}");
+        assert_eq!(
+            fast.folded().lines().collect::<Vec<_>>().len(),
+            4,
+            "arrival, arrival;admission, iter_done, iter_done;admission"
+        );
+    }
+
+    #[test]
+    fn switch_to_the_open_handler_adds_a_lap_not_a_frame() {
+        let mut p = Profiler::new();
+        let a = p.handle("a");
+        for _ in 0..3 {
+            p.switch(a);
+        }
+        assert_eq!((p.stack.len(), p.stack[0].laps), (1, 3));
     }
 
     #[test]

@@ -975,9 +975,11 @@ impl<'t> ClusterSim<'t> {
     /// audit log — the chaos suite's oracle.
     pub fn run_with_audit(mut self) -> (ClusterReport, AuditLog) {
         let end = SimTime::ZERO + self.cfg.duration;
-        // Lap-timed profiling: each event costs exactly ONE clock read —
-        // the `switch` at the top of `dispatch` closes the previous
-        // handler's lap and opens this one's. Queue bookkeeping (peek,
+        // Lap-timed profiling: each run of same-handler events costs
+        // ONE clock read — the `switch` at the top of `dispatch` closes
+        // the previous handler's lap and opens this one's, or, when the
+        // handler is the one already open, counts one more call on its
+        // lap without reading the clock. Queue bookkeeping (peek,
         // telemetry pump, pop) folds into the preceding handler's lap;
         // the trailing `exit` closes the final lap.
         while let Some(t) = self.queue.peek_time() {
@@ -997,8 +999,9 @@ impl<'t> ClusterSim<'t> {
 
     /// Executes one popped event. The leading `switch` closes the
     /// previous handler's lap and opens this one's on a single clock
-    /// read (on the first event it acts as a plain `enter`: there is
-    /// no open frame to close yet).
+    /// read, or extends the open lap when the handler is unchanged (on
+    /// the first event it acts as a plain `enter`: there is no open
+    /// frame to close yet).
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         self.obs.switch(ev.handler());
         match ev {

@@ -214,7 +214,9 @@ impl<'t> Observer<'t> {
     }
 
     /// Closes the open profiler frame and opens `handler`'s on one clock
-    /// reading (the dispatch lap; on the first event a plain enter).
+    /// reading (the dispatch lap; on the first event a plain enter), or
+    /// counts one more lap, reading no clock, when `handler`'s frame is
+    /// already the open one.
     pub(crate) fn switch(&mut self, handler: Handler) {
         if let Some(h) = self.0.as_mut() {
             h.obs.profiler.switch(h.ids[handler as usize]);

@@ -6,6 +6,8 @@
 //! from it, each as a plain filter over the whole log, on the
 //! configurations the e9, e11 and e13 experiments run.
 
+use std::collections::BTreeMap;
+
 use mrm::control::{AuditAction, AuditLog, AuditRecord, ControlClass};
 use mrm::faults::FaultConfig;
 use mrm::sim::time::SimDuration;
@@ -60,7 +62,8 @@ fn configs() -> Vec<(String, ClusterConfig)> {
 }
 
 /// Points that fire the counters the experiment grids leave at zero:
-/// scrubs, migrations, escalations, redeploys and weight re-fetches.
+/// scrubs, planned migrations, escalations, redeploys and weight
+/// re-fetches.
 fn ladder_configs() -> Vec<(String, ClusterConfig)> {
     // Scrub verification at 40x BER near end-of-retention escalates.
     let mut escalate = audited(PlacementPolicy::HbmMrm, 1);
@@ -89,10 +92,19 @@ fn ladder_configs() -> Vec<(String, ClusterConfig)> {
         provision_margin: Some(1.0),
         ..FaultConfig::mrm()
     };
+    // A 2 h need spans many short DCM retention periods: the sweep plans
+    // a Migrate to a longer class.
+    let mut migrate = ClusterConfig::llama70b(PlacementPolicy::HbmMrmDcm, 1, 0.05);
+    migrate.duration = SimDuration::from_secs(1200);
+    migrate.hint_window = SimDuration::from_mins(1);
+    migrate.followup_window = SimDuration::from_hours(2);
+    migrate.followup_prob = 0.0;
+    migrate.maintenance_period = SimDuration::from_secs(30);
     vec![
         ("scrub escalation".to_string(), escalate),
         ("optimistic hints".to_string(), scrub),
         ("redeploy at 40x BER".to_string(), redeploy),
+        ("long needs migrate".to_string(), migrate),
     ]
 }
 
@@ -103,10 +115,12 @@ fn fold(audit: &AuditLog, pick: impl Fn(&AuditRecord) -> bool) -> u64 {
 #[test]
 fn decision_counters_equal_their_audit_folds() {
     let mut mismatches = Vec::new();
-    let mut fired = [0u64; 10];
+    let mut fired: BTreeMap<&str, u64> = BTreeMap::new();
     for (label, cfg) in configs() {
         let (report, audit) = ClusterSim::new(cfg).run_with_audit();
         let a = |action: AuditAction| move |r: &AuditRecord| r.action == action;
+        let migrates = fold(&audit, a(AuditAction::Migrate));
+        let escalates = fold(&audit, a(AuditAction::Escalate));
         let counters = [
             (
                 "completions",
@@ -120,13 +134,7 @@ fn decision_counters_equal_their_audit_folds() {
                 report.scrubs,
                 fold(&audit, a(AuditAction::Refresh)),
             ),
-            (
-                "migrations",
-                report.migrations,
-                fold(&audit, |r| {
-                    matches!(r.action, AuditAction::Migrate | AuditAction::Escalate)
-                }),
-            ),
+            ("migrations", report.migrations, migrates + escalates),
             // The reconciler's reclaims: need lapsed (drop) or ended
             // (retire), as planned by a maintenance sweep.
             (
@@ -176,8 +184,14 @@ fn decision_counters_equal_their_audit_folds() {
                 fold(&audit, a(AuditAction::Recompute)),
             ),
         ];
-        for (i, (name, counter, folded)) in counters.into_iter().enumerate() {
-            fired[i] += counter;
+        // `migrations` counts two decisions: tally each apart, so that
+        // escalations alone cannot make it look fired.
+        *fired.entry("migrations: Migrate").or_default() += migrates;
+        *fired.entry("migrations: Escalate").or_default() += escalates;
+        for (name, counter, folded) in counters {
+            if name != "migrations" {
+                *fired.entry(name).or_default() += counter;
+            }
             if counter != folded {
                 mismatches.push(format!(
                     "{label}: {name} = {counter}, audit fold = {folded}"
@@ -188,5 +202,5 @@ fn decision_counters_equal_their_audit_folds() {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
     // Every counter fired somewhere, so no equality above is a vacuous
     // zero against zero.
-    assert!(fired.iter().all(|&n| n > 0), "counter totals {fired:?}");
+    assert!(fired.values().all(|&n| n > 0), "counter totals {fired:?}");
 }
