@@ -60,6 +60,18 @@ pub struct Tier {
     scrub_bytes: u64,
     /// Elapsed time charged for idle and refresh power.
     background: SimDuration,
+    /// The last two read sizes and their transfer times, most recent
+    /// first: a decode iteration's weights read survives the varying KV
+    /// read on the same tier. Each time is the exact value of
+    /// [`transfer_time`] at `read_bw`, so a hit returns the same bits.
+    read_memo: [(u64, SimDuration); 2],
+    /// The last write size and its per-write time at `write_bw`.
+    write_memo: (u64, SimDuration),
+}
+
+/// Time to move `bytes` at `bw` bytes/s.
+fn transfer_time(bytes: u64, bw: f64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes as f64 / bw)
 }
 
 impl Tier {
@@ -84,6 +96,10 @@ impl Tier {
             written: Vec::new(),
             scrub_bytes: 0,
             background: SimDuration::ZERO,
+            // Zero bytes take zero time at any bandwidth, so the empty
+            // memo is already exact.
+            read_memo: [(0, SimDuration::ZERO); 2],
+            write_memo: (0, SimDuration::ZERO),
         }
     }
 
@@ -126,7 +142,17 @@ impl Tier {
     /// The bytes enter the read ledger.
     pub fn stream_read(&mut self, bytes: u64) -> SimDuration {
         self.bytes_read += bytes;
-        SimDuration::from_secs_f64(bytes as f64 / self.read_bw)
+        let [first, second] = self.read_memo;
+        if first.0 == bytes {
+            return first.1;
+        }
+        let d = if second.0 == bytes {
+            second.1
+        } else {
+            transfer_time(bytes, self.read_bw)
+        };
+        self.read_memo = [(bytes, d), first];
+        d
     }
 
     /// Time to write `bytes` sequentially at aggregate tier bandwidth. The
@@ -145,7 +171,10 @@ impl Tier {
             self.ledger_write(rt, bytes * u64::from(n));
             writes += u64::from(n);
         }
-        SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * writes
+        if self.write_memo.0 != bytes {
+            self.write_memo = (bytes, transfer_time(bytes, self.write_bw));
+        }
+        self.write_memo.1 * writes
     }
 
     /// Adds `bytes` to the write ledger's `retention` entry, inserting it in
@@ -333,6 +362,92 @@ mod tests {
             );
             let bytes: u64 = (1..=rts.len() as u64).map(|k| 2 * 4096 * k).sum();
             assert_eq!(t.traffic(), (0, bytes));
+        }
+    }
+
+    /// The transfer-time memo against the formula computed afresh on
+    /// every call, and the ledgers against a tally kept apart.
+    #[test]
+    fn memoised_transfer_times_are_exact() {
+        /// One tier with the reference time of every call and the bytes
+        /// it should have read and written.
+        struct Checked {
+            tier: Tier,
+            read_bw: f64,
+            write_bw: f64,
+            read: u64,
+            written: u64,
+        }
+        impl Checked {
+            fn new(tech: &Technology) -> Self {
+                Checked {
+                    tier: Tier::new(TierKind::Mrm, tech.clone(), 3),
+                    read_bw: tech.read_bw * 3.0,
+                    write_bw: tech.write_bw * 3.0,
+                    read: 0,
+                    written: 0,
+                }
+            }
+            fn read(&mut self, bytes: u64) {
+                self.read += bytes;
+                let want = SimDuration::from_secs_f64(bytes as f64 / self.read_bw);
+                assert_eq!(self.tier.stream_read(bytes), want, "read {bytes} B");
+            }
+            fn write(&mut self, bytes: u64, counts: &[(SimDuration, u32)]) {
+                let n: u32 = counts.iter().map(|&(_, n)| n).sum();
+                self.written += bytes * u64::from(n);
+                let want = SimDuration::from_secs_f64(bytes as f64 / self.write_bw) * u64::from(n);
+                let got = match counts {
+                    &[(rt, 1)] => self.tier.stream_write(bytes, rt),
+                    _ => self.tier.append(bytes, counts),
+                };
+                assert_eq!(got, want, "write {bytes} B x{n}");
+            }
+        }
+
+        let mut rng = mrm_sim::rng::SimRng::seed_from(0x7E1E);
+        let (weights, kvpt) = (70 * GB, 327_680);
+        let rts = [SimDuration::from_mins(10), SimDuration::from_hours(3)];
+        for tech in [presets::mrm_days(), presets::hbm3e(), presets::lpddr5x()] {
+            // A decode iteration's shape: the weights/KV tier reads the
+            // constant weights and a varying KV size, then appends the
+            // constant KV vector; the activation tier writes and reads a
+            // size that changes only with the batch length. Now and then
+            // a prefill-sized write or a zero-byte transfer lands between.
+            let (mut kv, mut act) = (Checked::new(&tech), Checked::new(&tech));
+            let mut batch = 8u64;
+            for _ in 0..5_000 {
+                if rng.gen_bool(0.1) {
+                    batch = rng.gen_range(1, 65);
+                }
+                kv.read(weights);
+                kv.read(rng.gen_range(0, 40 * GB));
+                let counts = [(rts[0], rng.next_u32() % 40), (rts[1], rng.next_u32() % 40)];
+                kv.write(kvpt, &counts);
+                if rng.gen_bool(0.2) {
+                    kv.write(rng.gen_range(1, GB), &[(rts[1], 1)]);
+                }
+                if rng.gen_bool(0.05) {
+                    kv.read(0);
+                    act.write(0, &[(rts[0], 1)]);
+                }
+                act.write(batch * 16_384, &[(rts[0], 1)]);
+                act.read(batch * 16_384);
+            }
+            for c in [kv, act] {
+                assert_eq!(c.tier.traffic(), (c.read, c.written), "{}", tech.name);
+            }
+            // Sizes near the top of the range, a fresh tier per pair of
+            // sizes so the ledgers cannot overflow: `a` hits the second
+            // read slot, then the first, and repeats the write entry.
+            for k in 0..64 {
+                let (a, b) = (u64::MAX / 3 - (k << 40), u64::MAX / 5 + k);
+                let mut c = Checked::new(&tech);
+                for bytes in [a, b, a, a] {
+                    c.read(bytes / 2);
+                    c.write(bytes / 4, &[(rts[1], 1)]);
+                }
+            }
         }
     }
 
