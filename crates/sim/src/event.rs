@@ -109,7 +109,7 @@ const EVENTS_PER_BUCKET: u64 = 8;
 /// the current width no longer matches the live distribution (the
 /// bootstrap window built from the very first scheduled event is the
 /// common case), so sorted inserts into it would degrade into O(bucket)
-/// shifts. Single-instant FIFO clumps are exempt — no width can split
+/// memmoves. Single-instant FIFO clumps are exempt — no width can split
 /// them, and they drain in O(1) pops anyway.
 const SPLIT_THRESHOLD: usize = 64;
 
@@ -241,17 +241,12 @@ impl<E> EventQueue<E> {
             // Mid-drain insert into the current bucket. `seq` is the largest
             // ever issued, so every resident entry at or before `at` pops
             // first (FIFO ties). Scan back from the pop end past those few
-            // entries, then shift them one slot toward the back with `s`
-            // carried in: no search, and no `memmove` for a short move.
+            // entries instead of searching the whole bucket.
             let mut pos = b.len();
             while pos > 0 && b[pos - 1].time <= at {
                 pos -= 1;
             }
-            let mut carry = s;
-            for x in &mut b[pos..] {
-                carry = std::mem::replace(x, carry);
-            }
-            b.push(carry);
+            b.insert(pos, s);
         } else {
             if idx < self.cur {
                 // Earlier empty bucket (only reachable when `at` precedes the
