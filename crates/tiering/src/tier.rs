@@ -60,18 +60,47 @@ pub struct Tier {
     scrub_bytes: u64,
     /// Elapsed time charged for idle and refresh power.
     background: SimDuration,
-    /// The last two read sizes and their transfer times, most recent
-    /// first: a decode iteration's weights read survives the varying KV
-    /// read on the same tier. Each time is the exact value of
-    /// [`transfer_time`] at `read_bw`, so a hit returns the same bits.
-    read_memo: [(u64, SimDuration); 2],
-    /// The last write size and its per-write time at `write_bw`.
-    write_memo: (u64, SimDuration),
+    /// Recent read times at `read_bw`. Three entries hold a decode
+    /// iteration's weights and activation reads across the varying KV
+    /// read when all three land on one tier (`HbmOnly`).
+    read_memo: Memo<3>,
+    /// Recent per-write times at `write_bw`. Two entries hold the KV
+    /// append's size across a prefill or activation write on the same
+    /// tier.
+    write_memo: Memo<2>,
 }
 
 /// Time to move `bytes` at `bw` bytes/s.
 fn transfer_time(bytes: u64, bw: f64) -> SimDuration {
     SimDuration::from_secs_f64(bytes as f64 / bw)
+}
+
+/// The last `N` distinct transfer sizes at one bandwidth and their times,
+/// most recent first. Each time is the exact value of [`transfer_time`]
+/// at that bandwidth, which [`Tier::new`] fixes, so a hit returns the
+/// bits the formula would.
+#[derive(Clone, Copy, Debug)]
+struct Memo<const N: usize>([(u64, SimDuration); N]);
+
+impl<const N: usize> Memo<N> {
+    /// Zero bytes take zero time at any bandwidth, so the empty memo is
+    /// already exact.
+    const EMPTY: Self = Memo([(0, SimDuration::ZERO); N]);
+
+    /// The time to move `bytes` at `bw`, which becomes the most recent
+    /// entry; a miss evicts the least recent.
+    fn time(&mut self, bytes: u64, bw: f64) -> SimDuration {
+        let e = &mut self.0;
+        let (last, d) = match e.iter().position(|&(b, _)| b == bytes) {
+            Some(i) => (i, e[i].1),
+            None => (N - 1, transfer_time(bytes, bw)),
+        };
+        for k in (1..=last).rev() {
+            e[k] = e[k - 1];
+        }
+        e[0] = (bytes, d);
+        d
+    }
 }
 
 impl Tier {
@@ -96,10 +125,8 @@ impl Tier {
             written: Vec::new(),
             scrub_bytes: 0,
             background: SimDuration::ZERO,
-            // Zero bytes take zero time at any bandwidth, so the empty
-            // memo is already exact.
-            read_memo: [(0, SimDuration::ZERO); 2],
-            write_memo: (0, SimDuration::ZERO),
+            read_memo: Memo::EMPTY,
+            write_memo: Memo::EMPTY,
         }
     }
 
@@ -142,17 +169,7 @@ impl Tier {
     /// The bytes enter the read ledger.
     pub fn stream_read(&mut self, bytes: u64) -> SimDuration {
         self.bytes_read += bytes;
-        let [first, second] = self.read_memo;
-        if first.0 == bytes {
-            return first.1;
-        }
-        let d = if second.0 == bytes {
-            second.1
-        } else {
-            transfer_time(bytes, self.read_bw)
-        };
-        self.read_memo = [(bytes, d), first];
-        d
+        self.read_memo.time(bytes, self.read_bw)
     }
 
     /// Time to write `bytes` sequentially at aggregate tier bandwidth. The
@@ -171,10 +188,7 @@ impl Tier {
             self.ledger_write(rt, bytes * u64::from(n));
             writes += u64::from(n);
         }
-        if self.write_memo.0 != bytes {
-            self.write_memo = (bytes, transfer_time(bytes, self.write_bw));
-        }
-        self.write_memo.1 * writes
+        self.write_memo.time(bytes, self.write_bw) * writes
     }
 
     /// Adds `bytes` to the write ledger's `retention` entry, inserting it in
@@ -409,43 +423,61 @@ mod tests {
         let (weights, kvpt) = (70 * GB, 327_680);
         let rts = [SimDuration::from_mins(10), SimDuration::from_hours(3)];
         for tech in [presets::mrm_days(), presets::hbm3e(), presets::lpddr5x()] {
-            // A decode iteration's shape: the weights/KV tier reads the
-            // constant weights and a varying KV size, then appends the
-            // constant KV vector; the activation tier writes and reads a
-            // size that changes only with the batch length. Now and then
-            // a prefill-sized write or a zero-byte transfer lands between.
-            let (mut kv, mut act) = (Checked::new(&tech), Checked::new(&tech));
+            // A decode iteration's transfers in `start_iteration`'s order,
+            // each tagged with whether it goes to the weights/KV tier: the
+            // constant weights read, a varying KV read, the append of the
+            // constant KV vector, now and then a prefill write or a
+            // zero-byte transfer, and the activation write and read, whose
+            // size changes only with the batch length. `kv` and `act`
+            // carry them as the MRM policies do, `one` as HbmOnly does.
+            let [mut kv, mut act, mut one] = [0; 3].map(|_| Checked::new(&tech));
             let mut batch = 8u64;
             for _ in 0..5_000 {
                 if rng.gen_bool(0.1) {
                     batch = rng.gen_range(1, 65);
                 }
-                kv.read(weights);
-                kv.read(rng.gen_range(0, 40 * GB));
-                let counts = [(rts[0], rng.next_u32() % 40), (rts[1], rng.next_u32() % 40)];
-                kv.write(kvpt, &counts);
+                let counts = vec![(rts[0], rng.next_u32() % 40), (rts[1], rng.next_u32() % 40)];
+                let mut ops = vec![
+                    (true, weights, None),
+                    (true, rng.gen_range(0, 40 * GB), None),
+                    (true, kvpt, Some(counts)),
+                ];
                 if rng.gen_bool(0.2) {
-                    kv.write(rng.gen_range(1, GB), &[(rts[1], 1)]);
+                    ops.push((true, rng.gen_range(1, GB), Some(vec![(rts[1], 1)])));
                 }
                 if rng.gen_bool(0.05) {
-                    kv.read(0);
-                    act.write(0, &[(rts[0], 1)]);
+                    ops.push((true, 0, None));
+                    ops.push((false, 0, Some(vec![(rts[0], 1)])));
                 }
-                act.write(batch * 16_384, &[(rts[0], 1)]);
-                act.read(batch * 16_384);
+                ops.push((false, batch * 16_384, Some(vec![(rts[0], 1)])));
+                ops.push((false, batch * 16_384, None));
+                for (on_kv, bytes, counts) in ops {
+                    for c in [if on_kv { &mut kv } else { &mut act }, &mut one] {
+                        match &counts {
+                            Some(counts) => c.write(bytes, counts),
+                            None => c.read(bytes),
+                        }
+                    }
+                }
             }
-            for c in [kv, act] {
+            for c in [kv, act, one] {
                 assert_eq!(c.tier.traffic(), (c.read, c.written), "{}", tech.name);
             }
-            // Sizes near the top of the range, a fresh tier per pair of
-            // sizes so the ledgers cannot overflow: `a` hits the second
-            // read slot, then the first, and repeats the write entry.
+            // Sizes at the top of the range go straight through the memos,
+            // since a tier's ledgers would overflow: the sequence hits
+            // every slot of both memos and evicts from each.
+            let (read_bw, write_bw) = (tech.read_bw * 3.0, tech.write_bw * 3.0);
             for k in 0..64 {
-                let (a, b) = (u64::MAX / 3 - (k << 40), u64::MAX / 5 + k);
-                let mut c = Checked::new(&tech);
-                for bytes in [a, b, a, a] {
-                    c.read(bytes / 2);
-                    c.write(bytes / 4, &[(rts[1], 1)]);
+                let (a, b, c) = (u64::MAX - k, u64::MAX / 3 - (k << 40), u64::MAX / 5 + k);
+                let (mut reads, mut writes) = (Memo::<3>::EMPTY, Memo::<2>::EMPTY);
+                for bytes in [a, b, c, a, b, a, k, c, a, a] {
+                    let want = |bw: f64| SimDuration::from_secs_f64(bytes as f64 / bw);
+                    assert_eq!(reads.time(bytes, read_bw), want(read_bw), "read {bytes} B");
+                    assert_eq!(
+                        writes.time(bytes, write_bw),
+                        want(write_bw),
+                        "write {bytes} B"
+                    );
                 }
             }
         }
