@@ -190,7 +190,7 @@ fn bench_event_churn(quick: bool) -> EventChurnResult {
     let (initial, pops, reps) = if quick {
         (16_384usize, 50_000usize, 3)
     } else {
-        (65_536, 500_000, 5)
+        (65_536, 500_000, 15)
     };
     let seed = 0xE7E7u64;
     let p = time_pair(
@@ -203,9 +203,10 @@ fn bench_event_churn(quick: bool) -> EventChurnResult {
         "queues diverged: the (time, seq) pop contract must be identical"
     );
     let speedup = p.speedup;
-    // The lowest ratio of ten full runs on a shared 2-vCPU host: the
-    // calendar side runs bimodally (~41 or ~61 ms) from process to
-    // process, and its slow mode measured as low as 1.93x.
+    // The lowest ratio of ten 5-rep full runs on a shared 2-vCPU host:
+    // the calendar side runs bimodally (~41 or ~61 ms), and its slow mode
+    // measured as low as 1.93x. One 5-rep run in 15 later read 1.86x, so
+    // full runs take 15 reps: a slow stretch moves their median less.
     let floor = 1.9;
     note(&format!(
         "event_churn: {initial} initial / {pops} pops — calendar {:.2} ms, heap {:.2} ms ({speedup:.1}x, floor {floor}x)",

@@ -13,7 +13,7 @@
 //! arithmetic stays in range in debug builds and saturate (observably, via
 //! the caller's audit trail) in release builds.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use mrm_sim::time::{SimDuration, SimTime};
 
@@ -69,7 +69,34 @@ struct Item {
     retention: SimDuration,
 }
 
+impl Item {
+    /// §4's refresh-or-move decision for this item at `now`; see
+    /// [`ExpiryTracker::decide`].
+    fn action(&self, now: SimTime) -> ExpiryAction {
+        if self.needed_until <= self.deadline {
+            return ExpiryAction::Drop;
+        }
+        let remaining_need = self.needed_until.duration_since(now.min(self.needed_until));
+        // A zero-retention class can never cover the need.
+        let periods = match self.retention.as_nanos() {
+            0 => u64::MAX,
+            ret => remaining_need.as_nanos().div_ceil(ret),
+        };
+        if periods > 4 {
+            ExpiryAction::Migrate
+        } else {
+            ExpiryAction::Refresh
+        }
+    }
+}
+
 /// A deadline registry over opaque `u64` item ids.
+///
+/// Each item is held once, keyed by id. Registers, refreshes and removes
+/// outnumber maintenance polls by about a hundred to one on a
+/// refresh-heavy run, so no deadline index is kept in step:
+/// [`ExpiryTracker::due`] walks the items once per poll and sorts only
+/// the due subset.
 ///
 /// # Examples
 ///
@@ -81,20 +108,14 @@ struct Item {
 /// let t0 = SimTime::ZERO;
 /// let retention = SimDuration::from_mins(10);
 /// tr.register(1, t0 + retention, t0 + SimDuration::from_mins(25), retention);
-/// let due = tr.due_before(t0 + SimDuration::from_mins(12));
-/// assert_eq!(due, vec![1]);
-/// assert_eq!(tr.decide(1, t0 + SimDuration::from_mins(9)), Some(ExpiryAction::Refresh));
+/// let now = t0 + SimDuration::from_mins(9);
+/// let due = tr.due(now, t0 + SimDuration::from_mins(12));
+/// assert_eq!(due, vec![(1, ExpiryAction::Refresh)]);
+/// assert_eq!(tr.decide(1, now), Some(ExpiryAction::Refresh));
 /// ```
-/// Items are held twice: by id for lookups, and in a `(deadline, id)`
-/// index so [`ExpiryTracker::due_before`] is a range scan that emits ids
-/// already in deadline order (soonest first, id-ascending within a tie) —
-/// the order the old implementation produced by sorting the full item set
-/// on every poll. The maintenance sweep polls every period, so the
-/// O(n log n) scan-and-sort is replaced by O(due · log n).
 #[derive(Clone, Debug, Default)]
 pub struct ExpiryTracker {
     items: BTreeMap<u64, Item>,
-    by_deadline: BTreeSet<(SimTime, u64)>,
 }
 
 impl ExpiryTracker {
@@ -113,17 +134,14 @@ impl ExpiryTracker {
         needed_until: SimTime,
         retention: SimDuration,
     ) {
-        if let Some(old) = self.items.insert(
+        self.items.insert(
             id,
             Item {
                 deadline,
                 needed_until,
                 retention,
             },
-        ) {
-            self.by_deadline.remove(&(old.deadline, id));
-        }
-        self.by_deadline.insert((deadline, id));
+        );
     }
 
     /// Extends the needed-until time (e.g. a follow-up arrived).
@@ -137,19 +155,13 @@ impl ExpiryTracker {
     /// from `now` ([`rearm_deadline`]: checked, not silently saturating).
     pub fn refreshed(&mut self, id: u64, now: SimTime) {
         if let Some(it) = self.items.get_mut(&id) {
-            let old = it.deadline;
             it.deadline = rearm_deadline(now, it.retention);
-            let new = it.deadline;
-            self.by_deadline.remove(&(old, id));
-            self.by_deadline.insert((new, id));
         }
     }
 
     /// Removes an item (dropped or migrated away).
     pub fn remove(&mut self, id: u64) {
-        if let Some(it) = self.items.remove(&id) {
-            self.by_deadline.remove(&(it.deadline, id));
-        }
+        self.items.remove(&id);
     }
 
     /// Number of tracked items.
@@ -162,16 +174,21 @@ impl ExpiryTracker {
         self.items.is_empty()
     }
 
-    /// Ids whose deadline falls at or before `horizon`, soonest first
-    /// (id-ascending within a deadline tie).
+    /// Every item whose deadline falls at or before `horizon`, with its
+    /// [`ExpiryAction`] at `now`, soonest deadline first (id-ascending
+    /// within a deadline tie).
     ///
-    /// A bounded range scan over the `(deadline, id)` index: the ids come
-    /// out already sorted, so no per-poll scan-and-sort of the whole
-    /// registry.
-    pub fn due_before(&self, horizon: SimTime) -> Vec<u64> {
-        self.by_deadline
-            .range(..=(horizon, u64::MAX))
-            .map(|&(_, id)| id)
+    /// One walk of the items; only the due subset is sorted.
+    pub fn due(&self, now: SimTime, horizon: SimTime) -> Vec<(u64, ExpiryAction)> {
+        let mut due: Vec<(SimTime, u64, ExpiryAction)> = self
+            .items
+            .iter()
+            .filter(|(_, it)| it.deadline <= horizon)
+            .map(|(&id, it)| (it.deadline, id, it.action(now)))
+            .collect();
+        due.sort_unstable_by_key(|&(deadline, id, _)| (deadline, id));
+        due.into_iter()
+            .map(|(_, id, action)| (id, action))
             .collect()
     }
 
@@ -192,23 +209,7 @@ impl ExpiryTracker {
     ///
     /// Returns `None` for unknown ids.
     pub fn decide(&self, id: u64, now: SimTime) -> Option<ExpiryAction> {
-        let it = self.items.get(&id)?;
-        if it.needed_until <= it.deadline {
-            return Some(ExpiryAction::Drop);
-        }
-        let remaining_need = it.needed_until.duration_since(now.min(it.needed_until));
-        let periods = if it.retention.is_zero() {
-            u64::MAX
-        } else {
-            remaining_need
-                .as_nanos()
-                .div_ceil(it.retention.as_nanos().max(1))
-        };
-        if periods > 4 {
-            Some(ExpiryAction::Migrate)
-        } else {
-            Some(ExpiryAction::Refresh)
-        }
+        self.items.get(&id).map(|it| it.action(now))
     }
 }
 
@@ -220,14 +221,21 @@ mod tests {
         SimTime::ZERO + SimDuration::from_mins(mins)
     }
 
+    fn due_ids(tr: &ExpiryTracker, horizon: SimTime) -> Vec<u64> {
+        tr.due(SimTime::ZERO, horizon)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     #[test]
     fn due_ordering() {
         let mut tr = ExpiryTracker::new();
         tr.register(1, t(30), t(60), SimDuration::from_mins(30));
         tr.register(2, t(10), t(60), SimDuration::from_mins(10));
         tr.register(3, t(50), t(60), SimDuration::from_mins(50));
-        assert_eq!(tr.due_before(t(35)), vec![2, 1]);
-        assert_eq!(tr.due_before(t(5)), Vec::<u64>::new());
+        assert_eq!(due_ids(&tr, t(35)), vec![2, 1]);
+        assert_eq!(due_ids(&tr, t(5)), Vec::<u64>::new());
         assert_eq!(tr.len(), 3);
     }
 
@@ -244,16 +252,53 @@ mod tests {
         tr.register(3, t(10), t(60), ret);
         tr.register(9, t(10), t(60), ret); // same deadline as 3: id breaks tie
         tr.register(1, t(30), t(60), ret);
-        assert_eq!(tr.due_before(t(30)), vec![3, 9, 7, 1]);
+        assert_eq!(due_ids(&tr, t(30)), vec![3, 9, 7, 1]);
         // Re-registering moves an id's position, never duplicates it.
         tr.register(7, t(5), t(60), ret);
-        assert_eq!(tr.due_before(t(30)), vec![7, 3, 9, 1]);
-        // Refresh re-arms the deadline and the index follows.
+        assert_eq!(due_ids(&tr, t(30)), vec![7, 3, 9, 1]);
+        // Refresh re-arms the deadline and the due order follows.
         tr.refreshed(3, t(25));
-        assert_eq!(tr.due_before(t(30)), vec![7, 9, 1]);
-        assert_eq!(tr.due_before(t(35)), vec![7, 9, 1, 3]);
+        assert_eq!(due_ids(&tr, t(30)), vec![7, 9, 1]);
+        assert_eq!(due_ids(&tr, t(35)), vec![7, 9, 1, 3]);
         tr.remove(9);
-        assert_eq!(tr.due_before(t(35)), vec![7, 1, 3]);
+        assert_eq!(due_ids(&tr, t(35)), vec![7, 1, 3]);
+    }
+
+    #[test]
+    fn due_actions_match_decide() {
+        let mut tr = ExpiryTracker::new();
+        let ret = SimDuration::from_mins(10);
+        tr.register(1, t(10), t(5), ret); // need lapsed: drop
+        tr.register(2, t(10), t(30), ret); // 3 periods: refresh
+        tr.register(3, t(10), t(600), ret); // 60 periods: migrate
+        tr.register(4, t(40), t(600), ret); // not due
+        let now = t(0);
+        let due = tr.due(now, t(20));
+        assert_eq!(
+            due,
+            vec![
+                (1, ExpiryAction::Drop),
+                (2, ExpiryAction::Refresh),
+                (3, ExpiryAction::Migrate),
+            ]
+        );
+        for (id, action) in due {
+            assert_eq!(tr.decide(id, now), Some(action));
+        }
+    }
+
+    #[test]
+    fn four_periods_refresh_five_migrate() {
+        // The boundary of the refresh-or-move rule: a need of exactly four
+        // retention periods still refreshes; a nanosecond more migrates.
+        let mut tr = ExpiryTracker::new();
+        let ret = SimDuration::from_mins(10);
+        tr.register(1, t(10), t(40), ret);
+        tr.register(2, t(10), t(40) + SimDuration::from_nanos(1), ret);
+        assert_eq!(
+            tr.due(t(0), t(10)),
+            vec![(1, ExpiryAction::Refresh), (2, ExpiryAction::Migrate)]
+        );
     }
 
     #[test]
@@ -286,7 +331,7 @@ mod tests {
         tr.register(1, t(10), t(40), SimDuration::from_mins(10));
         tr.refreshed(1, t(9));
         assert_eq!(tr.deadline(1), Some(t(19)));
-        assert!(tr.due_before(t(15)).is_empty());
+        assert!(due_ids(&tr, t(15)).is_empty());
     }
 
     #[test]
@@ -371,10 +416,10 @@ mod tests {
         let mut tr = ExpiryTracker::new();
         tr.register(1, SimTime::MAX, SimTime::MAX, SimDuration::from_secs(1));
         assert_eq!(
-            tr.due_before(SimTime::from_nanos(u64::MAX - 1)),
+            due_ids(&tr, SimTime::from_nanos(u64::MAX - 1)),
             Vec::<u64>::new()
         );
-        assert_eq!(tr.due_before(SimTime::MAX), vec![1]);
+        assert_eq!(due_ids(&tr, SimTime::MAX), vec![1]);
         // Nothing needs it past its (horizon) deadline: a legal drop.
         assert_eq!(tr.decide(1, SimTime::MAX), Some(ExpiryAction::Drop));
     }
@@ -400,6 +445,6 @@ mod tests {
         tr.register(2, now, now + SimDuration::from_nanos(1), SimDuration::ZERO);
         assert_eq!(tr.decide(2, now), Some(ExpiryAction::Migrate));
         // Zero-TTL items are due immediately.
-        assert_eq!(tr.due_before(now), vec![1, 2]);
+        assert_eq!(due_ids(&tr, now), vec![1, 2]);
     }
 }

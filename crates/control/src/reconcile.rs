@@ -119,8 +119,10 @@ impl Reconciler {
         self.planned
     }
 
-    /// One reconciliation tick: diff every object whose deadline falls at
-    /// or before `horizon` against the declared policy and emit work.
+    /// One reconciliation tick: one pass over the tracked objects
+    /// ([`ExpiryTracker::due`]) decides every object whose deadline falls
+    /// at or before `horizon`, and the plan diffs that against the
+    /// declared policy and emits work.
     ///
     /// * still needed for a few periods → [`WorkKind::Refresh`];
     /// * needed for many periods → [`WorkKind::Migrate`] to the policy's
@@ -143,27 +145,15 @@ impl Reconciler {
             .and_then(|p| p.escalation_class);
         let required = registry.is_required(self.class);
         let mut items = Vec::new();
-        for id in self.tracker.due_before(horizon) {
-            let kind = match self.tracker.decide(id, now) {
-                Some(ExpiryAction::Refresh) => WorkKind::Refresh,
-                Some(ExpiryAction::Migrate) => match escalation {
-                    Some(to) => WorkKind::Migrate { to },
-                    None => WorkKind::Refresh,
+        for (id, action) in self.tracker.due(now, horizon) {
+            let (kind, reason) = match action {
+                ExpiryAction::Refresh => (WorkKind::Refresh, "deadline-refresh"),
+                ExpiryAction::Migrate => match escalation {
+                    Some(to) => (WorkKind::Migrate { to }, "long-remaining-need"),
+                    None => (WorkKind::Refresh, "deadline-refresh"),
                 },
-                Some(ExpiryAction::Drop) | None => {
-                    if required {
-                        WorkKind::Retire
-                    } else {
-                        WorkKind::RecomputeDrop
-                    }
-                }
-            };
-            let reason = match kind {
-                WorkKind::Refresh => "deadline-refresh",
-                WorkKind::Migrate { .. } => "long-remaining-need",
-                WorkKind::RecomputeDrop => "need-lapsed",
-                WorkKind::Retire => "need-ended",
-                WorkKind::Refetch => unreachable!("plan never emits refetch"),
+                ExpiryAction::Drop if required => (WorkKind::Retire, "need-ended"),
+                ExpiryAction::Drop => (WorkKind::RecomputeDrop, "need-lapsed"),
             };
             items.push(WorkItem {
                 id,

@@ -1,5 +1,6 @@
 //! Control-plane target: synthetic work-item streams vs the
-//! [`AuditLog`] REQUIRED-DURABLE index.
+//! [`AuditLog`] REQUIRED-DURABLE index, and tracker observations vs the
+//! [`Reconciler`]'s plan.
 //!
 //! The audit log is the control plane's flight recorder, and
 //! `required_drop_violations` is the REQUIRED-DURABLE acceptance oracle
@@ -16,15 +17,25 @@
 //! nondecreasing sim-time, and a summary histogram that reconciles
 //! against the raw records.
 //!
+//! Tracker ops (register, extend need, refresh, release) feed one
+//! `KvPrefix` [`Reconciler`] and a plain map of `OracleItem`s, the
+//! mirror `tests/fault_invariants.rs` keeps. At each `Plan` op the
+//! reconciler's `(id, kind, reason)` list must equal the model's: its
+//! items with `deadline <= horizon`, sorted by `(deadline, id)`, each
+//! decided from scratch and mapped to a work kind under a drawn registry.
+//!
 //! Sabotage mode credits recovery records to the wrong class in the
-//! *model* — the index and the model then disagree about which later
-//! drops are violations.
+//! *model*, so the index and the model disagree about which later drops
+//! are violations, and leaves the model's due list in id order, so a
+//! plan whose deadlines do not follow id order disagrees too.
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_control::{AuditAction, AuditLog, ControlClass, RetentionPolicy, RetentionRegistry};
+use mrm_control::{
+    AuditAction, AuditLog, ControlClass, Reconciler, RetentionPolicy, RetentionRegistry, WorkKind,
+};
 use mrm_sim::time::{SimDuration, SimTime, NANOS_PER_SEC};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One control fuzz operation.
 #[derive(Clone, Debug)]
@@ -42,6 +53,74 @@ pub enum ControlOp {
     /// Check the index mid-stream under a registry that declares class `i`
     /// Required (`durability[i] % 3 == 0`), Ephemeral (1) or not at all (2).
     Query { durability: [u8; 5] },
+    /// Observe a store: deadline and need are offsets from the clock, the
+    /// retention period is `RETENTION_SECS[retention_idx % 5]`.
+    Track {
+        id: u64,
+        deadline_secs: u64,
+        need_secs: u64,
+        retention_idx: u8,
+    },
+    /// Extend a tracked object's need to `now + need_secs` (never
+    /// shortening it), observed as a re-store at its current deadline.
+    ExtendNeed { id: u64, need_secs: u64 },
+    /// Observe a completed refresh at the current clock.
+    Refresh { id: u64 },
+    /// Observe a release.
+    Release { id: u64 },
+    /// One reconciliation tick up to `now + horizon_secs`, under the
+    /// `Query` registry encoding; `escalate` gives every declared class a
+    /// 7-day escalation class.
+    Plan {
+        horizon_secs: u64,
+        durability: [u8; 5],
+        escalate: bool,
+    },
+}
+
+/// Retention periods a tracked object may carry, zero included.
+const RETENTION_SECS: [u64; 5] = [0, 1, 30, 300, 3600];
+
+/// One tracked object in the plain-map model.
+#[derive(Clone, Copy, Debug)]
+struct OracleItem {
+    deadline: SimTime,
+    needed_until: SimTime,
+    retention: SimDuration,
+}
+
+impl OracleItem {
+    /// §4's decision, spelled out, as the work a plan emits for it: drop
+    /// when nothing needs the object past its deadline; otherwise count
+    /// the retention periods the remaining need spans (a zero-retention
+    /// class spans infinitely many) and migrate past four, if the
+    /// registry declares an escalation class, or refresh.
+    fn work(&self, now: SimTime, reg: &RetentionRegistry) -> (WorkKind, &'static str) {
+        let class = ControlClass::KvPrefix;
+        if self.needed_until <= self.deadline {
+            return if reg.is_required(class) {
+                (WorkKind::Retire, "need-ended")
+            } else {
+                (WorkKind::RecomputeDrop, "need-lapsed")
+            };
+        }
+        let need = self.needed_until.duration_since(now.min(self.needed_until));
+        let periods = if self.retention.is_zero() {
+            u64::MAX
+        } else {
+            need.as_nanos().div_ceil(self.retention.as_nanos())
+        };
+        let escalation = reg.policy(class).ok().and_then(|p| p.escalation_class);
+        match escalation {
+            Some(to) if periods > 4 => (WorkKind::Migrate { to }, "long-remaining-need"),
+            _ => (WorkKind::Refresh, "deadline-refresh"),
+        }
+    }
+}
+
+/// `now + secs`, saturating at the end of sim time.
+fn offset(now: SimTime, secs: u64) -> SimTime {
+    now.saturating_add(SimDuration::from_nanos(secs.saturating_mul(NANOS_PER_SEC)))
 }
 
 pub struct ControlTarget {
@@ -72,16 +151,18 @@ fn is_reclaim(a: AuditAction) -> bool {
     matches!(a, AuditAction::Drop | AuditAction::Evict)
 }
 
-fn registry_of(durability: &[u8; 5]) -> RetentionRegistry {
+fn registry_of(durability: &[u8; 5], escalate: bool) -> RetentionRegistry {
     let mut reg = RetentionRegistry::new();
     for (class, d) in ControlClass::all().into_iter().zip(durability) {
-        match d % 3 {
-            0 => reg.declare(class, RetentionPolicy::required()),
-            1 => reg.declare(
-                class,
-                RetentionPolicy::ephemeral(SimDuration::from_secs(20)),
-            ),
-            _ => {}
+        let policy = match d % 3 {
+            0 => RetentionPolicy::required(),
+            1 => RetentionPolicy::ephemeral(SimDuration::from_secs(20)),
+            _ => continue,
+        };
+        if escalate {
+            reg.declare(class, policy.with_escalation(SimDuration::from_days(7)));
+        } else {
+            reg.declare(class, policy);
         }
     }
     reg
@@ -144,6 +225,54 @@ impl ControlTarget {
         }
         Ok(())
     }
+
+    /// The model's plan: the due objects sorted by `(deadline, id)` (by id
+    /// alone under sabotage), each decided from scratch.
+    fn plan(
+        &self,
+        model: &BTreeMap<u64, OracleItem>,
+        now: SimTime,
+        horizon: SimTime,
+        reg: &RetentionRegistry,
+    ) -> Vec<(u64, WorkKind, &'static str)> {
+        let mut due: Vec<(&u64, &OracleItem)> = model
+            .iter()
+            .filter(|(_, it)| it.deadline <= horizon)
+            .collect();
+        if !self.sabotage {
+            due.sort_by_key(|&(&id, it)| (it.deadline, id));
+        }
+        due.into_iter()
+            .map(|(&id, it)| {
+                let (kind, reason) = it.work(now, reg);
+                (id, kind, reason)
+            })
+            .collect()
+    }
+
+    fn gen_tracker_op(&self, rng: &mut FuzzRng) -> ControlOp {
+        // Small id space so re-registers, refreshes and releases collide.
+        let id = rng.lean_below(16);
+        match rng.below(8) {
+            0..=2 => ControlOp::Track {
+                id,
+                deadline_secs: rng.lean_below(2_000),
+                need_secs: rng.lean_below(20_000),
+                retention_idx: rng.below(5) as u8,
+            },
+            3 => ControlOp::ExtendNeed {
+                id,
+                need_secs: rng.lean_below(20_000),
+            },
+            4 => ControlOp::Refresh { id },
+            5 => ControlOp::Release { id },
+            _ => ControlOp::Plan {
+                horizon_secs: rng.lean_below(2_000),
+                durability: draw_durability(rng),
+                escalate: rng.one_in(2),
+            },
+        }
+    }
 }
 
 impl FuzzTarget for ControlTarget {
@@ -201,6 +330,45 @@ impl FuzzTarget for ControlTarget {
                     durability: [2, 0, 2, 2, 2],
                 },
             ],
+            // Deadlines against id order, a deadline on the horizon, and
+            // needs of exactly four and five 300 s periods.
+            vec![
+                ControlOp::Track {
+                    id: 3,
+                    deadline_secs: 10,
+                    need_secs: 1_200,
+                    retention_idx: 3,
+                },
+                ControlOp::Track {
+                    id: 1,
+                    deadline_secs: 20,
+                    need_secs: 1_201,
+                    retention_idx: 3,
+                },
+                ControlOp::Track {
+                    id: 2,
+                    deadline_secs: 10,
+                    need_secs: 5,
+                    retention_idx: 3,
+                },
+                ControlOp::Plan {
+                    horizon_secs: 20,
+                    durability: [0, 0, 0, 0, 0],
+                    escalate: true,
+                },
+                ControlOp::Refresh { id: 3 },
+                ControlOp::ExtendNeed {
+                    id: 2,
+                    need_secs: 600,
+                },
+                ControlOp::Release { id: 1 },
+                ControlOp::Advance { secs: 300 },
+                ControlOp::Plan {
+                    horizon_secs: 20,
+                    durability: [1, 1, 1, 1, 1],
+                    escalate: false,
+                },
+            ],
         ]
     }
 
@@ -213,6 +381,8 @@ impl FuzzTarget for ControlTarget {
             ControlOp::Query {
                 durability: draw_durability(rng),
             }
+        } else if rng.one_in(2) {
+            self.gen_tracker_op(rng)
         } else {
             ControlOp::Record {
                 class_idx: (rng.below(5)) as u8,
@@ -265,6 +435,7 @@ impl FuzzTarget for ControlTarget {
                     bytes: rng.lean_u64(),
                 },
             },
+            _ => self.gen_tracker_op(rng),
         }
     }
 
@@ -302,6 +473,40 @@ impl FuzzTarget for ControlTarget {
                     None
                 }
             }
+            ControlOp::Track {
+                id,
+                deadline_secs,
+                need_secs,
+                retention_idx,
+            } if *deadline_secs > 0 || *need_secs > 0 => Some(ControlOp::Track {
+                id: *id,
+                deadline_secs: deadline_secs / 2,
+                need_secs: need_secs / 2,
+                retention_idx: *retention_idx,
+            }),
+            ControlOp::ExtendNeed { id, need_secs } if *need_secs > 0 => {
+                Some(ControlOp::ExtendNeed {
+                    id: *id,
+                    need_secs: need_secs / 2,
+                })
+            }
+            ControlOp::Plan {
+                horizon_secs,
+                durability,
+                escalate,
+            } => {
+                let mut durability = *durability;
+                if let Some(i) = durability.iter().position(|&d| d != 0) {
+                    durability[i] = 0;
+                } else if *horizon_secs == 0 {
+                    return None;
+                }
+                Some(ControlOp::Plan {
+                    horizon_secs: horizon_secs / 2,
+                    durability,
+                    escalate: *escalate,
+                })
+            }
             _ => None,
         }
     }
@@ -318,14 +523,18 @@ impl FuzzTarget for ControlTarget {
         let mut histogram = [0u64; 9];
         let mut times: Vec<SimTime> = Vec::new();
 
+        // The reconciler under test and its plain-map model.
+        let mut reconciler = Reconciler::new(ControlClass::KvPrefix);
+        let mut model: BTreeMap<u64, OracleItem> = BTreeMap::new();
+        let mut planned = 0u64;
+
         for op in ops {
             match op {
                 ControlOp::Advance { secs } => {
                     // Saturate the secs→nanos conversion too: the corpus
                     // deliberately advances by `u64::MAX` seconds, which
                     // would overflow `from_secs`'s multiply in debug.
-                    let d = SimDuration::from_nanos(secs.saturating_mul(NANOS_PER_SEC));
-                    now = now.saturating_add(d);
+                    now = offset(now, *secs);
                 }
                 ControlOp::Record {
                     class_idx,
@@ -341,9 +550,77 @@ impl FuzzTarget for ControlTarget {
                     times.push(now);
                 }
                 ControlOp::Query { durability } => {
-                    let reg = registry_of(durability);
+                    let reg = registry_of(durability, false);
                     let what = format!("query {durability:?} after {} records", stream.len());
                     self.check_index(&log, &stream, &reg, &what)?;
+                }
+                ControlOp::Track {
+                    id,
+                    deadline_secs,
+                    need_secs,
+                    retention_idx,
+                } => {
+                    let it = OracleItem {
+                        deadline: offset(now, *deadline_secs),
+                        needed_until: offset(now, *need_secs),
+                        retention: SimDuration::from_secs(
+                            RETENTION_SECS[usize::from(*retention_idx) % RETENTION_SECS.len()],
+                        ),
+                    };
+                    reconciler.observe_store(*id, it.deadline, it.needed_until, it.retention);
+                    model.insert(*id, it);
+                }
+                ControlOp::ExtendNeed { id, need_secs } => {
+                    if let Some(it) = model.get_mut(id) {
+                        it.needed_until = it.needed_until.max(offset(now, *need_secs));
+                        reconciler.observe_store(*id, it.deadline, it.needed_until, it.retention);
+                    }
+                }
+                ControlOp::Refresh { id } => match model.get_mut(id) {
+                    // Re-arming past the end of sim time breaks the
+                    // tracker's checked-arithmetic contract: skip it.
+                    Some(it) => {
+                        if let Some(deadline) = now.checked_add(it.retention) {
+                            it.deadline = deadline;
+                            reconciler.observe_refreshed(*id, now);
+                        }
+                    }
+                    // Refreshing an untracked id is a no-op.
+                    None => reconciler.observe_refreshed(*id, now),
+                },
+                ControlOp::Release { id } => {
+                    reconciler.observe_release(*id);
+                    model.remove(id);
+                }
+                ControlOp::Plan {
+                    horizon_secs,
+                    durability,
+                    escalate,
+                } => {
+                    let reg = registry_of(durability, *escalate);
+                    let horizon = offset(now, *horizon_secs);
+                    let items = reconciler.plan(now, horizon, &reg);
+                    if let Some(wrong) = items.iter().find(|w| w.class != ControlClass::KvPrefix) {
+                        return Err(format!("plan emitted {wrong:?} outside its class"));
+                    }
+                    let got: Vec<(u64, WorkKind, &str)> =
+                        items.iter().map(|w| (w.id, w.kind, w.reason)).collect();
+                    let want = self.plan(&model, now, horizon, &reg);
+                    if got != want {
+                        return Err(format!(
+                            "plan at {now:?} to {horizon:?} under {durability:?} (escalate \
+                             {escalate}): reconciler {got:?}, model {want:?}"
+                        ));
+                    }
+                    planned += want.len() as u64;
+                    if reconciler.planned() != planned || reconciler.len() != model.len() {
+                        return Err(format!(
+                            "reconciler tracks {} and planned {}, model {} and {planned}",
+                            reconciler.len(),
+                            reconciler.planned(),
+                            model.len()
+                        ));
+                    }
                 }
             }
         }

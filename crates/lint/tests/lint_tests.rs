@@ -504,8 +504,8 @@ fn d10_and_u2_fire_on_mutated_real_files() {
         (
             RuleId::U2,
             "crates/tiering/src/cluster.rs",
-            "self.read_survives(weights_bytes, rber)",
-            "self.read_survives(age_ns, rber)",
+            "self.read_survives(weights_bytes, self.weights_on_mrm, w_ret, age)",
+            "self.read_survives(age_ns, self.weights_on_mrm, w_ret, age)",
         ),
     ];
     for (rule, rel, anchor, mutation) in cases {

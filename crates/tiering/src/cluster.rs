@@ -925,24 +925,29 @@ impl<'t> ClusterSim<'t> {
         }
     }
 
-    /// Raw BER of a read `age` after a `retention`-class write. MRM decays
-    /// along the Weibull retention curve; the DRAM-family tiers are pinned
-    /// at the soft-error floor by their mandatory refresh.
-    fn aged_rber(&self, on_mrm: bool, retention: SimDuration, age: SimDuration) -> f64 {
-        if on_mrm {
+    /// One fault-checked read of data written `age` ago at a
+    /// `retention` class: inject at the read's raw BER, and on an
+    /// uncorrectable outcome retry once (the first rung of every recovery
+    /// ladder). Returns false when the error persisted and the caller must
+    /// take its own recovery path. A no-op returning true when the layer
+    /// is off; the raw BER is computed only when it is on.
+    ///
+    /// MRM decays along the Weibull retention curve; the DRAM-family tiers
+    /// are pinned at the soft-error floor by their mandatory refresh.
+    fn read_survives(
+        &mut self,
+        len_bytes: u64,
+        on_mrm: bool,
+        retention: SimDuration,
+        age: SimDuration,
+    ) -> bool {
+        let Some(model) = self.fault_layer.as_mut() else {
+            return true;
+        };
+        let rber = if on_mrm {
             self.mrm_tradeoff.rber_at_age(retention, age, FRESH_RBER)
         } else {
             FRESH_RBER
-        }
-    }
-
-    /// One fault-checked read: inject at `rber`, and on an uncorrectable
-    /// outcome retry once (the first rung of every recovery ladder).
-    /// Returns false when the error persisted and the caller must take its
-    /// own recovery path. A no-op returning true when the layer is off.
-    fn read_survives(&mut self, len_bytes: u64, rber: f64) -> bool {
-        let Some(model) = self.fault_layer.as_mut() else {
-            return true;
         };
         if !model.inject_read(len_bytes, rber).uncorrectable() {
             return true;
@@ -1351,8 +1356,7 @@ impl<'t> ClusterSim<'t> {
         if self.fault_layer.is_some() {
             let age = now.duration_since(self.accels[acc].weights_written_at);
             let w_ret = self.accels[acc].weights_retention;
-            let rber = self.aged_rber(self.weights_on_mrm, w_ret, age);
-            if !self.read_survives(weights_bytes, rber) {
+            if !self.read_survives(weights_bytes, self.weights_on_mrm, w_ret, age) {
                 // The ladder's work item: weights are Required, so the
                 // only legal response is a refetch — recorded in the
                 // audit log before anything else happens to the shard.
@@ -1526,8 +1530,7 @@ impl<'t> ClusterSim<'t> {
                 _ => (0, SimDuration::ZERO, SimDuration::ZERO),
             };
             if probe.0 > 0 {
-                let rber = self.aged_rber(self.kv_on_mrm, probe.1, probe.2);
-                hit_survived = self.read_survives(probe.0, rber);
+                hit_survived = self.read_survives(probe.0, self.kv_on_mrm, probe.1, probe.2);
                 if !hit_survived {
                     fault_span = self.obs.fault(now, acc, ctx, probe.0);
                 }
@@ -1680,8 +1683,7 @@ impl<'t> ClusterSim<'t> {
                             SimDuration::ZERO
                         };
                         let age = consumed_age(retention, remaining);
-                        let rber = self.aged_rber(self.kv_on_mrm, retention, age);
-                        if self.read_survives(bytes, rber) {
+                        if self.read_survives(bytes, self.kv_on_mrm, retention, age) {
                             let a = &mut self.accels[acc];
                             a.kv_tier(policy).charge_scrub(bytes);
                             a.reconciler.observe_refreshed(ctx, now);

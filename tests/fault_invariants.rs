@@ -262,6 +262,29 @@ struct OracleItem {
     needed_until: SimTime,
 }
 
+impl OracleItem {
+    /// §4's decision, spelled out: drop when nothing needs the item past
+    /// its deadline; otherwise count the retention periods the remaining
+    /// need spans (a zero-retention class spans infinitely many) and
+    /// migrate past four, refresh up to four.
+    fn action(&self, now: SimTime, retention: SimDuration) -> ExpiryAction {
+        if self.needed_until <= self.deadline {
+            return ExpiryAction::Drop;
+        }
+        let need = self.needed_until.duration_since(now.min(self.needed_until));
+        let periods = if retention.is_zero() {
+            u64::MAX
+        } else {
+            need.as_nanos().div_ceil(retention.as_nanos())
+        };
+        if periods > 4 {
+            ExpiryAction::Migrate
+        } else {
+            ExpiryAction::Refresh
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -311,39 +334,40 @@ proptest! {
                 _ => {}
             }
 
-            // The tracker agrees with the oracle exactly.
+            // The tracker agrees with the oracle exactly: the due list is
+            // the oracle's filter, sorted by (deadline, id), each id with
+            // the oracle's decision at `now`.
             prop_assert_eq!(tracker.len(), model.len());
+            let now = at(a.min(b));
             let horizon = at(a.max(b));
-            let mut expected: Vec<(SimTime, u64)> = model
+            let mut expected: Vec<(SimTime, u64, ExpiryAction)> = model
                 .iter()
                 .filter(|(_, it)| it.deadline <= horizon)
-                .map(|(&id, it)| (it.deadline, id))
+                .map(|(&id, it)| (it.deadline, id, it.action(now, retention)))
                 .collect();
-            expected.sort();
-            let expected_ids: Vec<u64> = expected.into_iter().map(|(_, id)| id).collect();
-            prop_assert_eq!(tracker.due_before(horizon), expected_ids);
+            expected.sort_by_key(|&(deadline, id, _)| (deadline, id));
+            let expected: Vec<(u64, ExpiryAction)> = expected
+                .into_iter()
+                .map(|(_, id, action)| (id, action))
+                .collect();
+            prop_assert_eq!(tracker.due(now, horizon), expected);
 
             // No dropped stream is ever visible again, by any query.
             for &gone in &dropped {
                 prop_assert_eq!(tracker.deadline(gone), None);
-                prop_assert_eq!(tracker.decide(gone, horizon), None);
+                prop_assert_eq!(tracker.decide(gone, now), None);
             }
             prop_assert!(
-                tracker.due_before(SimTime::MAX).iter().all(|id| !dropped.contains(id)),
-                "a dropped stream resurfaced in due_before"
+                tracker
+                    .due(now, SimTime::MAX)
+                    .iter()
+                    .all(|(id, _)| !dropped.contains(id)),
+                "a dropped stream resurfaced in due"
             );
 
-            // Live items decide consistently with the oracle's view.
+            // Every live item decides as the oracle does.
             for (&id, it) in &model {
-                let decision = tracker.decide(id, horizon);
-                if it.needed_until <= it.deadline {
-                    prop_assert_eq!(decision, Some(ExpiryAction::Drop));
-                } else {
-                    prop_assert!(matches!(
-                        decision,
-                        Some(ExpiryAction::Refresh) | Some(ExpiryAction::Migrate)
-                    ));
-                }
+                prop_assert_eq!(tracker.decide(id, now), Some(it.action(now, retention)));
             }
         }
     }
