@@ -2,18 +2,19 @@
 //!
 //! [`MemoryDevice`] binds a [`Technology`] parameter set to concrete state:
 //! per-block write counts (wear), per-block write timestamps and retention
-//! targets (data age), and an [`EnergyMeter`]. Controllers layer semantics
-//! (mapping, refresh policy, zones) on top; the device itself answers the
-//! physical questions — how long does this access take, what does it cost in
-//! energy, what is the expected raw bit error rate of what you just read,
-//! and did you exceed the endurance budget.
+//! targets (data age), and the [`EnergyLedger`] a tier also keeps.
+//! Controllers layer semantics (mapping, refresh policy, zones) on top; the
+//! device itself answers the physical questions — how long does this
+//! access take, what does it cost in energy, what is the expected raw bit
+//! error rate of what you just read, and did you exceed the endurance
+//! budget.
 
 use serde::{Deserialize, Serialize};
 
 use mrm_sim::time::{SimDuration, SimTime};
 
 use crate::cell::{WearState, WritePoints};
-use crate::energy::{EnergyBreakdown, EnergyMeter};
+use crate::energy::{EnergyBreakdown, EnergyLedger};
 use crate::geometry::DeviceGeometry;
 use crate::tech::{TechFamily, Technology};
 
@@ -102,9 +103,9 @@ struct BlockState {
 pub struct MemoryDevice {
     tech: Technology,
     geometry: DeviceGeometry,
-    meter: EnergyMeter,
-    /// The technology's retention curve, priced once per distinct write
-    /// retention.
+    ledger: EnergyLedger,
+    /// The technology's retention curve, evaluated once per distinct
+    /// write retention for the write's latency and endurance.
     write_points: WritePoints,
     blocks: Vec<BlockState>,
     block_bytes: u64,
@@ -127,12 +128,11 @@ impl MemoryDevice {
             .max(tech.access_unit_bytes)
             .max(1);
         let n_blocks = capacity.div_ceil(block_bytes) as usize;
-        let meter = EnergyMeter::new(tech.read_energy_pj_bit, tech.write_energy_pj_bit);
         MemoryDevice {
             write_points: WritePoints::new(tech.tradeoff()),
             tech,
             geometry,
-            meter,
+            ledger: EnergyLedger::default(),
             blocks: vec![BlockState::default(); n_blocks],
             block_bytes,
         }
@@ -158,9 +158,9 @@ impl MemoryDevice {
         self.block_bytes
     }
 
-    /// Accumulated energy breakdown.
+    /// Energy of the traffic so far, priced from the ledger.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.meter.breakdown()
+        self.ledger.energy(&self.tech)
     }
 
     fn check_range(&self, addr: u64, len: u64) -> Result<(), DeviceError> {
@@ -197,7 +197,7 @@ impl MemoryDevice {
     /// data age against its programmed retention, amplified by wear.
     pub fn read(&mut self, now: SimTime, addr: u64, len: u64) -> Result<OpResult, DeviceError> {
         self.check_range(addr, len)?;
-        self.meter.read(len);
+        self.ledger.read(len);
 
         let tradeoff = self.tech.tradeoff();
         let mut rber: f64 = 0.0;
@@ -237,8 +237,9 @@ impl MemoryDevice {
     }
 
     /// Writes with an explicit retention target (the DCM primitive, §4):
-    /// blocks are stamped with `retention`, and the energy charged scales
-    /// with the retention-dependent write energy of the cell trade-off.
+    /// blocks are stamped with `retention`, and the bytes enter the ledger
+    /// under it, to be priced at the retention-dependent write energy of
+    /// the cell trade-off.
     pub fn write_with_retention(
         &mut self,
         now: SimTime,
@@ -248,10 +249,7 @@ impl MemoryDevice {
     ) -> Result<OpResult, DeviceError> {
         self.check_range(addr, len)?;
         let point = self.write_points.at(retention);
-        // Charge at the retention-scaled energy, not the datasheet anchor.
-        let scale =
-            point.write_energy_pj_bit / self.tech.write_energy_pj_bit.max(f64::MIN_POSITIVE);
-        self.meter.write((len as f64 * scale) as u64);
+        self.ledger.write(point.retention, len);
 
         let mut worn_out = false;
         for i in self.block_range(addr, len) {
@@ -280,7 +278,7 @@ impl MemoryDevice {
         self.check_range(addr, len)?;
         let range = self.block_range(addr, len);
         let bytes = (range.len() as u64) * self.block_bytes;
-        self.meter.housekeeping_rmw(bytes);
+        self.ledger.housekeeping_rmw(bytes);
         for i in range {
             let b = &mut self.blocks[i];
             if b.written_at.is_some() {

@@ -21,7 +21,7 @@
 //! * [`tech`] — the technology database ([`tech::Technology`]) with presets
 //!   for every technology the paper cites, product and potential variants.
 //! * [`geometry`] — channels / banks / rows / pages / stacked layers.
-//! * [`energy`] — energy metering (read/write/refresh/idle decomposition).
+//! * [`energy`] — the energy ledger devices and tiers share.
 //! * [`bank`] — the timed bank state machine used by controllers.
 //! * [`hbm`] — HBM stack capacity/yield/refresh modelling (§2.1 claims).
 //! * [`mlc`] — multi-level-cell variants (§3's density upside \[10\]).
@@ -40,7 +40,7 @@ pub mod tech;
 
 pub use cell::{CellFamily, RetentionTradeoff, WearState};
 pub use device::{DeviceError, MemoryDevice, OpKind};
-pub use energy::{EnergyBreakdown, EnergyMeter};
+pub use energy::{EnergyBreakdown, EnergyLedger};
 pub use geometry::DeviceGeometry;
 pub use mlc::{apply_mlc, CellLevels};
 pub use tech::{Maturity, TechFamily, Technology};

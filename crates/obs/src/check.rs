@@ -8,6 +8,8 @@
 //! returns the tally on success so callers can assert content-level
 //! expectations (e.g. "every required drop carries a cause link").
 
+use std::collections::HashMap;
+
 use serde::Value;
 
 /// Event tally from a validated trace.
@@ -33,6 +35,38 @@ fn is_num(v: &Value) -> bool {
     matches!(v, Value::U64(_) | Value::I64(_) | Value::F64(_))
 }
 
+/// A flow id. A string that spells a number the way the number prints
+/// is that number, so ids match by their text.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum FlowId<'a> {
+    Num(u64),
+    Str(&'a str),
+}
+
+impl<'a> FlowId<'a> {
+    fn of(v: &'a Value) -> Option<Self> {
+        match v {
+            Value::U64(n) => Some(FlowId::Num(*n)),
+            Value::Str(s) => Some(match s.parse::<u64>() {
+                Ok(n) if n.to_string() == *s => FlowId::Num(n),
+                _ => FlowId::Str(s),
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Takes one open event under `key`; false if none is open.
+fn close<K: Eq + std::hash::Hash>(open: &mut HashMap<K, u64>, key: K) -> bool {
+    match open.get_mut(&key) {
+        Some(n) if *n > 0 => {
+            *n -= 1;
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Validates Chrome trace-event JSON produced by [`crate::perfetto`].
 /// Returns the event tally, or a message naming the first violation.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
@@ -42,21 +76,17 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
     };
 
     let mut stats = TraceStats::default();
-    // (cat, id) balance for async pairs; (cat, id) for flows.
-    let mut async_open: Vec<(String, String)> = Vec::new();
-    let mut flow_open: Vec<String> = Vec::new();
+    // Open async `b` events per (cat, id), and open flow `s` events per id.
+    let mut async_open: HashMap<(&str, &str), u64> = HashMap::new();
+    let mut flow_open: HashMap<FlowId, u64> = HashMap::new();
 
     for (i, ev) in events.iter().enumerate() {
         let at = |msg: &str| format!("traceEvents[{i}]: {msg}");
         let Value::Object(_) = ev else {
             return Err(at("event must be an object"));
         };
-        let ph = ev
-            .field("ph")
-            .as_str()
-            .map_err(|_| at("missing ph"))?
-            .to_string();
-        ev.field("name").as_str().map_err(|_| at("missing name"))?;
+        let ph = ev.field("ph").as_str().map_err(|_| at("missing ph"))?;
+        let name = ev.field("name").as_str().map_err(|_| at("missing name"))?;
         if !is_num(ev.field("pid")) || !is_num(ev.field("tid")) {
             return Err(at("missing numeric pid/tid"));
         }
@@ -64,13 +94,12 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
             return Err(at("missing numeric ts"));
         }
         stats.events += 1;
-        match ph.as_str() {
+        match ph {
             "X" => {
                 if !is_num(ev.field("dur")) {
                     return Err(at("X event missing dur"));
                 }
                 stats.slices += 1;
-                let name = ev.field("name").as_str().unwrap_or("");
                 let args = ev.field("args");
                 if name == "drop" && *args.field("required") == Value::U64(1) {
                     stats.required_drops += 1;
@@ -83,49 +112,42 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
                 let cat = ev
                     .field("cat")
                     .as_str()
-                    .map_err(|_| at("async event missing cat"))?
-                    .to_string();
+                    .map_err(|_| at("async event missing cat"))?;
                 let id = ev
                     .field("id")
                     .as_str()
-                    .map_err(|_| at("async event missing string id"))?
-                    .to_string();
+                    .map_err(|_| at("async event missing string id"))?;
                 if ph == "b" {
-                    async_open.push((cat, id));
-                } else {
-                    let Some(p) = async_open.iter().rposition(|(c, d)| *c == cat && *d == id)
-                    else {
-                        return Err(at("async e without matching b"));
-                    };
-                    async_open.swap_remove(p);
+                    *async_open.entry((cat, id)).or_default() += 1;
+                } else if close(&mut async_open, (cat, id)) {
                     stats.async_pairs += 1;
+                } else {
+                    return Err(at("async e without matching b"));
                 }
             }
             "s" | "f" => {
-                let id = match ev.field("id") {
-                    Value::U64(n) => n.to_string(),
-                    Value::Str(s) => s.clone(),
-                    _ => return Err(at("flow event missing id")),
+                let Some(id) = FlowId::of(ev.field("id")) else {
+                    return Err(at("flow event missing id"));
                 };
                 if ph == "s" {
-                    flow_open.push(id);
-                } else {
-                    let Some(p) = flow_open.iter().rposition(|d| *d == id) else {
-                        return Err(at("flow f without matching s"));
-                    };
-                    flow_open.swap_remove(p);
+                    *flow_open.entry(id).or_default() += 1;
+                } else if close(&mut flow_open, id) {
                     stats.flows += 1;
+                } else {
+                    return Err(at("flow f without matching s"));
                 }
             }
             "M" => stats.metadata += 1,
             other => return Err(at(&format!("unsupported phase {other:?}"))),
         }
     }
-    if !async_open.is_empty() {
-        return Err(format!("{} async b events never closed", async_open.len()));
+    let unclosed: u64 = async_open.values().sum();
+    if unclosed > 0 {
+        return Err(format!("{unclosed} async b events never closed"));
     }
-    if !flow_open.is_empty() {
-        return Err(format!("{} flow s events never finished", flow_open.len()));
+    let unfinished: u64 = flow_open.values().sum();
+    if unfinished > 0 {
+        return Err(format!("{unfinished} flow s events never finished"));
     }
     Ok(stats)
 }
@@ -176,5 +198,62 @@ mod tests {
         assert!(validate_chrome_trace(unbalanced)
             .unwrap_err()
             .contains("never closed"));
+    }
+
+    /// A document of events given as `(ph, cat, id)`, `id` as JSON text.
+    fn doc(events: &[(&str, &str, &str)]) -> String {
+        let evs: Vec<String> = events
+            .iter()
+            .map(|(ph, cat, id)| {
+                format!(
+                    "{{\"ph\":\"{ph}\",\"cat\":\"{cat}\",\"id\":{id},\
+                     \"name\":\"n\",\"pid\":0,\"tid\":0,\"ts\":0}}"
+                )
+            })
+            .collect();
+        format!("{{\"traceEvents\":[{}]}}", evs.join(","))
+    }
+
+    #[test]
+    fn pairs_match_by_key_and_open_events_are_counted() {
+        let ok = doc(&[
+            ("b", "c", "\"1\""),
+            ("b", "c", "\"1\""),
+            ("b", "d", "\"1\""),
+            ("e", "c", "\"1\""),
+            ("s", "flow", "7"),
+            ("f", "flow", "\"7\""),
+            ("e", "d", "\"1\""),
+            ("e", "c", "\"1\""),
+        ]);
+        let stats = validate_chrome_trace(&ok).expect("balanced");
+        assert_eq!((stats.async_pairs, stats.flows), (3, 1));
+        let wrong_cat = doc(&[("b", "c", "\"1\""), ("e", "d", "\"1\"")]);
+        assert_eq!(
+            validate_chrome_trace(&wrong_cat).unwrap_err(),
+            "traceEvents[1]: async e without matching b"
+        );
+        // "07" does not spell 7 the way 7 prints.
+        let padded = doc(&[("s", "flow", "7"), ("f", "flow", "\"07\"")]);
+        assert_eq!(
+            validate_chrome_trace(&padded).unwrap_err(),
+            "traceEvents[1]: flow f without matching s"
+        );
+        let open = doc(&[
+            ("b", "c", "\"1\""),
+            ("b", "c", "\"1\""),
+            ("s", "flow", "3"),
+            ("s", "flow", "3"),
+            ("e", "c", "\"1\""),
+        ]);
+        assert_eq!(
+            validate_chrome_trace(&open).unwrap_err(),
+            "1 async b events never closed"
+        );
+        let unfinished = doc(&[("s", "flow", "3"), ("s", "flow", "3"), ("f", "flow", "3")]);
+        assert_eq!(
+            validate_chrome_trace(&unfinished).unwrap_err(),
+            "1 flow s events never finished"
+        );
     }
 }

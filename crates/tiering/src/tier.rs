@@ -3,13 +3,12 @@
 //! A [`Tier`] aggregates `n` identical devices (HBM stacks, MRM packages,
 //! LPDDR packages) into one pool with summed capacity and bandwidth — the
 //! granularity the placement policies reason at. It counts the traffic it
-//! carries in integer ledgers (bytes read, bytes written per retention,
-//! scrub bytes, background time), prices them from the fused
-//! [`Technology`] only when [`Tier::energy`] is asked, and models no
+//! carries in the same [`EnergyLedger`] a device keeps, prices it from the
+//! fused [`Technology`] only when [`Tier::energy`] is asked, and models no
 //! per-block device state.
 
 use mrm_core::pool::{Allocation, Pool, PoolError};
-use mrm_device::energy::EnergyBreakdown;
+use mrm_device::energy::{EnergyBreakdown, EnergyLedger};
 use mrm_device::tech::Technology;
 use mrm_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -50,16 +49,8 @@ pub struct Tier {
     write_bw: f64,
     /// Relative cost of the tier (capacity GB × cost/GB).
     cost_units: f64,
-    /// Demand bytes read.
-    bytes_read: u64,
-    /// Demand bytes written per retention, ascending by retention. Never
-    /// capped: every written byte stays in the ledger, so the energy
-    /// priced from it does not depend on the order of the writes.
-    written: Vec<(SimDuration, u64)>,
-    /// Bytes read and rewritten by software scrubs.
-    scrub_bytes: u64,
-    /// Elapsed time charged for idle and refresh power.
-    background: SimDuration,
+    /// The traffic carried, with scrubs as housekeeping.
+    ledger: EnergyLedger,
     /// Recent read times at `read_bw`. Three entries hold a decode
     /// iteration's weights and activation reads across the varying KV
     /// read when all three land on one tier (`HbmOnly`).
@@ -121,10 +112,7 @@ impl Tier {
             read_bw,
             write_bw,
             cost_units,
-            bytes_read: 0,
-            written: Vec::new(),
-            scrub_bytes: 0,
-            background: SimDuration::ZERO,
+            ledger: EnergyLedger::default(),
             read_memo: Memo::EMPTY,
             write_memo: Memo::EMPTY,
         }
@@ -152,7 +140,7 @@ impl Tier {
 
     /// Demand traffic so far: `(bytes_read, bytes_written)`.
     pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_read, self.written.iter().map(|&(_, b)| b).sum())
+        self.ledger.traffic()
     }
 
     /// Allocates from the tier.
@@ -168,7 +156,7 @@ impl Tier {
     /// Time to read `bytes` sequentially at aggregate tier bandwidth.
     /// The bytes enter the read ledger.
     pub fn stream_read(&mut self, bytes: u64) -> SimDuration {
-        self.bytes_read += bytes;
+        self.ledger.read(bytes);
         self.read_memo.time(bytes, self.read_bw)
     }
 
@@ -185,59 +173,37 @@ impl Tier {
     pub fn append(&mut self, bytes: u64, counts: &[(SimDuration, u32)]) -> SimDuration {
         let mut writes = 0u64;
         for &(rt, n) in counts {
-            self.ledger_write(rt, bytes * u64::from(n));
+            self.ledger.write(rt, bytes * u64::from(n));
             writes += u64::from(n);
         }
         self.write_memo.time(bytes, self.write_bw) * writes
-    }
-
-    /// Adds `bytes` to the write ledger's `retention` entry, inserting it in
-    /// retention order on first use.
-    fn ledger_write(&mut self, retention: SimDuration, bytes: u64) {
-        match self.written.binary_search_by_key(&retention, |&(r, _)| r) {
-            Ok(i) => self.written[i].1 += bytes,
-            Err(i) => self.written.insert(i, (retention, bytes)),
-        }
     }
 
     /// Charges `elapsed` of background cost: idle power, plus refresh power
     /// for DRAM-family technologies (the §2.1 "consuming power even when
     /// the memory is idle" term).
     pub fn charge_background(&mut self, elapsed: SimDuration) {
-        self.background += elapsed;
+        self.ledger.background(elapsed);
     }
 
     /// Charges a software scrub (read + rewrite) of `bytes`.
     pub fn charge_scrub(&mut self, bytes: u64) {
-        self.scrub_bytes += bytes;
+        self.ledger.housekeeping_rmw(bytes);
     }
 
-    /// Total energy, priced from the ledgers: reads at the technology's
-    /// read energy, each retention's written bytes at its point on the
-    /// retention curve (summed in ascending retention order), scrubs as a
-    /// read plus a datasheet-point rewrite, and background time at idle
-    /// and refresh power.
+    /// Total energy, priced from the ledger at the fused technology (see
+    /// [`EnergyLedger::energy`]).
     pub fn energy(&self) -> EnergyBreakdown {
-        let tech = &self.tech;
-        let curve = tech.tradeoff();
-        let write_j = self.written.iter().fold(0.0, |j, &(rt, bytes)| {
-            j + bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12
-        });
-        let secs = self.background.as_secs_f64();
-        let scrub_j = tech.read_energy_j(self.scrub_bytes) + tech.write_energy_j(self.scrub_bytes);
-        EnergyBreakdown {
-            read_j: tech.read_energy_j(self.bytes_read),
-            write_j,
-            housekeeping_j: scrub_j + tech.refresh_power_w() * secs,
-            idle_j: tech.idle_power_w() * secs,
-        }
+        self.ledger.energy(&self.tech)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrm_device::device::MemoryDevice;
     use mrm_device::tech::presets;
+    use mrm_sim::time::SimTime;
     use mrm_sim::units::{GB, GIB, MIB};
 
     fn hbm_tier() -> Tier {
@@ -290,93 +256,6 @@ mod tests {
         short.stream_write(GIB, SimDuration::from_mins(10));
         long.stream_write(GIB, SimDuration::from_days(7));
         assert!(short.energy().write_j < long.energy().write_j);
-    }
-
-    /// 20 distinct retentions, more than a bounded write-point table held.
-    fn many_retentions() -> Vec<SimDuration> {
-        (1..=20).map(|k| SimDuration::from_mins(7 * k)).collect()
-    }
-
-    /// One tier charged with `ops` in the given order: `Some(rt)` writes
-    /// `bytes` at `rt`, `None` reads `bytes`.
-    fn charged(tech: &Technology, ops: &[(u64, Option<SimDuration>)]) -> Tier {
-        let mut t = Tier::new(TierKind::Mrm, tech.clone(), 2);
-        for &(bytes, rt) in ops {
-            match rt {
-                Some(rt) => {
-                    t.stream_write(bytes, rt);
-                }
-                None => {
-                    t.stream_read(bytes);
-                }
-            }
-        }
-        t
-    }
-
-    #[test]
-    fn energy_bits_do_not_depend_on_charge_order() {
-        let rts = many_retentions();
-        let mut ops: Vec<(u64, Option<SimDuration>)> = Vec::new();
-        for (i, &rt) in rts.iter().enumerate() {
-            let i = i as u64;
-            ops.push((327_680 + 4096 * i, Some(rt)));
-            ops.push((3 * GIB + 7 * i, None));
-            ops.push((4096 * (i % 3 + 1), Some(rts[(i as usize * 7) % rts.len()])));
-        }
-        for tech in [presets::mrm_days(), presets::hbm3e()] {
-            let reference = charged(&tech, &ops).energy();
-            // Reversed, then a fixed stride permutation, then interleaved
-            // from both ends.
-            let mut reversed = ops.clone();
-            reversed.reverse();
-            let strided: Vec<_> = (0..ops.len()).map(|i| ops[(i * 7) % ops.len()]).collect();
-            let mut ends = Vec::new();
-            for i in 0..ops.len() / 2 {
-                ends.push(ops[i]);
-                ends.push(ops[ops.len() - 1 - i]);
-            }
-            for order in [reversed, strided, ends] {
-                let e = charged(&tech, &order).energy();
-                for (got, want) in [
-                    (e.read_j, reference.read_j),
-                    (e.write_j, reference.write_j),
-                    (e.housekeeping_j, reference.housekeeping_j),
-                    (e.idle_j, reference.idle_j),
-                ] {
-                    assert_eq!(got.to_bits(), want.to_bits(), "{}", tech.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn write_energy_sums_the_ledger_in_retention_order() {
-        let rts = many_retentions();
-        for tech in [presets::mrm_days(), presets::hbm3e()] {
-            let mut t = Tier::new(TierKind::Mrm, tech.clone(), 2);
-            // Written in descending retention order, twice each, with a
-            // per-retention size.
-            for (k, &rt) in rts.iter().enumerate().rev() {
-                for _ in 0..2 {
-                    t.stream_write(4096 * (k as u64 + 1), rt);
-                }
-            }
-            let curve = tech.tradeoff();
-            let mut want = 0.0;
-            for (k, &rt) in rts.iter().enumerate() {
-                let bytes = 2 * 4096 * (k as u64 + 1);
-                want += bytes as f64 * 8.0 * curve.at(rt).write_energy_pj_bit * 1e-12;
-            }
-            assert_eq!(
-                t.energy().write_j.to_bits(),
-                want.to_bits(),
-                "{}",
-                tech.name
-            );
-            let bytes: u64 = (1..=rts.len() as u64).map(|k| 2 * 4096 * k).sum();
-            assert_eq!(t.traffic(), (0, bytes));
-        }
     }
 
     /// The transfer-time memo against the formula computed afresh on
@@ -480,6 +359,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A device and a one-device tier of one technology price the same
+    /// reads, retention-tagged writes and scrub bytes to the same bits:
+    /// both keep one ledger.
+    #[test]
+    fn device_and_tier_price_traffic_alike() {
+        let tech = presets::mrm_days();
+        let mut dev = MemoryDevice::new(tech.clone());
+        let mut tier = Tier::new(TierKind::Mrm, tech, 1);
+        let rts = [
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(3),
+            SimDuration::from_days(2),
+        ];
+        for i in 0..30u64 {
+            let at = SimTime::ZERO + SimDuration::from_secs(60 * i);
+            let (addr, len, rt) = ((i % 5) * 8 * MIB, MIB + 4099 * i, rts[i as usize % 3]);
+            dev.write_with_retention(at, addr, len, rt).unwrap();
+            tier.stream_write(len, rt);
+            dev.read(at, addr, len / 2 + 1).unwrap();
+            tier.stream_read(len / 2 + 1);
+            if i % 4 == 0 {
+                tier.charge_scrub(dev.refresh_range(at, addr, len).unwrap());
+            }
+        }
+        let (d, t) = (dev.energy(), tier.energy());
+        assert!(d.read_j > 0.0 && d.write_j > 0.0 && d.housekeeping_j > 0.0);
+        for (got, want) in [
+            (d.read_j, t.read_j),
+            (d.write_j, t.write_j),
+            (d.housekeeping_j, t.housekeeping_j),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 
