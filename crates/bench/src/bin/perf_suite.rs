@@ -24,8 +24,8 @@
 //! The acceptance floor is *asserted* only in full runs — quick mode is a
 //! smoke test on shared CI runners where wall-clock ratios are noise.
 //!
-//! Wall-clock timing is deliberately confined to this crate: the simulation
-//! crates are lint-barred from `std::time::Instant` (rule D1).
+//! Wall-clock timing is deliberately confined to this crate: the root
+//! `clippy.toml` bars the simulation crates from `std::time::Instant`.
 
 use std::time::Instant;
 

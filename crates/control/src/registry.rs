@@ -38,9 +38,9 @@ impl std::error::Error for ControlError {}
 /// tier's native interval; a managed tier running DCM quantizes the
 /// lifetime hint onto the retention-class ladder with the declared margin.
 ///
-/// This is *the* placement decision that used to live in
-/// `PlacementPolicy::retention_for` (lint rule D7 confines the decision
-/// API to this crate).
+/// This is *the* per-write placement decision: `mrm-tiering` calls it
+/// rather than deciding retention inline, so every retention choice comes
+/// from declared policy.
 pub fn retention_decision(
     managed_tier: bool,
     dcm: bool,

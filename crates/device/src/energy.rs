@@ -12,7 +12,7 @@
 //! [`Technology`] only when asked, so the energy does not depend on the
 //! order of the charges.
 
-// mrm-lint: allow(D2) `written` is summed as integers or sorted before pricing
+#[allow(clippy::disallowed_types)] // `written` is summed as integers or sorted before pricing
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -84,7 +84,7 @@ pub struct EnergyLedger {
     /// depend on the order of the writes. A tier writes at two or three
     /// retentions, a zone device at thousands (its retentions are
     /// continuous), so the map is a hash map, sorted only when priced.
-    // mrm-lint: allow(D2) summed as integers or sorted before pricing
+    #[allow(clippy::disallowed_types)] // summed as integers or sorted before pricing
     written: HashMap<SimDuration, u64, BuildHasherDefault<RetentionHasher>>,
     /// Bytes read and rewritten by housekeeping (scrub or refresh).
     housekeeping: u64,

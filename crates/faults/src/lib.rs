@@ -10,8 +10,9 @@
 //!   their binomial laws, and pushes uncorrectable candidates through the
 //!   real `mrm-ecc` BCH decoder to split detected from miscorrected;
 //! * [`FaultRng`] is the dedicated randomness stream those samples come
-//!   from — never the scheduling stream (`mrm-lint` rule D6), so the same
-//!   seed flips the same bits at any thread count;
+//!   from — never the scheduling stream (the crate's `clippy.toml` bans
+//!   `SimRng` outside `rng.rs`), so the same seed flips the same bits at
+//!   any thread count;
 //! * [`FaultStats`] accumulates the taxonomy for telemetry;
 //! * [`RecoveryAction`] names what the controller recovery state machines
 //!   (retry → scrub escalation → retirement, in `mrm-controller`) did.

@@ -9,8 +9,11 @@
 //! byte-identical to a disabled-faults run.
 //!
 //! This module is the only place in the crate allowed to name the
-//! underlying generator type; `mrm-lint` rule D6 enforces that everything
-//! else draws through [`FaultRng`].
+//! underlying generator type; the crate's `clippy.toml` bans `SimRng`
+//! everywhere else, so the rest of the crate draws through [`FaultRng`].
+
+// The wrapper is the one file that may name the scheduling generator.
+#![allow(clippy::disallowed_types)]
 
 use mrm_sim::rng::SimRng;
 

@@ -1,10 +1,10 @@
 //! The fuzzer's private random stream.
 //!
 //! A bare splitmix64 walk — deliberately *not* [`mrm_sim::rng::SimRng`]:
-//! the simulation's xoshiro stream is a determinism-audited resource (lint
-//! rules D3/D10 confine who may draw from it), while the fuzzer's stream
-//! exists only to pick mutations and must never be entangled with
-//! simulated randomness. splitmix64 is a bijective mix of a counter, so
+//! the simulation's xoshiro stream is a determinism-audited resource (the
+//! `clippy.toml` bans and lint rule D10 confine who may draw from it),
+//! while the fuzzer's stream exists only to pick mutations and must never
+//! be entangled with simulated randomness. splitmix64 is a bijective mix of a counter, so
 //! every `(seed, iteration)` pair names one reproducible draw sequence —
 //! the property crash artifacts rely on to replay.
 //!

@@ -11,14 +11,20 @@
 //!
 //! Two layers of analysis (DESIGN.md §6):
 //!
-//! * **Lexical** (D1–D8, U1): per-line token scans, path-gated by
-//!   [`rules::FileCtx`]. The sim path that gates D1–D3, D7 and D8 is read
-//!   from the workspace's Cargo manifests ([`manifest`]).
+//! * **Lexical** (D5, D8, U1): per-line token scans, path-gated by
+//!   [`rules::FileCtx`]. The sim path that gates D8 is read from the
+//!   workspace's Cargo manifests ([`manifest`]).
 //! * **Interprocedural** (D10, U2): an item parser ([`parse`]) feeds a
 //!   workspace symbol table ([`symbols`]) and name-based call resolution
 //!   ([`calls`]); [`dataflow`] then runs a per-function RNG-taint pass
 //!   (D10) and propagates unit-suffix dimensions through bindings and call
 //!   boundaries (U2).
+//!
+//! The name bans — wall clock, unordered maps and ambient entropy on the sim
+//! path, and the per-crate `SimRng`, event-queue and decision-API bans — are
+//! clippy's `disallowed-types`/`disallowed-methods`, scoped by the
+//! workspace's `clippy.toml` files, which resolve paths instead of matching
+//! identifier text.
 //!
 //! See [`rules`] for the catalogue, [`sarif`] for the SARIF 2.1.0
 //! reporter, and the `mrm-lint` binary for the CLI.
@@ -33,8 +39,9 @@
 //!     .expect("the lint crate lives inside the workspace");
 //! let sim = sim_path_crates(&root).expect("workspace manifests are readable");
 //! let ctx = FileCtx::classify("crates/tiering/src/prefix.rs", &sim);
-//! let report = lint_source("use std::collections::HashMap;", &ctx);
-//! assert_eq!(report.violations[0].rule, RuleId::D2);
+//! let src = "fn draw(&mut self) { self.rng.next_u64(); self.tracer.mark(); }";
+//! let report = lint_source(src, &ctx);
+//! assert_eq!(report.violations[0].rule, RuleId::D8);
 //! ```
 
 pub mod calls;

@@ -4,7 +4,7 @@
 //! cargo run -p mrm-lint                    # report, always exit 0
 //! cargo run -p mrm-lint -- --deny          # CI gate: nonzero on violations
 //! cargo run -p mrm-lint -- --format sarif  # SARIF 2.1.0 log on stdout
-//! cargo run -p mrm-lint -- --explain D1
+//! cargo run -p mrm-lint -- --explain D8
 //! cargo run -p mrm-lint -- --rules
 //! ```
 
@@ -29,8 +29,10 @@ OPTIONS:
   -h, --help           Show this help
 
 Suppression: `// mrm-lint: allow(RULE, ...) reason` on the offending line or
-the line above; `// mrm-lint: allow-file(RULE) reason` anywhere in a file.
-A reason is mandatory.";
+the line above. A reason is mandatory.
+
+Wall clock, unordered maps, ambient entropy and the per-crate SimRng,
+event-queue and decision-API bans are clippy's (see the clippy.toml files).";
 
 enum Format {
     Text,
@@ -72,7 +74,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--explain" => {
-                args.explain = Some(it.next().ok_or("--explain needs a rule name (e.g. D1)")?)
+                args.explain = Some(it.next().ok_or("--explain needs a rule name (e.g. D8)")?)
             }
             "-h" | "--help" => {
                 println!("{USAGE}");

@@ -1,12 +1,14 @@
 //! The sim path, read from the workspace's Cargo manifests.
 //!
-//! D1–D3, D7 and D8 apply to the crates whose code runs on the simulated
-//! timeline. That set is derived, not kept by hand: it is the
-//! `[dependencies]` closure of `mrm-tiering` (which runs the cluster
-//! simulation) over the workspace members, minus the observe-only
-//! `mrm-telemetry` and `mrm-obs`. A crate `mrm-tiering` comes to link is
-//! on the sim path as soon as the manifest edge exists, and one it stops
-//! linking leaves it. Dev-dependencies are test code and stay out.
+//! D8 applies to the crates whose code runs on the simulated timeline, and
+//! the workspace's `clippy.toml` files give exactly those crates the
+//! wall-clock, unordered-map and entropy bans (a pin test in
+//! `tests/lint_tests.rs` holds the two in step). That set is derived, not
+//! kept by hand: it is the `[dependencies]` closure of `mrm-tiering` (which
+//! runs the cluster simulation) over the workspace members, minus the
+//! observe-only `mrm-telemetry` and `mrm-obs`. A crate `mrm-tiering` comes
+//! to link is on the sim path as soon as the manifest edge exists, and one
+//! it stops linking leaves it. Dev-dependencies are test code and stay out.
 //!
 //! The reader knows the part of TOML that Cargo manifests use for these
 //! facts: section headers, `key = value` lines, one-line inline tables,
@@ -22,8 +24,9 @@ use std::path::Path;
 const SIM_ROOT: &str = "mrm-tiering";
 
 /// Crates the sim links that are held observe-only by their own contracts
-/// (D4, D8 and the byte-identity CI smokes): attaching them cannot perturb
-/// a run, and the wall profiler in `mrm-obs` reads wall-clock by design.
+/// (their `clippy.toml` files, D8 and the byte-identity CI smokes):
+/// attaching them cannot perturb a run, and the wall profiler in `mrm-obs`
+/// reads wall-clock by design.
 /// The closure neither includes nor walks through them.
 const OBSERVE_ONLY: [&str; 2] = ["mrm-telemetry", "mrm-obs"];
 
@@ -46,7 +49,7 @@ struct Manifest {
 ///
 /// Fails when `root` has no readable workspace manifest, a member manifest
 /// cannot be read, or no member is named `mrm-tiering`: an empty sim path
-/// would switch D1–D3 off without a word.
+/// would switch D8 off without a word.
 pub fn sim_path_crates(root: &Path) -> io::Result<BTreeSet<String>> {
     let ws_path = root.join("Cargo.toml");
     let ws_text = fs::read_to_string(&ws_path).map_err(|e| {
@@ -242,7 +245,7 @@ mod tests {
 
     #[test]
     fn real_workspace_sim_path_is_pinned() {
-        // The D1/D2/D3/D7/D8 scope. A manifest edit that widens or narrows
+        // The D8 and clippy.toml scope. A manifest edit that widens or narrows
         // it changes this list in the same diff.
         let expected: BTreeSet<String> = [
             "sim",

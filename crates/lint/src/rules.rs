@@ -3,26 +3,9 @@
 //! Every rule exists because a runtime test already failed — or would fail,
 //! hours of CI later — for the class of bug it catches statically:
 //!
-//! * **D1–D3** pin the determinism contract of the simulation kernel
-//!   (DESIGN.md §3.8): results must be bit-identical for a given seed at any
-//!   thread count. Wall-clock reads, unordered map iteration and ambient
-//!   entropy are the three ways Rust code silently breaks that. They apply
-//!   to every crate the simulation links, read from the Cargo manifests
-//!   ([`crate::manifest`]), so a helper crate cannot hide a sink from them.
-//! * **D4** pins PR 2's telemetry contract: sinks observe, they never draw
-//!   randomness or schedule events.
 //! * **D5** keeps panics out of library hot paths: a controller that
 //!   `unwrap()`s mid-sweep takes out the whole parallel run.
-//! * **D6** pins PR 5's fault-injection contract: error sampling draws only
-//!   from the dedicated `FaultRng` stream, never the scheduling `SimRng` —
-//!   otherwise enabling faults perturbs the schedule (and vice versa) and
-//!   the same seed stops flipping the same bits.
-//! * **D7** pins PR 6's control-plane contract: placement/expiry *decisions*
-//!   (`retention_for`, `ExpiryTracker`, `ExpiryAction`) live in
-//!   `mrm-control`. Data-path crates that grow
-//!   their own inline retention decisions bypass the registry and the audit
-//!   log — exactly the drift the control plane exists to prevent.
-//! * **D8** pins PR 7's observability contract: the causal tracer and
+//! * **D8** pins the observability contract: the causal tracer and
 //!   profiler are observe-only, so their hook call sites must stay out of
 //!   functions that draw randomness (`SimRng`/`FaultRng` draws) or mutate
 //!   the event queue. A hook sitting on one of those paths is one refactor
@@ -38,6 +21,14 @@
 //!   laundered through a local variable, and U2 propagates unit-suffix
 //!   dimensions through let-bindings and call boundaries where U1's
 //!   single-expression check goes blind.
+//!
+//! The bans that only forbid a *name* in a crate — wall clock, unordered
+//! maps and ambient entropy on the sim path, `SimRng` and the event queue in
+//! telemetry, `SimRng` in `crates/faults` outside `rng.rs`, and the expiry
+//! decision API outside `mrm-control` — are clippy's `disallowed-types` and
+//! `disallowed-methods`, scoped by the workspace's `clippy.toml` files
+//! (DESIGN.md §6.1). The rules here are the ones that need more than a
+//! resolved name.
 
 use std::collections::BTreeSet;
 
@@ -46,23 +37,8 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Identifier of a lint rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Wall-clock time (`Instant`, `SystemTime`) in a sim-path crate.
-    D1,
-    /// `HashMap`/`HashSet` in a sim-path crate (iteration order is
-    /// nondeterministic; use `BTreeMap`/`BTreeSet` or sorted iteration).
-    D2,
-    /// Entropy source other than `SimRng` in a sim-path crate.
-    D3,
-    /// Telemetry referencing `SimRng` or the event-scheduling API.
-    D4,
     /// Bare `unwrap()` or `expect("")` in non-test library code.
     D5,
-    /// `SimRng` named in `crates/faults` outside `src/rng.rs`: fault
-    /// injection must draw only from the dedicated `FaultRng` stream.
-    D6,
-    /// Placement/expiry decision API (`retention_for`, `ExpiryTracker`,
-    /// `ExpiryAction`) named in sim-path library code outside `mrm-control`.
-    D7,
     /// Obs hook (`tracer`/`profiler`) touched inside a function that draws
     /// randomness or mutates the event queue: observation must be confined
     /// to observe-only `Observer` methods (`crates/tiering/src/observe.rs`)
@@ -91,29 +67,11 @@ pub enum Severity {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 11] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::D4,
-        RuleId::D5,
-        RuleId::D6,
-        RuleId::D7,
-        RuleId::D8,
-        RuleId::D10,
-        RuleId::U1,
-        RuleId::U2,
-    ];
+    pub const ALL: [RuleId; 5] = [RuleId::D5, RuleId::D8, RuleId::D10, RuleId::U1, RuleId::U2];
 
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
-            RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
-            RuleId::D4 => "D4",
             RuleId::D5 => "D5",
-            RuleId::D6 => "D6",
-            RuleId::D7 => "D7",
             RuleId::D8 => "D8",
             RuleId::D10 => "D10",
             RuleId::U1 => "U1",
@@ -124,13 +82,7 @@ impl RuleId {
 
     pub fn parse(s: &str) -> Option<RuleId> {
         match s {
-            "D1" => Some(RuleId::D1),
-            "D2" => Some(RuleId::D2),
-            "D3" => Some(RuleId::D3),
-            "D4" => Some(RuleId::D4),
             "D5" => Some(RuleId::D5),
-            "D6" => Some(RuleId::D6),
-            "D7" => Some(RuleId::D7),
             "D8" => Some(RuleId::D8),
             "D10" => Some(RuleId::D10),
             "U1" => Some(RuleId::U1),
@@ -149,21 +101,7 @@ impl RuleId {
     /// One-line description, shown by `--rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            RuleId::D1 => "no wall-clock time (Instant/SystemTime) in sim-path crates; use SimTime",
-            RuleId::D2 => {
-                "no HashMap/HashSet in sim-path crates; use BTreeMap/BTreeSet or sorted iteration"
-            }
-            RuleId::D3 => "no entropy source other than SimRng in sim-path crates",
-            RuleId::D4 => "telemetry is observe-only: no SimRng, no event scheduling",
             RuleId::D5 => "no bare unwrap()/expect(\"\") in non-test library code",
-            RuleId::D6 => {
-                "fault injection draws only from the dedicated FaultRng; \
-                 SimRng may be named in crates/faults only inside src/rng.rs"
-            }
-            RuleId::D7 => {
-                "placement/expiry decisions (retention_for, ExpiryTracker, ExpiryAction) \
-                 are confined to mrm-control"
-            }
             RuleId::D8 => {
                 "obs hooks (tracer/profiler) may not be touched inside functions that \
                  draw randomness or mutate the event queue; confine them to Observer \
@@ -190,43 +128,6 @@ impl RuleId {
     /// finding.
     pub fn explain(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "D1 — no wall-clock time in sim-path crates.\n\n\
-                 Simulated results must be a pure function of (config, seed). A read\n\
-                 of `Instant::now()`, `SystemTime`, or `UNIX_EPOCH` couples the run to\n\
-                 the host machine, so two runs of the same experiment stop being\n\
-                 byte-identical. Use `SimTime` / `EventQueue::now` for anything the\n\
-                 simulation can observe. Benchmarks and the test harness may time\n\
-                 things — D1 is scoped to the sim-path crates only: `mrm-tiering`\n\
-                 and every crate it links through `[dependencies]`, read from the\n\
-                 Cargo manifests, minus the observe-only `mrm-telemetry` and\n\
-                 `mrm-obs`. Linking a crate puts it on the sim path.\n\n\
-                 Fix: thread the event-queue clock through the call; if the read is\n\
-                 provably observation-only, annotate `// mrm-lint: allow(D1) reason`."
-            }
-            RuleId::D2 => {
-                "D2 — no HashMap/HashSet in sim-path crates.\n\n\
-                 `RandomState` hashing randomizes iteration order per process, so any\n\
-                 loop over a HashMap can reorder events, allocations, or report rows\n\
-                 between runs. Use `BTreeMap`/`BTreeSet` (deterministic order) or an\n\
-                 index-keyed Vec. If a map is provably never iterated, annotate\n\
-                 `// mrm-lint: allow(D2) reason`."
-            }
-            RuleId::D3 => {
-                "D3 — no entropy source other than SimRng in sim-path crates.\n\n\
-                 All randomness flows from the experiment seed through the seeded,\n\
-                 splittable `SimRng`. `thread_rng`, `from_entropy`, `OsRng`,\n\
-                 `getrandom`, and `RandomState` pull ambient entropy that cannot be\n\
-                 replayed. Fix: accept a `&mut SimRng` (or split a child stream)\n\
-                 instead of constructing a generator locally."
-            }
-            RuleId::D4 => {
-                "D4 — telemetry is observe-only.\n\n\
-                 Attaching a metrics sink must never change what a simulation does:\n\
-                 reports are byte-identical with and without telemetry. The telemetry\n\
-                 crate therefore may not name `SimRng` or the event-scheduling API.\n\
-                 Fix: move the decision into the simulation and publish the outcome."
-            }
             RuleId::D5 => {
                 "D5 — no bare unwrap()/expect(\"\") in non-test library code.\n\n\
                  A panic mid-sweep takes out the whole parallel run with no\n\
@@ -234,34 +135,23 @@ impl RuleId {
                  `expect(\"which invariant failed and why it cannot\")`. D5 is a\n\
                  warning, but `--deny` fails on any site."
             }
-            RuleId::D6 => {
-                "D6 — fault injection draws only from the dedicated FaultRng.\n\n\
-                 The fault stream is the scheduling seed XOR a fixed salt, so enabling\n\
-                 faults cannot move arrival times and the same seed flips the same\n\
-                 bits. Only `crates/faults/src/rng.rs` (the wrapper) may name\n\
-                 `SimRng`; everything else draws through `FaultRng`. See also D10,\n\
-                 which tracks the *values* across the two streams."
-            }
-            RuleId::D7 => {
-                "D7 — placement/expiry decisions are confined to mrm-control.\n\n\
-                 `retention_for`, `ExpiryTracker`, and `ExpiryAction` route every\n\
-                 store/drop/retire decision through the RetentionRegistry and the\n\
-                 append-only audit log. A data-path crate naming the decision API has\n\
-                 grown an inline retention decision that bypasses both. Fix: call\n\
-                 through `mrm-control`."
-            }
             RuleId::D8 => {
                 "D8 — obs hooks stay off the RNG and scheduling paths.\n\n\
                  A function that both draws randomness (or mutates the event queue)\n\
                  and touches `tracer`/`profiler` directly is one refactor away from\n\
                  making results depend on whether observation is attached. Fix: move\n\
                  the hook into an `Observer` method (`crates/tiering/src/observe.rs`)\n\
-                 that only observes."
+                 that only observes. D8 applies to the library code of the sim-path\n\
+                 crates: `mrm-tiering` and every crate it links through\n\
+                 `[dependencies]`, read from the Cargo manifests, minus the\n\
+                 observe-only `mrm-telemetry` and `mrm-obs`. Linking a crate puts it\n\
+                 on the sim path."
             }
             RuleId::D10 => {
                 "D10 — RNG stream separation, value-level.\n\n\
-                 PR 5's contract keeps the fault stream and the scheduling stream\n\
-                 independent; D6 pins the *types* but cannot see a `FaultRng` draw\n\
+                 The fault stream and the scheduling stream stay independent.\n\
+                 `crates/faults/clippy.toml` bans the *type* `SimRng` outside the\n\
+                 `FaultRng` wrapper, but cannot see a `FaultRng` draw\n\
                  stored in a local and later fed to `SimRng::seed_from`, an event\n\
                  `schedule*` call, or `TraceId` derivation (which would couple which\n\
                  bits flip to when requests arrive, or to trace identity). D10 runs an\n\
@@ -294,8 +184,7 @@ impl RuleId {
             }
             RuleId::Meta => {
                 "LINT — malformed mrm-lint annotation.\n\n\
-                 `// mrm-lint: allow(RULE, ...) reason` and\n\
-                 `// mrm-lint: allow-file(RULE) reason` must name known rules and\n\
+                 `// mrm-lint: allow(RULE, ...) reason` must name known rules and\n\
                  carry a non-empty reason; anything else is an error so a typo can\n\
                  never silently disable a rule."
             }
@@ -311,21 +200,12 @@ pub struct FileCtx {
     /// True for crates whose code runs on the simulated timeline
     /// ([`crate::manifest::sim_path_crates`]).
     pub sim_path: bool,
-    /// True for `crates/telemetry`.
-    pub telemetry: bool,
-    /// True for `crates/faults` (D6's scope).
-    pub faults: bool,
-    /// True for `crates/faults/src/rng.rs`, the one file allowed to name
-    /// `SimRng` (it is the `FaultRng` wrapper that salts away from it).
-    pub faults_rng_file: bool,
     /// True for library code: under `src/`, not `src/bin/`, not a
     /// test-only module file. D5 only fires here.
     pub library: bool,
     /// True for `crates/sim/src/units.rs`, the one place capacity
     /// literals are allowed to be spelled raw.
     pub units_file: bool,
-    /// True for `crates/control`, the home of placement/expiry decisions.
-    pub control: bool,
 }
 
 impl FileCtx {
@@ -350,12 +230,8 @@ impl FileCtx {
         FileCtx {
             path: rel_path.to_string(),
             sim_path: crate_name.is_some_and(|c| sim_crates.contains(c)),
-            telemetry: crate_name == Some("telemetry"),
-            faults: crate_name == Some("faults"),
-            faults_rng_file: rel_path == "crates/faults/src/rng.rs",
             library,
             units_file: rel_path == "crates/sim/src/units.rs",
-            control: crate_name == Some("control"),
         }
     }
 }
@@ -422,7 +298,7 @@ pub fn lint_source(source: &str, ctx: &FileCtx) -> FileReport {
     }
 }
 
-/// The lexical rules (D1–D8, U1) for one file, with suppression *not yet
+/// The lexical rules (D5, D8, U1) for one file, with suppression *not yet
 /// applied* — the caller may add interprocedural findings to `raw` before
 /// calling [`LexicalScan::finish`].
 pub(crate) fn scan_lexical(source: &str, ctx: &FileCtx) -> LexicalScan {
@@ -435,11 +311,7 @@ pub(crate) fn scan_lexical(source: &str, ctx: &FileCtx) -> LexicalScan {
     let (in_test, test_only_modules) = test_regions(&code);
 
     let mut raw = Vec::new();
-    scan_d1_d2_d3(&code, ctx, &mut raw);
-    scan_d4(&code, ctx, &mut raw);
     scan_d5(&code, &in_test, ctx, &mut raw);
-    scan_d6(&code, ctx, &mut raw);
-    scan_d7(&code, ctx, &mut raw);
     scan_d8(&code, &in_test, ctx, &mut raw);
     scan_u1(&code, ctx, &mut raw);
 
@@ -480,26 +352,21 @@ pub(crate) struct Allows {
     /// (rule, line) pairs: the annotation suppresses matches on its own line
     /// and the line directly below (so it can sit above the offending code).
     sites: Vec<(RuleId, u32)>,
-    file_wide: Vec<RuleId>,
     pub(crate) malformed: Vec<Violation>,
 }
 
 impl Allows {
     pub(crate) fn suppresses(&self, rule: RuleId, line: u32) -> bool {
-        self.file_wide.contains(&rule)
-            || self
-                .sites
-                .iter()
-                .any(|&(r, l)| r == rule && (l == line || l + 1 == line))
+        self.sites
+            .iter()
+            .any(|&(r, l)| r == rule && (l == line || l + 1 == line))
     }
 }
 
-/// Parses `// mrm-lint: allow(D2, U1) reason...` and
-/// `// mrm-lint: allow-file(D5) reason...` comments.
+/// Parses `// mrm-lint: allow(D5, U1) reason...` comments.
 pub(crate) fn parse_allows(tokens: &[Token], ctx: &FileCtx) -> Allows {
     let mut allows = Allows {
         sites: Vec::new(),
-        file_wide: Vec::new(),
         malformed: Vec::new(),
     };
     for t in tokens {
@@ -510,11 +377,7 @@ pub(crate) fn parse_allows(tokens: &[Token], ctx: &FileCtx) -> Allows {
             continue;
         };
         let rest = rest.trim();
-        let (file_wide, rest) = if let Some(r) = rest.strip_prefix("allow-file") {
-            (true, r)
-        } else if let Some(r) = rest.strip_prefix("allow") {
-            (false, r)
-        } else {
+        let Some(rest) = rest.strip_prefix("allow") else {
             allows.malformed.push(Violation {
                 rule: RuleId::Meta,
                 path: ctx.path.clone(),
@@ -535,7 +398,7 @@ pub(crate) fn parse_allows(tokens: &[Token], ctx: &FileCtx) -> Allows {
         let Some(inner_end) = rest.strip_prefix('(').and_then(|r| r.find(')')) else {
             allows
                 .malformed
-                .push(bad("allow annotation needs a rule list: allow(D2) reason"));
+                .push(bad("allow annotation needs a rule list: allow(D5) reason"));
             continue;
         };
         let inner = &rest[1..=inner_end];
@@ -563,13 +426,7 @@ pub(crate) fn parse_allows(tokens: &[Token], ctx: &FileCtx) -> Allows {
         if !ok {
             continue;
         }
-        for r in rules {
-            if file_wide {
-                allows.file_wide.push(r);
-            } else {
-                allows.sites.push((r, t.line));
-            }
-        }
+        allows.sites.extend(rules.into_iter().map(|r| (r, t.line)));
     }
     allows
 }
@@ -686,86 +543,6 @@ fn push(out: &mut Vec<Violation>, rule: RuleId, ctx: &FileCtx, line: u32, messag
     });
 }
 
-/// D1 wall clock, D2 unordered maps, D3 ambient entropy — sim-path crates.
-fn scan_d1_d2_d3(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !ctx.sim_path {
-        return;
-    }
-    for t in code {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "Instant" | "SystemTime" | "UNIX_EPOCH" => push(
-                out,
-                RuleId::D1,
-                ctx,
-                t.line,
-                format!(
-                    "wall-clock `{}` in a sim-path crate; simulations must read \
-                     time from `SimTime`/`EventQueue::now` only",
-                    t.text
-                ),
-            ),
-            "HashMap" | "HashSet" => push(
-                out,
-                RuleId::D2,
-                ctx,
-                t.line,
-                format!(
-                    "`{}` in a sim-path crate: iteration order is nondeterministic \
-                     and breaks bit-identical replay; use `BTree{}` or iterate in \
-                     sorted order (annotate `// mrm-lint: allow(D2) ...` if iteration \
-                     order provably never escapes)",
-                    t.text,
-                    &t.text[4..]
-                ),
-            ),
-            "thread_rng" | "from_entropy" | "RandomState" | "OsRng" | "getrandom" => push(
-                out,
-                RuleId::D3,
-                ctx,
-                t.line,
-                format!(
-                    "`{}` is an entropy source outside `SimRng`; all randomness \
-                     must come from the seeded, splittable `SimRng`",
-                    t.text
-                ),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// D4: telemetry is observe-only (DESIGN.md §3.8).
-fn scan_d4(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !ctx.telemetry {
-        return;
-    }
-    for t in code {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        if matches!(
-            t.text.as_str(),
-            "SimRng" | "EventQueue" | "schedule" | "schedule_after"
-        ) {
-            push(
-                out,
-                RuleId::D4,
-                ctx,
-                t.line,
-                format!(
-                    "telemetry references `{}`: sinks are observe-only — they must \
-                     never draw randomness or schedule events (§3.8 determinism \
-                     contract: reports are bit-identical with a sink attached)",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 /// D5: bare `unwrap()` / `expect("")` in non-test library code.
 fn scan_d5(code: &[&Token], in_test: &[bool], ctx: &FileCtx, out: &mut Vec<Violation>) {
     if !ctx.library {
@@ -803,65 +580,6 @@ fn scan_d5(code: &[&Token], in_test: &[bool], ctx: &FileCtx, out: &mut Vec<Viola
                 ctx,
                 name.line,
                 "`expect(\"\")` carries no information: say what invariant failed".to_string(),
-            );
-        }
-    }
-}
-
-/// D6: fault injection draws only from the dedicated `FaultRng` stream.
-/// Inside `crates/faults`, the only file allowed to name `SimRng` is
-/// `src/rng.rs` — the wrapper that derives the salted fault stream. Anywhere
-/// else, naming `SimRng` means fault sampling is (or is about to be) coupled
-/// to the scheduling stream, which breaks both the differential chaos test
-/// (fault-rate 0 ≡ faults off) and seed-stable bit flips.
-fn scan_d6(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !ctx.faults || ctx.faults_rng_file {
-        return;
-    }
-    for t in code {
-        if t.kind == TokenKind::Ident && t.text == "SimRng" {
-            push(
-                out,
-                RuleId::D6,
-                ctx,
-                t.line,
-                "`SimRng` named in crates/faults outside src/rng.rs: fault \
-                 injection must draw from the dedicated `FaultRng` stream only \
-                 (the scheduling stream must not move when faults are enabled)"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// D7: placement/expiry decisions are confined to `mrm-control`. Sim-path
-/// library code outside `crates/control` must not name the decision API:
-/// a data-path crate spelling `retention_for` or
-/// embedding an `ExpiryTracker` has grown an inline retention decision that
-/// bypasses the declared-policy registry and the audit log.
-fn scan_d7(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !ctx.sim_path || !ctx.library || ctx.control {
-        return;
-    }
-    for t in code {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        if matches!(
-            t.text.as_str(),
-            "retention_for" | "ExpiryTracker" | "ExpiryAction"
-        ) {
-            push(
-                out,
-                RuleId::D7,
-                ctx,
-                t.line,
-                format!(
-                    "`{}` named outside mrm-control: placement/expiry decisions \
-                     route through the RetentionRegistry/Reconciler so every \
-                     store/drop/retire lands in the audit log",
-                    t.text
-                ),
             );
         }
     }
@@ -1107,12 +825,13 @@ mod tests {
     #[test]
     fn classify_paths() {
         let c = ws_ctx("crates/tiering/src/prefix.rs");
-        assert!(c.sim_path && c.library && !c.telemetry);
+        assert!(c.sim_path && c.library);
         // `mrm-tiering` links `core` for every KV allocation.
         let c = ws_ctx("crates/core/src/pool.rs");
         assert!(c.sim_path && c.library);
+        // Observe-only crates are linked but stay off the sim path.
         let c = ws_ctx("crates/telemetry/src/sink.rs");
-        assert!(c.telemetry && !c.sim_path);
+        assert!(c.library && !c.sim_path);
         let c = ws_ctx("crates/bench/src/bin/e7_dcm.rs");
         assert!(!c.library);
         let c = ws_ctx("crates/sim/src/units.rs");
@@ -1122,32 +841,24 @@ mod tests {
     }
 
     #[test]
-    fn d2_fires_on_hashmap_not_string() {
-        let r = lint_source("use std::collections::HashMap;", &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D2]);
-        let r = lint_source(r#"let s = "HashMap";"#, &ctx_sim());
-        assert!(r.violations.is_empty());
-    }
-
-    #[test]
     fn allow_suppresses_same_and_next_line() {
-        let src = "// mrm-lint: allow(D2) sorted before iteration\n\
-                   use std::collections::HashMap;\n";
+        let src = "// mrm-lint: allow(U1) a bound, not a byte capacity\n\
+                   let m = 1024 * 1024;\n";
         let r = lint_source(src, &ctx_sim());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         // Wrong rule in the annotation does not suppress.
-        let src = "// mrm-lint: allow(D1) wrong rule\nuse std::collections::HashMap;\n";
+        let src = "// mrm-lint: allow(D5) wrong rule\nlet m = 1024 * 1024;\n";
         let r = lint_source(src, &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D2]);
+        assert_eq!(rules_of(&r), vec![RuleId::U1]);
     }
 
     #[test]
     fn allow_without_reason_is_malformed() {
-        let src = "// mrm-lint: allow(D2)\nuse std::collections::HashMap;\n";
+        let src = "// mrm-lint: allow(U1)\nlet m = 1024 * 1024;\n";
         let r = lint_source(src, &ctx_sim());
         assert!(rules_of(&r).contains(&RuleId::Meta));
         assert!(
-            rules_of(&r).contains(&RuleId::D2),
+            rules_of(&r).contains(&RuleId::U1),
             "malformed allow must not suppress"
         );
     }
@@ -1199,61 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn d4_in_telemetry_only() {
-        let tele = ws_ctx("crates/telemetry/src/sink.rs");
-        let r = lint_source("use mrm_sim::SimRng;", &tele);
-        assert_eq!(rules_of(&r), vec![RuleId::D4]);
-        let r = lint_source("use mrm_sim::SimRng;", &ws_ctx("crates/bench/src/lib.rs"));
-        assert!(r.violations.is_empty());
-    }
-
-    #[test]
-    fn d6_in_faults_crate_outside_rng_file() {
-        let model = ws_ctx("crates/faults/src/model.rs");
-        assert!(model.faults && model.sim_path && !model.faults_rng_file);
-        let r = lint_source("use mrm_sim::rng::SimRng;", &model);
-        assert_eq!(rules_of(&r), vec![RuleId::D6]);
-        // The FaultRng wrapper is the one allowed home.
-        let rng = ws_ctx("crates/faults/src/rng.rs");
-        assert!(rng.faults_rng_file);
-        let r = lint_source("use mrm_sim::rng::SimRng;", &rng);
-        assert!(r.violations.is_empty());
-        // Other crates are out of D6's scope.
-        let r = lint_source(
-            "use mrm_sim::rng::SimRng;",
-            &ws_ctx("crates/sweep/src/lib.rs"),
-        );
-        assert!(r.violations.is_empty());
-    }
-
-    #[test]
-    fn d7_confines_decision_api_to_control_and_shims() {
-        // Data-path crate naming the decision API: violation.
-        let r = lint_source("let t = ExpiryTracker::new();", &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D7]);
-        let r = lint_source("let r = policy.retention_for(c, h, n, m);", &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D7]);
-        // The control crate is the decision API's home.
-        let control = ws_ctx("crates/control/src/expiry.rs");
-        assert!(control.control && control.sim_path);
-        let r = lint_source("pub struct ExpiryTracker;", &control);
-        assert!(r.violations.is_empty());
-        // A forwarding re-export in a data-path crate is a violation like
-        // any other naming.
-        let r = lint_source(
-            "pub use mrm_control::expiry::ExpiryTracker;",
-            &ws_ctx("crates/tiering/src/lib.rs"),
-        );
-        assert_eq!(rules_of(&r), vec![RuleId::D7]);
-        // Tests and bins sit outside D7's library scope.
-        let r = lint_source(
-            "use mrm::control::expiry::ExpiryTracker;",
-            &ws_ctx("tests/fault_invariants.rs"),
-        );
-        assert!(r.violations.is_empty());
-    }
-
-    #[test]
     fn d8_confines_obs_hooks_off_rng_and_queue_paths() {
         // Hook inside an RNG-drawing function: violation.
         let r = lint_source(
@@ -1293,16 +949,5 @@ mod tests {
             &ws_ctx("crates/bench/src/lib.rs"),
         );
         assert!(r.violations.is_empty());
-    }
-
-    #[test]
-    fn d1_d3_fire_in_sim_path() {
-        let r = lint_source("let t = Instant::now();", &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D1]);
-        let r = lint_source("let mut rng = thread_rng();", &ctx_sim());
-        assert_eq!(rules_of(&r), vec![RuleId::D3]);
-        let bench = ws_ctx("crates/bench/benches/device_ops.rs");
-        let r = lint_source("let t = Instant::now();", &bench);
-        assert!(r.violations.is_empty(), "bench harness may time things");
     }
 }

@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn escapes_messages_and_emits_locations() {
-        let s = render(&[v(RuleId::D2, Vec::new())]);
+        let s = render(&[v(RuleId::U1, Vec::new())]);
         assert!(s.contains(r#"a \"quoted\" message\nwith a newline"#));
         assert!(s.contains(r#""uri":"crates/sim/src/lib.rs""#));
         assert!(s.contains(r#""startLine":7"#));
@@ -148,6 +148,6 @@ mod tests {
     #[test]
     fn d5_is_warning_level() {
         let s = render(&[v(RuleId::D5, Vec::new())]);
-        assert!(s.contains(r#""ruleId":"D5","ruleIndex":4,"level":"warning""#));
+        assert!(s.contains(r#""ruleId":"D5","ruleIndex":0,"level":"warning""#));
     }
 }

@@ -1,6 +1,9 @@
 //! Closure fixture, observe-only side: linked by `mrm-tiering`, but the
-//! closure excludes `mrm-obs`, whose wall profiler reads the clock by design.
+//! closure excludes `mrm-obs`, which owns the tracer and pops its own span
+//! stack next to it.
 
-pub fn wall_ns() -> u64 {
-    Instant::now().elapsed().as_nanos() as u64
+pub fn close_span(open: &mut Vec<u64>, obs: &mut Obs) {
+    if let Some(id) = open.pop() {
+        obs.tracer.end(id);
+    }
 }

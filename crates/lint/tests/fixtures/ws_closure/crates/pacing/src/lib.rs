@@ -1,7 +1,9 @@
-//! Closure fixture, linked side: a helper crate that reads the wall clock.
-//! `mrm-tiering` links it, so it is on the sim path and D1 fires here.
+//! Closure fixture, linked side: a helper crate whose jitter draw also
+//! touches the tracer. `mrm-tiering` links it, so it is on the sim path and
+//! D8 fires here.
 
-pub fn observed_gap(i: u64) -> u64 {
-    let t = Instant::now();
-    i + t.elapsed().as_nanos() as u64
+pub fn observed_gap(rng: &mut Rng, obs: &mut Obs, i: u64) -> u64 {
+    let jitter = rng.next_u64() % 1_000;
+    obs.tracer.mark(i);
+    i + jitter
 }

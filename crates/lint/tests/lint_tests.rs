@@ -1,7 +1,8 @@
 //! Integration tests for `mrm-lint`: fixture corpora with golden output,
 //! suppression via annotations, end-to-end `--deny` exit codes, the
-//! self-check that the lint is clean on its own sources, and D10/U2 firing
-//! on mutated copies of real workspace files.
+//! self-check that the lint is clean on its own sources, D10/U2 firing
+//! on mutated copies of real workspace files, and the pin that keeps the
+//! workspace's `clippy.toml` name bans in step with the sim path.
 //!
 //! Fixtures live under `tests/fixtures/` (excluded from the workspace walk)
 //! and are consumed as *text*, never compiled. Each `<name>.rs` has a
@@ -35,11 +36,7 @@ fn sim_crates() -> BTreeSet<String> {
 /// The context each fixture is linted under: rules are path-gated, so each
 /// corpus pretends to live where its rule applies in this workspace.
 fn fixture_ctx(name: &str) -> FileCtx {
-    let path = if name.starts_with("d4_") {
-        "crates/telemetry/src/fixture.rs"
-    } else if name.starts_with("d6_") {
-        "crates/faults/src/fixture.rs"
-    } else if name.starts_with("d7_") || name.starts_with("d8_") {
+    let path = if name.starts_with("d8_") {
         "crates/tiering/src/fixture.rs"
     } else {
         "crates/sim/src/fixture.rs"
@@ -70,7 +67,7 @@ fn fixtures_match_golden_output() {
         .collect();
     names.sort();
     assert!(
-        names.len() >= 6,
+        names.len() >= RuleId::ALL.len(),
         "one fixture per rule expected, found {names:?}"
     );
 
@@ -100,9 +97,9 @@ fn fixtures_match_golden_output() {
 
 /// The closure fixture is a workspace directory with manifests (a single
 /// file cannot show a dependency edge): `mrm-tiering` links `mrm-pacing`, a
-/// crate no list names, which reads the wall clock. Its golden shows D1
-/// there. The observe-only `mrm-obs` and the unlinked `mrm-tools` read the
-/// clock too and stay clean.
+/// crate no list names, whose jitter draw touches the tracer. Its golden
+/// shows D8 there. The observe-only `mrm-obs` and the unlinked `mrm-tools`
+/// touch the tracer next to a pop or a draw too and stay clean.
 #[test]
 fn ws_closure_fixture_matches_golden() {
     let dir = fixtures_dir();
@@ -112,8 +109,8 @@ fn ws_closure_fixture_matches_golden() {
         !violations.is_empty()
             && violations
                 .iter()
-                .all(|v| v.rule == RuleId::D1 && v.path == "crates/pacing/src/lib.rs"),
-        "D1 must fire in the linked crate and nowhere else:\n{actual}"
+                .all(|v| v.rule == RuleId::D8 && v.path == "crates/pacing/src/lib.rs"),
+        "D8 must fire in the linked crate and nowhere else:\n{actual}"
     );
 
     let expected_path = dir.join("ws_closure.expected");
@@ -165,11 +162,7 @@ fn allow_annotations_suppress_in_fixtures() {
     // seeing the count rise).
     let dir = fixtures_dir();
     for name in [
-        "d1_wall_clock",
-        "d2_hash_map",
         "d5_unwrap",
-        "d6_fault_rng",
-        "d7_decision_api",
         "d10_rng_taint",
         "u1_units",
         "u2_interproc_units",
@@ -277,12 +270,13 @@ fn deny_exits_nonzero_on_violations_and_zero_when_clean() {
     let ws = Scratch::new("deny", &["sim"]);
     ws.file(
         "crates/sim/src/lib.rs",
-        "use std::collections::HashMap;\npub fn t() { let _ = Instant::now(); }\n",
+        "pub fn t(rng: &mut R, o: &mut O) -> u64 { o.tracer.mark(); rng.next_u64() }\n\
+         pub const GIB: u64 = 1 << 30;\n",
     );
     let (ok, text) = ws.run(&["--deny"]);
     assert!(!ok, "--deny must fail on violations:\n{text}");
-    assert!(text.contains("D2"), "expected a D2 diagnostic:\n{text}");
-    assert!(text.contains("D1"), "expected a D1 diagnostic:\n{text}");
+    assert!(text.contains("D8"), "expected a D8 diagnostic:\n{text}");
+    assert!(text.contains("U1"), "expected a U1 diagnostic:\n{text}");
     // Without --deny the same run reports but exits 0.
     let (ok, _) = ws.run(&[]);
     assert!(ok, "report mode always exits zero");
@@ -311,7 +305,7 @@ fn deny_exits_nonzero_on_violations_and_zero_when_clean() {
 #[test]
 fn root_without_a_sim_path_exits_2() {
     // A wrong `--root` must not pass the gate: with no workspace manifest,
-    // or no `mrm-tiering` member, the sim path would be empty and D1–D3
+    // or no `mrm-tiering` member, the sim path would be empty and D8
     // silent.
     let missing = Scratch::bare("missing");
     let missing_root = missing.root.join("does-not-exist");
@@ -323,7 +317,7 @@ fn root_without_a_sim_path_exits_2() {
     no_tiering.file("crates/sim/Cargo.toml", "[package]\nname = \"mrm-sim\"\n");
     no_tiering.file(
         "crates/sim/src/lib.rs",
-        "pub fn t() { let _ = Instant::now(); }\n",
+        "pub fn t(rng: &mut R, o: &mut O) -> u64 { o.tracer.mark(); rng.next_u64() }\n",
     );
     for (root, why) in [
         (&missing_root, "cannot read workspace manifest"),
@@ -355,8 +349,8 @@ fn root_without_a_sim_path_exits_2() {
 fn fixture_corpus_fails_deny_when_walked() {
     // The acceptance check: pointing the lint at the violation corpus
     // exits nonzero. Copy the fixtures into a scratch workspace laid out so
-    // every rule's gate applies (sim-path / telemetry / library).
-    let ws = Scratch::new("corpus", &["sim", "faults"]);
+    // every rule's gate applies (sim-path library).
+    let ws = Scratch::new("corpus", &["sim"]);
     let dir = fixtures_dir();
     for entry in fs::read_dir(&dir).expect("fixtures directory exists") {
         let path = entry.expect("readable entry").path();
@@ -367,45 +361,38 @@ fn fixture_corpus_fails_deny_when_walked() {
             .file_name()
             .map(|s| s.to_string_lossy().to_string())
             .unwrap_or_default();
-        let dest = if name.starts_with("d4_") {
-            format!("crates/telemetry/src/{name}")
-        } else if name.starts_with("d6_") {
-            format!("crates/faults/src/{name}")
-        } else if name.starts_with("d7_") {
-            format!("crates/tiering/src/{name}")
-        } else {
-            format!("crates/sim/src/{name}")
-        };
-        ws.file(&dest, &read(&path));
+        ws.file(&format!("crates/sim/src/{name}"), &read(&path));
     }
     let (ok, text) = ws.run(&["--deny"]);
     assert!(!ok, "fixture corpus must fail --deny:\n{text}");
-    for rule in ["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D10", "U1", "U2"] {
+    for rule in RuleId::ALL.map(RuleId::as_str) {
         assert!(text.contains(rule), "corpus run missing {rule}:\n{text}");
     }
 }
 
 #[test]
 fn manifest_dependency_decides_the_sim_path() {
-    // `mrm-tiering` links `mrm-pacing`, which no list names and which reads
-    // the wall clock: D1 fires there and `--deny` fails.
+    // `mrm-tiering` links `mrm-pacing`, which no list names and whose draw
+    // touches the tracer: D8 fires there and `--deny` fails.
     let ws = Scratch::new("closure", &["pacing"]);
     ws.file(
         "crates/tiering/src/lib.rs",
-        "pub fn run_epoch(n: u64) -> u64 {\n    mrm_pacing::sampled_now(n)\n}\n",
+        "pub fn run_epoch(rng: &mut R, o: &mut O, n: u64) -> u64 {\n    \
+         mrm_pacing::sampled_now(rng, o, n)\n}\n",
     );
     ws.file(
         "crates/pacing/src/lib.rs",
-        "pub fn sampled_now(n: u64) -> u64 {\n    n + Instant::now().elapsed().as_nanos() as u64\n}\n",
+        "pub fn sampled_now(rng: &mut R, o: &mut O, n: u64) -> u64 {\n    \
+         o.tracer.mark(n);\n    n + rng.next_u64() % 8\n}\n",
     );
     let (ok, text) = ws.run(&["--deny"]);
     assert!(
         !ok,
-        "a linked crate reading the clock must fail --deny:\n{text}"
+        "a linked crate tracing beside a draw must fail --deny:\n{text}"
     );
     assert!(
-        text.contains("crates/pacing/src/lib.rs:2 D1"),
-        "expected D1 in the linked crate:\n{text}"
+        text.contains("crates/pacing/src/lib.rs:2 D8"),
+        "expected D8 in the linked crate:\n{text}"
     );
 
     // Remove only the manifest edge: `mrm-pacing` stays a workspace member
@@ -420,7 +407,7 @@ fn sarif_output_is_well_formed() {
     let ws = Scratch::new("sarif", &["sim"]);
     ws.file(
         "crates/sim/src/lib.rs",
-        "pub fn t() -> u64 {\n    Instant::now().elapsed().as_nanos() as u64\n}\n\
+        "pub fn t(rng: &mut R, o: &mut O) -> u64 {\n    o.tracer.mark();\n    rng.next_u64()\n}\n\
          pub fn caller(lat_ns: u64) {\n    book(lat_ns);\n}\n\
          pub fn book(cost_pj: u64) {}\n",
     );
@@ -434,7 +421,7 @@ fn sarif_output_is_well_formed() {
     for needle in [
         "\"version\":\"2.1.0\"",
         "sarif-2.1.0.json",
-        "\"ruleId\":\"D1\"",
+        "\"ruleId\":\"D8\"",
         "\"ruleId\":\"U2\"",
         "\"relatedLocations\"",
         "mrm-lint",
@@ -446,14 +433,24 @@ fn sarif_output_is_well_formed() {
 #[test]
 fn explain_flag() {
     let ws = Scratch::new("cli", &[]);
-    let (ok, text) = ws.run(&["--explain", "D1"]);
-    assert!(ok, "--explain D1 exits zero:\n{text}");
+    let (ok, text) = ws.run(&["--explain", "D8"]);
+    assert!(ok, "--explain D8 exits zero:\n{text}");
     assert!(
         text.contains("Cargo") && text.contains("mrm-tiering"),
-        "--explain D1 says how the sim path is derived:\n{text}"
+        "--explain D8 says how the sim path is derived:\n{text}"
     );
     let (ok, _) = ws.run(&["--explain", "Z99"]);
     assert!(!ok, "--explain with an unknown rule must fail");
+    // The name bans moved to clippy: their old ids are unknown here.
+    let (ok, _) = ws.run(&["--explain", "D1"]);
+    assert!(!ok, "--explain D1 must fail: wall-clock bans are clippy's");
+    let (ok, text) = ws.run(&["--rules"]);
+    let ids: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(ok);
+    assert_eq!(ids, ["D5", "D8", "D10", "U1", "U2"], "{text}");
 }
 
 // ---------------------------------------------------------------------------
@@ -542,4 +539,77 @@ fn workspace_passes_deny() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+// ---------------------------------------------------------------------------
+// clippy.toml scope
+// ---------------------------------------------------------------------------
+
+/// The wall-clock, unordered-map and entropy bans, as `clippy.toml` paths.
+const SIM_PATH_BANS: [&str; 7] = [
+    "std::time::Instant",
+    "std::time::SystemTime",
+    "std::collections::HashMap",
+    "std::collections::HashSet",
+    "std::hash::RandomState",
+    "std::time::SystemTime::elapsed",
+    "std::time::SystemTime::duration_since",
+];
+
+/// Every `path = "..."` a `clippy.toml` bans.
+fn banned_paths(path: &Path) -> BTreeSet<String> {
+    read(path)
+        .lines()
+        .filter_map(|l| l.split_once("path = \"")?.1.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Clippy reads a crate's own `clippy.toml`, else the nearest one above it,
+/// so each `crates/*` member's effective bans hold the sim-path entries
+/// exactly when the manifests put the member on the sim path. The root
+/// package always gets them, and the faults and telemetry files carry
+/// their own crate's bans.
+#[test]
+fn clippy_toml_bans_follow_the_sim_path() {
+    let root = workspace_root();
+    let sim = sim_crates();
+    let root_bans = banned_paths(&root.join("clippy.toml"));
+    assert!(
+        SIM_PATH_BANS.iter().all(|b| root_bans.contains(*b)),
+        "the root clippy.toml must hold every sim-path ban: {root_bans:?}"
+    );
+    let mut members: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates/ is listable")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .map(|e| e.file_name().to_string_lossy().to_string())
+        .collect();
+    members.sort();
+    assert!(members.len() > sim.len(), "members: {members:?}");
+    for member in &members {
+        let own = root.join("crates").join(member).join("clippy.toml");
+        let bans = if own.is_file() {
+            banned_paths(&own)
+        } else {
+            root_bans.clone()
+        };
+        for ban in SIM_PATH_BANS {
+            assert_eq!(
+                bans.contains(ban),
+                sim.contains(member),
+                "crates/{member}: `{ban}` must be banned exactly when the crate is on \
+                 the sim path {sim:?}"
+            );
+        }
+    }
+    let faults = banned_paths(&root.join("crates/faults/clippy.toml"));
+    assert!(faults.contains("mrm_sim::rng::SimRng"), "{faults:?}");
+    let telemetry = banned_paths(&root.join("crates/telemetry/clippy.toml"));
+    for ban in ["mrm_sim::rng::SimRng", "mrm_sim::event::EventQueue"] {
+        assert!(
+            telemetry.contains(ban),
+            "telemetry must ban {ban}: {telemetry:?}"
+        );
+    }
 }

@@ -25,8 +25,9 @@
 //! run turns into per-layer metrics.
 //!
 //! Wall-clock readings make this the one deliberately nondeterministic
-//! surface in the workspace: `mrm-obs` is *not* a sim-path crate (lint
-//! D1 does not apply), and CI never byte-compares profile output —
+//! surface in the workspace: `mrm-obs` is *not* a sim-path crate (its
+//! empty `clippy.toml` opts it out of the wall-clock ban), and CI never
+//! byte-compares profile output —
 //! only traces, which are pure sim time.
 
 use std::collections::BTreeMap;

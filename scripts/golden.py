@@ -6,7 +6,8 @@ ENTRIES at CI scale, and compares the sha256 of its stdout and of every
 file it writes (the saved `experiments/*.json`, and for the cluster bins
 the `--telemetry` JSONL and `--trace` JSON) with `GOLDEN.json`. It prints
 each entry's wall time, and for a file that differs it names the file and
-every field whose values moved. JSON fields are named as in
+every field whose values moved (field digests are compared even where the
+file digest matches, so a stale field digest fails too). JSON fields are named as in
 `report_fielddiff.py`: the path with list indices folded to `[]`. It exits
 1 if anything differs or an entry fails.
 
@@ -162,11 +163,15 @@ def diff(name, want, got):
         w, g = want["files"].get(rel), got["files"].get(rel)
         if w is None or g is None:
             out.append(f"{name}/{rel}: {'not in ledger' if w is None else 'not written'}")
-        elif w["sha256"] != g["sha256"]:
+        else:
+            # Field digests are compared whenever both records carry them,
+            # so a stale field digest fails even when the file digest holds.
             wf, gf = w.get("fields", {}), g.get("fields", {})
             moved = [f for f in sorted(set(wf) | set(gf)) if wf.get(f) != gf.get(f)]
-            out.append(f"{name}/{rel}: differs in "
-                       + (", ".join(moved) if moved else "bytes only (layout)"))
+            if moved:
+                out.append(f"{name}/{rel}: differs in " + ", ".join(moved))
+            elif w["sha256"] != g["sha256"]:
+                out.append(f"{name}/{rel}: differs in bytes only (layout)")
     return out
 
 

@@ -13,6 +13,9 @@
 //! * the `ExpiryTracker` never resurrects a dropped stream: once removed,
 //!   an id stays invisible to every query until an explicit re-register.
 
+// The expiry suite drives the decision API directly, as its own oracle.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use mrm::control::expiry::{ExpiryAction, ExpiryTracker};
