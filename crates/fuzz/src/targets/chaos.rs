@@ -7,10 +7,13 @@
 //! * the **FTL** oracle is a `BTreeSet` of live logical pages — the
 //!   forward map must agree with it exactly, `check_invariants` must
 //!   hold, and nothing live may resolve to a retired block;
-//! * the **zone controller** oracle is a `Vec<ZoneState>` — every state
-//!   transition (open, append-to-full, read-escalation retirement,
-//!   reset, finish, explicit retire) is mirrored, and retired zones must
-//!   reject every operation forever.
+//! * the **zone controller** oracle is a `Vec<(ZoneState, SimTime)>` —
+//!   every state transition (open, least-worn open, append-to-full,
+//!   read-escalation retirement, reset, finish, explicit retire) and
+//!   every deadline change (append, scrub, read-escalation scrub) is
+//!   mirrored, retired zones must reject every operation forever, and
+//!   the expiry list must equal the mirror's Open/Full zones sorted by
+//!   `(deadline, id)`, in full and below a horizon drawn per op.
 //!
 //! Fault injection needs a seed, and `run` must be a pure function of
 //! the ops alone — so the fault seed is part of the trace: components
@@ -60,6 +63,7 @@ pub enum ChaosOp {
         block: u64,
     },
     ZoneOpen,
+    ZoneOpenLeastWorn,
     /// Append 256 KiB with short (2 s) or long (1 h) retention.
     ZoneAppend {
         z: u64,
@@ -67,6 +71,11 @@ pub enum ChaosOp {
     },
     ZoneRead {
         z: u64,
+    },
+    /// Scrub for short (2 s) or long (1 h) retention.
+    ZoneScrub {
+        z: u64,
+        short_ttl: bool,
     },
     ZoneReset {
         z: u64,
@@ -102,8 +111,8 @@ struct World {
     /// (mirrors the `break` in the original proptest script).
     ftl_dead: bool,
     ctrl: MrmBlockController,
-    /// Oracle: per-zone lifecycle state.
-    zones: Vec<ZoneState>,
+    /// Oracle: per-zone lifecycle state and earliest retention deadline.
+    zones: Vec<(ZoneState, SimTime)>,
     now: SimTime,
 }
 
@@ -124,7 +133,7 @@ fn build_world(seed: u64) -> World {
     tech.capacity_bytes = 64 * MIB;
     let mut ctrl = MrmBlockController::new(MemoryDevice::new(tech), 4 * MIB);
     ctrl.attach_faults(FaultModel::new(FaultConfig::mrm(), seed.wrapping_add(1)));
-    let zones = vec![ZoneState::Empty; ctrl.zone_count()];
+    let zones = vec![(ZoneState::Empty, SimTime::MAX); ctrl.zone_count()];
 
     World {
         ftl,
@@ -133,6 +142,15 @@ fn build_world(seed: u64) -> World {
         ctrl,
         zones,
         now: SimTime::ZERO,
+    }
+}
+
+/// The two retention classes appends and scrubs draw from.
+fn retention(short_ttl: bool) -> SimDuration {
+    if short_ttl {
+        SimDuration::from_secs(2)
+    } else {
+        SimDuration::from_hours(1)
     }
 }
 
@@ -179,10 +197,11 @@ fn spot_ftl(step: usize, w: &World, lpn: u64) -> Result<(), String> {
 }
 
 /// Zone-state differential: every zone, the retired count, and the
-/// expiry work list (must never offer retired/empty zones).
+/// expiry work list, in full and below a horizon drawn from the step and
+/// the clock: the mirror's Open/Full zones sorted by `(deadline, id)`.
 fn scan_zones(step: usize, w: &World) -> Result<(), String> {
     let mut retired = 0u64;
-    for (zi, &expect) in w.zones.iter().enumerate() {
+    for (zi, &(expect, _)) in w.zones.iter().enumerate() {
         let z = ZoneId(zi as u32);
         let got = w
             .ctrl
@@ -201,14 +220,56 @@ fn scan_zones(step: usize, w: &World) -> Result<(), String> {
             w.ctrl.zones_retired()
         ));
     }
-    for (z, _) in w.ctrl.zones_expiring_before(SimTime::MAX) {
-        let st = w.zones[z.0 as usize];
-        if st != ZoneState::Open && st != ZoneState::Full {
+    let mut live: Vec<(SimTime, ZoneId)> = w
+        .zones
+        .iter()
+        .enumerate()
+        .filter(|(_, (st, _))| matches!(st, ZoneState::Open | ZoneState::Full))
+        .map(|(zi, &(_, d))| (d, ZoneId(zi as u32)))
+        .collect();
+    live.sort_unstable();
+    let pick = mix2(step as u64, w.now.as_nanos());
+    let drawn = match pick % 4 {
+        0 => w.now,
+        1 => w
+            .now
+            .saturating_add(SimDuration::from_secs((pick >> 8) % 7200)),
+        // An exact live deadline: the `<=` boundary, ties included.
+        2 if !live.is_empty() => live[(pick >> 8) as usize % live.len()].0,
+        _ => SimTime::MAX,
+    };
+    for horizon in [SimTime::MAX, drawn] {
+        let want: Vec<(ZoneId, SimTime)> = live
+            .iter()
+            .filter(|&&(d, _)| d <= horizon)
+            .map(|&(d, z)| (z, d))
+            .collect();
+        let got = w.ctrl.zones_expiring_before(horizon);
+        if got != want {
             return Err(format!(
-                "op {step}: zone {} in expiry list while {st:?}",
-                z.0
+                "op {step}: expiry list before {horizon:?} is {got:?} but oracle says {want:?}"
             ));
         }
+    }
+    Ok(())
+}
+
+/// Mirrors a successful open: the zone must have been Empty, and it is
+/// now Open with nothing written.
+fn mirror_open(
+    step: usize,
+    w: &mut World,
+    opened: Result<ZoneId, ZoneError>,
+) -> Result<(), String> {
+    if let Ok(opened) = opened {
+        let zi = opened.0 as usize;
+        if w.zones[zi].0 != ZoneState::Empty {
+            return Err(format!(
+                "op {step}: controller opened zone {zi} which oracle has {:?}",
+                w.zones[zi].0
+            ));
+        }
+        w.zones[zi] = (ZoneState::Open, SimTime::MAX);
     }
     Ok(())
 }
@@ -252,6 +313,34 @@ impl FuzzTarget for ChaosTarget {
                 ChaosOp::ZoneReset { z: 0 },
                 ChaosOp::ZoneRetire { z: 1 },
             ],
+            // Expiry-list moves: ties at one clock, a scrub up and back
+            // down onto the tie, a scrub of an empty open zone.
+            vec![
+                ChaosOp::ZoneOpen,
+                ChaosOp::ZoneOpenLeastWorn,
+                ChaosOp::ZoneOpenLeastWorn,
+                ChaosOp::ZoneAppend {
+                    z: 2,
+                    short_ttl: false,
+                },
+                ChaosOp::ZoneAppend {
+                    z: 0,
+                    short_ttl: false,
+                },
+                ChaosOp::ZoneScrub {
+                    z: 1,
+                    short_ttl: true,
+                },
+                ChaosOp::ZoneScrub {
+                    z: 0,
+                    short_ttl: true,
+                },
+                ChaosOp::ZoneScrub {
+                    z: 0,
+                    short_ttl: false,
+                },
+                ChaosOp::ZoneFinish { z: 1 },
+            ],
             // A reseed mid-trace.
             vec![
                 ChaosOp::FtlWrite { lpn: 7 },
@@ -267,7 +356,7 @@ impl FuzzTarget for ChaosTarget {
     }
 
     fn gen_op(&self, rng: &mut FuzzRng) -> ChaosOp {
-        match rng.below(16) {
+        match rng.below(18) {
             0 => ChaosOp::Reseed {
                 salt: rng.below(1 << 16),
             },
@@ -285,12 +374,17 @@ impl FuzzTarget for ChaosTarget {
                 block: rng.lean_u64(),
             },
             9 => ChaosOp::ZoneOpen,
-            10..=11 => ChaosOp::ZoneAppend {
+            10 => ChaosOp::ZoneOpenLeastWorn,
+            11..=12 => ChaosOp::ZoneAppend {
                 z: rng.lean_u64(),
                 short_ttl: rng.one_in(2),
             },
-            12 => ChaosOp::ZoneRead { z: rng.lean_u64() },
-            13 => match rng.below(3) {
+            13 => ChaosOp::ZoneRead { z: rng.lean_u64() },
+            14 => ChaosOp::ZoneScrub {
+                z: rng.lean_u64(),
+                short_ttl: rng.one_in(2),
+            },
+            15 => match rng.below(3) {
                 0 => ChaosOp::ZoneReset { z: rng.lean_u64() },
                 1 => ChaosOp::ZoneFinish { z: rng.lean_u64() },
                 _ => ChaosOp::ZoneRetire { z: rng.lean_u64() },
@@ -319,13 +413,18 @@ impl FuzzTarget for ChaosTarget {
             ChaosOp::FtlRetire { .. } => ChaosOp::FtlRetire {
                 block: rng.lean_u64(),
             },
-            ChaosOp::ZoneOpen => ChaosOp::ZoneOpen,
+            ChaosOp::ZoneOpen => ChaosOp::ZoneOpenLeastWorn,
+            ChaosOp::ZoneOpenLeastWorn => ChaosOp::ZoneOpen,
             ChaosOp::ZoneAppend { z, short_ttl } => ChaosOp::ZoneAppend {
                 z: z.wrapping_add(rng.below(4)),
                 short_ttl: !short_ttl,
             },
             ChaosOp::ZoneRead { z } => ChaosOp::ZoneRead {
                 z: z.wrapping_add(rng.below(4)),
+            },
+            ChaosOp::ZoneScrub { z, short_ttl } => ChaosOp::ZoneScrub {
+                z: z.wrapping_add(rng.below(4)),
+                short_ttl: !short_ttl,
             },
             ChaosOp::ZoneReset { z } => ChaosOp::ZoneFinish { z: *z },
             ChaosOp::ZoneFinish { z } => ChaosOp::ZoneRetire { z: *z },
@@ -353,6 +452,14 @@ impl FuzzTarget for ChaosTarget {
                 short_ttl: false,
             }),
             ChaosOp::ZoneRead { z } if *z > 0 => Some(ChaosOp::ZoneRead { z: z / 2 }),
+            ChaosOp::ZoneScrub { z, short_ttl: true } => Some(ChaosOp::ZoneScrub {
+                z: *z,
+                short_ttl: false,
+            }),
+            ChaosOp::ZoneScrub { z, short_ttl } if *z > 0 => Some(ChaosOp::ZoneScrub {
+                z: z / 2,
+                short_ttl: *short_ttl,
+            }),
             ChaosOp::ZoneReset { z } if *z > 0 => Some(ChaosOp::ZoneReset { z: z / 2 }),
             ChaosOp::ZoneFinish { z } if *z > 0 => Some(ChaosOp::ZoneFinish { z: z / 2 }),
             ChaosOp::ZoneRetire { z } if *z > 0 => Some(ChaosOp::ZoneRetire { z: z / 2 }),
@@ -415,27 +522,19 @@ impl FuzzTarget for ChaosTarget {
                 | ChaosOp::FtlRead { .. }
                 | ChaosOp::FtlRetire { .. } => {} // FTL is dead; skip.
                 ChaosOp::ZoneOpen => {
-                    if let Ok(opened) = w.ctrl.open_zone() {
-                        let zi = opened.0 as usize;
-                        if w.zones[zi] != ZoneState::Empty {
-                            return Err(format!(
-                                "op {i}: controller opened zone {zi} which oracle has {:?}",
-                                w.zones[zi]
-                            ));
-                        }
-                        w.zones[zi] = ZoneState::Open;
-                    }
+                    let opened = w.ctrl.open_zone();
+                    mirror_open(i, &mut w, opened)?;
+                }
+                ChaosOp::ZoneOpenLeastWorn => {
+                    let opened = w.ctrl.open_zone_least_worn();
+                    mirror_open(i, &mut w, opened)?;
                 }
                 ChaosOp::ZoneAppend { z, short_ttl } => {
                     let zi = (z % zone_count) as usize;
                     let zid = ZoneId(zi as u32);
-                    let retention = if *short_ttl {
-                        SimDuration::from_secs(2)
-                    } else {
-                        SimDuration::from_hours(1)
-                    };
+                    let retention = retention(*short_ttl);
                     let res = w.ctrl.append(w.now, zid, 256 * 1024, retention);
-                    match w.zones[zi] {
+                    match w.zones[zi].0 {
                         ZoneState::Retired => {
                             if res != Err(ZoneError::ZoneRetired) {
                                 return Err(format!(
@@ -447,15 +546,19 @@ impl FuzzTarget for ChaosTarget {
                             let wp = w.ctrl.write_pointer(zid).map_err(|e| {
                                 format!("op {i}: write_pointer({zi}) errored: {e:?}")
                             })?;
-                            if res.is_ok() && wp == w.ctrl.zone_bytes() {
-                                w.zones[zi] = ZoneState::Full;
+                            if res.is_ok() {
+                                let d = &mut w.zones[zi].1;
+                                *d = (*d).min(w.now.saturating_add(retention));
+                                if wp == w.ctrl.zone_bytes() {
+                                    w.zones[zi].0 = ZoneState::Full;
+                                }
                             }
                         }
                         _ => {
                             if res.is_ok() {
                                 return Err(format!(
                                     "op {i}: append to {:?} zone {zi} succeeded",
-                                    w.zones[zi]
+                                    w.zones[zi].0
                                 ));
                             }
                         }
@@ -464,7 +567,7 @@ impl FuzzTarget for ChaosTarget {
                 ChaosOp::ZoneRead { z } => {
                     let zi = (z % zone_count) as usize;
                     let zid = ZoneId(zi as u32);
-                    if w.zones[zi] == ZoneState::Retired {
+                    if w.zones[zi].0 == ZoneState::Retired {
                         let res = w
                             .ctrl
                             .read_checked(w.now, zid, 0, 1, SimDuration::from_hours(1));
@@ -473,7 +576,7 @@ impl FuzzTarget for ChaosTarget {
                         }
                     } else {
                         let wp = w.ctrl.write_pointer(zid).unwrap_or(0);
-                        if wp > 0 && w.zones[zi] != ZoneState::Empty {
+                        if wp > 0 && w.zones[zi].0 != ZoneState::Empty {
                             let len = wp.min(64 * 1024);
                             let res = w
                                 .ctrl
@@ -481,8 +584,44 @@ impl FuzzTarget for ChaosTarget {
                                 .map_err(|e| {
                                     format!("op {i}: read_checked({zi}) errored: {e:?}")
                                 })?;
-                            if res.action == RecoveryAction::Retired {
-                                w.zones[zi] = ZoneState::Retired;
+                            match res.action {
+                                RecoveryAction::Scrubbed => {
+                                    w.zones[zi].1 =
+                                        w.now.saturating_add(SimDuration::from_hours(1));
+                                }
+                                RecoveryAction::Retired => {
+                                    w.zones[zi] = (ZoneState::Retired, SimTime::MAX);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                ChaosOp::ZoneScrub { z, short_ttl } => {
+                    let zi = (z % zone_count) as usize;
+                    let zid = ZoneId(zi as u32);
+                    let wp = w.ctrl.write_pointer(zid).unwrap_or(0);
+                    let retention = retention(*short_ttl);
+                    let res = w.ctrl.scrub_zone(w.now, zid, retention);
+                    match w.zones[zi].0 {
+                        ZoneState::Retired => {
+                            if res != Err(ZoneError::ZoneRetired) {
+                                return Err(format!(
+                                    "op {i}: scrub of retired zone {zi} => {res:?}"
+                                ));
+                            }
+                        }
+                        ZoneState::Empty => {
+                            if res != Err(ZoneError::NotOpen) {
+                                return Err(format!("op {i}: scrub of empty zone {zi} => {res:?}"));
+                            }
+                        }
+                        _ => {
+                            res.map_err(|e| format!("op {i}: scrub_zone({zi}) errored: {e:?}"))?;
+                            // An unwritten zone has nothing to rewrite and
+                            // keeps its deadline.
+                            if wp > 0 {
+                                w.zones[zi].1 = w.now.saturating_add(retention);
                             }
                         }
                     }
@@ -490,25 +629,25 @@ impl FuzzTarget for ChaosTarget {
                 ChaosOp::ZoneReset { z } => {
                     let zi = (z % zone_count) as usize;
                     let res = w.ctrl.reset_zone(ZoneId(zi as u32));
-                    if w.zones[zi] == ZoneState::Retired {
+                    if w.zones[zi].0 == ZoneState::Retired {
                         if res != Err(ZoneError::ZoneRetired) {
                             return Err(format!("op {i}: reset of retired zone {zi} => {res:?}"));
                         }
                     } else {
                         res.map_err(|e| format!("op {i}: reset_zone({zi}) errored: {e:?}"))?;
-                        w.zones[zi] = ZoneState::Empty;
+                        w.zones[zi] = (ZoneState::Empty, SimTime::MAX);
                     }
                 }
                 ChaosOp::ZoneFinish { z } => {
                     let zi = (z % zone_count) as usize;
                     let res = w.ctrl.finish_zone(ZoneId(zi as u32));
-                    if w.zones[zi] == ZoneState::Open {
+                    if w.zones[zi].0 == ZoneState::Open {
                         res.map_err(|e| format!("op {i}: finish_zone({zi}) errored: {e:?}"))?;
-                        w.zones[zi] = ZoneState::Full;
+                        w.zones[zi].0 = ZoneState::Full;
                     } else if res.is_ok() {
                         return Err(format!(
                             "op {i}: finish of {:?} zone {zi} succeeded",
-                            w.zones[zi]
+                            w.zones[zi].0
                         ));
                     }
                 }
@@ -520,7 +659,7 @@ impl FuzzTarget for ChaosTarget {
                     if !self.sabotage {
                         // Documented sabotage: forget to mirror the
                         // retirement — the next zone scan diverges.
-                        w.zones[zi] = ZoneState::Retired;
+                        w.zones[zi] = (ZoneState::Retired, SimTime::MAX);
                     }
                 }
                 ChaosOp::Advance { secs } => {

@@ -11,6 +11,10 @@ Exits non-zero if any run reports `failed > 0` or an incorrect result, or if
 the per-input digests of simulated outputs differ between the two sides
 (pass `--allow-digest-change` for a declared re-bless).
 
+Exits 2 before any run if the two binaries' resolved paths differ in length:
+the build path is compiled into the binary and moves its code's layout, so
+build both sides in checkouts whose paths have equal length.
+
     python3 scripts/simbench_ab.py BASE_BIN CHANGE_BIN \\
         --workloads serve_refresh serve_steady --pairs 10 --seconds 28 --seed 1
 """
@@ -63,6 +67,13 @@ def main():
     ap.add_argument("--allow-digest-change", action="store_true",
                     help="do not fail when the two sides' digests differ")
     args = ap.parse_args()
+
+    paths = [str(Path(b).resolve()) for b in (args.a, args.b)]
+    if len(paths[0]) != len(paths[1]):
+        print(f"error: the binaries' paths differ in length ({len(paths[0])} vs "
+              f"{len(paths[1])} chars): {paths[0]} and {paths[1]}; build both "
+              "sides at paths of equal length", file=sys.stderr)
+        sys.exit(2)
 
     bench = json.loads(BENCHMARK.read_text())
     declared = bench["per_layer" if args.trace else "end_to_end"]
