@@ -123,8 +123,9 @@ pub struct AuditRecord {
 pub struct AuditLog {
     records: Vec<AuditRecord>,
     counts: [u64; 9],
-    /// `(class, id)` pairs with a recovery record so far.
-    recovered: BTreeSet<(ControlClass, u64)>,
+    /// Per class (by [`ControlClass::index`]): the ids with a recovery
+    /// record so far.
+    recovered: [BTreeSet<u64>; 5],
     /// Per class (by [`ControlClass::index`]), in append order: the seqs of
     /// reclaims with no earlier recovery of their `(class, id)`.
     unrecovered_reclaims: [Vec<u64>; 5],
@@ -154,8 +155,8 @@ impl AuditLog {
         let seq = self.records.len() as u64;
         self.counts[action.index()] += 1;
         if action.is_recovery() {
-            self.recovered.insert((class, id));
-        } else if action.is_reclaim() && !self.recovered.contains(&(class, id)) {
+            self.recovered[class.index()].insert(id);
+        } else if action.is_reclaim() && !self.recovered[class.index()].contains(&id) {
             self.unrecovered_reclaims[class.index()].push(seq);
         }
         self.records.push(AuditRecord {

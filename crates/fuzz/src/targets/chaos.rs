@@ -10,10 +10,11 @@
 //! * the **zone controller** oracle is a `Vec<(ZoneState, SimTime)>` —
 //!   every state transition (open, least-worn open, append-to-full,
 //!   read-escalation retirement, reset, finish, explicit retire) and
-//!   every deadline change (append, scrub, read-escalation scrub) is
-//!   mirrored, retired zones must reject every operation forever, and
-//!   the expiry list must equal the mirror's Open/Full zones sorted by
-//!   `(deadline, id)`, in full and below a horizon drawn per op.
+//!   every deadline change (append, scrub, due-prefix scrub,
+//!   read-escalation scrub) is mirrored, retired zones must reject every
+//!   operation forever, and the expiry list must equal the mirror's
+//!   Open/Full zones sorted by `(deadline, id)`, in full and below a
+//!   horizon drawn per op.
 //!
 //! Fault injection needs a seed, and `run` must be a pure function of
 //! the ops alone — so the fault seed is part of the trace: components
@@ -75,6 +76,12 @@ pub enum ChaosOp {
     /// Scrub for short (2 s) or long (1 h) retention.
     ZoneScrub {
         z: u64,
+        short_ttl: bool,
+    },
+    /// The soak's daily loop: scrub every zone due within `secs`, in the
+    /// expiry list's order, all for one retention.
+    ZoneScrubDue {
+        secs: u64,
         short_ttl: bool,
     },
     ZoneReset {
@@ -220,14 +227,7 @@ fn scan_zones(step: usize, w: &World) -> Result<(), String> {
             w.ctrl.zones_retired()
         ));
     }
-    let mut live: Vec<(SimTime, ZoneId)> = w
-        .zones
-        .iter()
-        .enumerate()
-        .filter(|(_, (st, _))| matches!(st, ZoneState::Open | ZoneState::Full))
-        .map(|(zi, &(_, d))| (d, ZoneId(zi as u32)))
-        .collect();
-    live.sort_unstable();
+    let live = mirror_expiring(w, SimTime::MAX);
     let pick = mix2(step as u64, w.now.as_nanos());
     let drawn = match pick % 4 {
         0 => w.now,
@@ -235,23 +235,44 @@ fn scan_zones(step: usize, w: &World) -> Result<(), String> {
             .now
             .saturating_add(SimDuration::from_secs((pick >> 8) % 7200)),
         // An exact live deadline: the `<=` boundary, ties included.
-        2 if !live.is_empty() => live[(pick >> 8) as usize % live.len()].0,
+        2 if !live.is_empty() => live[(pick >> 8) as usize % live.len()].1,
         _ => SimTime::MAX,
     };
     for horizon in [SimTime::MAX, drawn] {
-        let want: Vec<(ZoneId, SimTime)> = live
-            .iter()
-            .filter(|&&(d, _)| d <= horizon)
-            .map(|&(d, z)| (z, d))
-            .collect();
-        let got = w.ctrl.zones_expiring_before(horizon);
-        if got != want {
-            return Err(format!(
-                "op {step}: expiry list before {horizon:?} is {got:?} but oracle says {want:?}"
-            ));
-        }
+        expiring_matches(step, w, horizon)?;
     }
     Ok(())
+}
+
+/// The mirror's Open/Full zones due at or before `horizon`, sorted by
+/// `(deadline, id)`: what `zones_expiring_before(horizon)` must return.
+fn mirror_expiring(w: &World, horizon: SimTime) -> Vec<(ZoneId, SimTime)> {
+    let mut live: Vec<(SimTime, ZoneId)> = w
+        .zones
+        .iter()
+        .enumerate()
+        .filter(|(_, &(st, d))| matches!(st, ZoneState::Open | ZoneState::Full) && d <= horizon)
+        .map(|(zi, &(_, d))| (d, ZoneId(zi as u32)))
+        .collect();
+    live.sort_unstable();
+    live.into_iter().map(|(d, z)| (z, d)).collect()
+}
+
+/// The controller's expiry list before `horizon`, checked against the
+/// mirror; returns it.
+fn expiring_matches(
+    step: usize,
+    w: &World,
+    horizon: SimTime,
+) -> Result<Vec<(ZoneId, SimTime)>, String> {
+    let got = w.ctrl.zones_expiring_before(horizon);
+    let want = mirror_expiring(w, horizon);
+    if got != want {
+        return Err(format!(
+            "op {step}: expiry list before {horizon:?} is {got:?} but oracle says {want:?}"
+        ));
+    }
+    Ok(got)
 }
 
 /// Mirrors a successful open: the zone must have been Empty, and it is
@@ -341,6 +362,41 @@ impl FuzzTarget for ChaosTarget {
                 },
                 ChaosOp::ZoneFinish { z: 1 },
             ],
+            // The soak's scrub loop: a due prefix scrubbed to one deadline
+            // (head removals, tail pushes), then an append that lowers the
+            // open zone's deadline, then a due scrub to a short deadline.
+            vec![
+                ChaosOp::ZoneOpen,
+                ChaosOp::ZoneOpen,
+                ChaosOp::ZoneOpen,
+                ChaosOp::ZoneAppend {
+                    z: 0,
+                    short_ttl: false,
+                },
+                ChaosOp::Advance { secs: 60 },
+                ChaosOp::ZoneAppend {
+                    z: 1,
+                    short_ttl: false,
+                },
+                ChaosOp::Advance { secs: 60 },
+                ChaosOp::ZoneAppend {
+                    z: 2,
+                    short_ttl: false,
+                },
+                ChaosOp::Advance { secs: 600 },
+                ChaosOp::ZoneScrubDue {
+                    secs: 3600,
+                    short_ttl: false,
+                },
+                ChaosOp::ZoneAppend {
+                    z: 2,
+                    short_ttl: true,
+                },
+                ChaosOp::ZoneScrubDue {
+                    secs: 7200,
+                    short_ttl: true,
+                },
+            ],
             // A reseed mid-trace.
             vec![
                 ChaosOp::FtlWrite { lpn: 7 },
@@ -356,7 +412,7 @@ impl FuzzTarget for ChaosTarget {
     }
 
     fn gen_op(&self, rng: &mut FuzzRng) -> ChaosOp {
-        match rng.below(18) {
+        match rng.below(19) {
             0 => ChaosOp::Reseed {
                 salt: rng.below(1 << 16),
             },
@@ -388,6 +444,10 @@ impl FuzzTarget for ChaosTarget {
                 0 => ChaosOp::ZoneReset { z: rng.lean_u64() },
                 1 => ChaosOp::ZoneFinish { z: rng.lean_u64() },
                 _ => ChaosOp::ZoneRetire { z: rng.lean_u64() },
+            },
+            16 => ChaosOp::ZoneScrubDue {
+                secs: rng.lean_below(7200),
+                short_ttl: rng.one_in(2),
             },
             _ => ChaosOp::Advance {
                 secs: rng.lean_below(600),
@@ -426,6 +486,10 @@ impl FuzzTarget for ChaosTarget {
                 z: z.wrapping_add(rng.below(4)),
                 short_ttl: !short_ttl,
             },
+            ChaosOp::ZoneScrubDue { short_ttl, .. } => ChaosOp::ZoneScrubDue {
+                secs: rng.lean_below(7200),
+                short_ttl: !short_ttl,
+            },
             ChaosOp::ZoneReset { z } => ChaosOp::ZoneFinish { z: *z },
             ChaosOp::ZoneFinish { z } => ChaosOp::ZoneRetire { z: *z },
             ChaosOp::ZoneRetire { z } => ChaosOp::ZoneReset { z: *z },
@@ -458,6 +522,17 @@ impl FuzzTarget for ChaosTarget {
             }),
             ChaosOp::ZoneScrub { z, short_ttl } if *z > 0 => Some(ChaosOp::ZoneScrub {
                 z: z / 2,
+                short_ttl: *short_ttl,
+            }),
+            ChaosOp::ZoneScrubDue {
+                secs,
+                short_ttl: true,
+            } => Some(ChaosOp::ZoneScrubDue {
+                secs: *secs,
+                short_ttl: false,
+            }),
+            ChaosOp::ZoneScrubDue { secs, short_ttl } if *secs > 0 => Some(ChaosOp::ZoneScrubDue {
+                secs: secs / 2,
                 short_ttl: *short_ttl,
             }),
             ChaosOp::ZoneReset { z } if *z > 0 => Some(ChaosOp::ZoneReset { z: z / 2 }),
@@ -623,6 +698,20 @@ impl FuzzTarget for ChaosTarget {
                             if wp > 0 {
                                 w.zones[zi].1 = w.now.saturating_add(retention);
                             }
+                        }
+                    }
+                }
+                ChaosOp::ZoneScrubDue { secs, short_ttl } => {
+                    let horizon = w.now.saturating_add(SimDuration::from_secs(*secs));
+                    let retention = retention(*short_ttl);
+                    for (zid, _) in expiring_matches(i, &w, horizon)? {
+                        let zi = zid.0 as usize;
+                        let wp = w.ctrl.write_pointer(zid).unwrap_or(0);
+                        w.ctrl
+                            .scrub_zone(w.now, zid, retention)
+                            .map_err(|e| format!("op {i}: scrub_zone({zi}) errored: {e:?}"))?;
+                        if wp > 0 {
+                            w.zones[zi].1 = w.now.saturating_add(retention);
                         }
                     }
                 }

@@ -15,8 +15,14 @@ Exits 2 before any run if the two binaries' resolved paths differ in length:
 the build path is compiled into the binary and moves its code's layout, so
 build both sides in checkouts whose paths have equal length.
 
+`--record PATH` appends one object per workload to the JSON list in PATH
+(created if missing): the two sides' labels (`--labels`, default the binary
+paths), seed, pairs, seconds, trace flag, whether the digests matched, and
+per metric each side's median and IQR, the ratio B / A and B's wins.
+
     python3 scripts/simbench_ab.py BASE_BIN CHANGE_BIN \\
-        --workloads serve_refresh serve_steady --pairs 10 --seconds 28 --seed 1
+        --workloads serve_refresh serve_steady --pairs 10 --seconds 28 --seed 1 \\
+        --labels 6377bc5 change --record BENCH_simbench.json
 """
 
 import argparse
@@ -66,7 +72,12 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--allow-digest-change", action="store_true",
                     help="do not fail when the two sides' digests differ")
+    ap.add_argument("--labels", nargs=2, metavar=("A", "B"),
+                    help="names of the two sides in the record (default: the paths)")
+    ap.add_argument("--record", type=Path,
+                    help="append each workload's result to the JSON list in this file")
     args = ap.parse_args()
+    labels = args.labels or [args.a, args.b]
 
     paths = [str(Path(b).resolve()) for b in (args.a, args.b)]
     if len(paths[0]) != len(paths[1]):
@@ -99,6 +110,9 @@ def main():
 
         print(f"\n{w}: {args.pairs} pairs, seed {args.seed}, {args.seconds} s, "
               f"trace {args.trace}")
+        entry = {"workload": w, "a": labels[0], "b": labels[1], "seed": args.seed,
+                 "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace,
+                 "metrics": {}}
         wide = max([len(m["name"]) for m in metrics] + [6])
         print(f"  {'metric':<{wide}} {'A median [q1, q3]':<36} {'B median [q1, q3]':<36}"
               f" {'B/A':>7} {'B wins':>7} {'>IQR(A)':>8}")
@@ -114,6 +128,10 @@ def main():
             cell_b = f"{qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
             print(f"  {name:<{wide}} {cell_a:<36} {cell_b:<36} {ratio:>7.3f}"
                   f" {f'{wins}/{args.pairs}':>7} {'yes' if beyond else 'no':>8}")
+            entry["metrics"][name] = {
+                "better": m["better"], "a_median": qa[1], "a_iqr": qa[2] - qa[0],
+                "b_median": qb[1], "b_iqr": qb[2] - qb[0], "ratio": ratio if qa[1] else None,
+                "wins": wins, "beyond_a_iqr": beyond}
 
         for side in ("a", "b"):
             if len(digests[side]) != 1:
@@ -127,6 +145,11 @@ def main():
                 ok = False
         else:
             print("  digests identical on both sides")
+        entry["digests_match"] = digests["a"] == digests["b"]
+        if args.record:
+            log = json.loads(args.record.read_text()) if args.record.exists() else []
+            log.append(entry)
+            args.record.write_text(json.dumps(log, indent=1) + "\n")
 
     sys.exit(0 if ok else 1)
 
