@@ -279,7 +279,10 @@ impl MrmBlockController {
     /// where `None` means "not indexed": a remove, then an insert. Each
     /// has a fast path at an end of the list, which is where a scrub of
     /// the due prefix lands: it removes the head and pushes at the tail.
-    /// `VecDeque` shifts the shorter side for a mid-list entry. Inlined:
+    /// The fast paths skip a search each: against a plain `binary_search`
+    /// remove and `partition_point` insert they measured `soak_lifecycle`
+    /// ×1.080 (10 pairs). `VecDeque` shifts the shorter side for a
+    /// mid-list entry. Inlined:
     /// `#[inline(never)]` here measured `serve_steady` ×0.993 and
     /// `soak_lifecycle` ×1.002 against this (6 pairs each), so no longer pays.
     fn rekey(&mut self, z: ZoneId, old: Option<SimTime>, new: Option<SimTime>) {
@@ -957,7 +960,7 @@ mod tests {
                     3 => SimDuration::from_secs(rng.gen_range(1, 4)),
                     _ => SimDuration::MAX,
                 };
-                match rng.gen_index(12) {
+                match rng.gen_index(13) {
                     0 => {
                         let _ = c.open_zone();
                     }
@@ -994,6 +997,20 @@ mod tests {
                             c.retire_zone(z).unwrap();
                         }
                     }
+                    11 => {
+                        // The soak's daily scrub: every zone due within a
+                        // horizon, soonest first, all to one retention.
+                        let horizon =
+                            now.saturating_add(SimDuration::from_secs(rng.gen_range(0, 120)));
+                        for (z, _) in c.zones_expiring_before(horizon) {
+                            let _ = c.scrub_zone(now, z, retention);
+                            assert_eq!(
+                                c.zones_expiring_before(SimTime::MAX),
+                                expiring_by_sort(&c, SimTime::MAX),
+                                "seed {seed} step {step} scrub of {z:?}"
+                            );
+                        }
+                    }
                     _ => now = now.saturating_add(SimDuration::from_secs(rng.gen_range(0, 40))),
                 }
                 let all = expiring_by_sort(&c, SimTime::MAX);
@@ -1022,82 +1039,5 @@ mod tests {
             "the recovery ladder never retired a zone"
         );
         assert!(ties > 0, "no two live zones ever shared a deadline");
-    }
-
-    /// The soak's daily loop: ingest into the open zone at retentions that
-    /// keep lowering its deadline, reclaim the soonest-expiring zone when
-    /// none is empty, then scrub every zone due within 12 h, soonest first,
-    /// all to one `now + 12 h`. Every few days one zone is scrubbed to a
-    /// later deadline and sits at the tail, so that day's scrubs insert
-    /// mid-list. The list must equal the oracle after every scrub, and the
-    /// run must reach both end fast paths and the searched insert.
-    #[test]
-    fn soak_shaped_scrubs_match_the_sorting_oracle() {
-        use mrm_sim::rng::SimRng;
-        let mut tech = presets::mrm_hours();
-        tech.capacity_bytes = 64 * MIB;
-        let mut c = MrmBlockController::new(MemoryDevice::new(tech), MIB);
-        let mut rng = SimRng::seed_from(16);
-        let half_day = SimDuration::from_hours(12);
-        // [head removals, tail inserts, mid-list inserts], judged from the
-        // list just before zone `z` is re-keyed to `new`.
-        let mut paths = [0u32; 3];
-        let mut tally = |c: &MrmBlockController, z: ZoneId, new: SimTime| {
-            let old = (c.zones[z.0 as usize].deadline, z);
-            paths[0] += u32::from(c.by_deadline.front() == Some(&old));
-            let tail = c.by_deadline.iter().rev().find(|&&e| e != old);
-            let at_tail = tail.is_none_or(|&e| e < (new, z));
-            paths[usize::from(!at_tail) + 1] += 1;
-        };
-        let mut open = c.open_zone().unwrap();
-        let mut now = SimTime::ZERO;
-        for day in 0..40u64 {
-            let start = SimTime::ZERO + SimDuration::from_hours(24 * day);
-            now = now.max(start);
-            for _ in 0..rng.gen_range(4, 12) {
-                if c.zone_state(open).unwrap() != ZoneState::Open {
-                    open = match c.open_zone() {
-                        Ok(z) => z,
-                        Err(_) => {
-                            let (z, _) = c.zones_expiring_before(SimTime::MAX)[0];
-                            c.reset_zone(z).unwrap();
-                            c.open_zone().unwrap()
-                        }
-                    };
-                }
-                let retention = half_day - SimDuration::from_mins(rng.gen_range(0, 600));
-                let new = now.saturating_add(retention);
-                if new < c.deadline(open).unwrap() {
-                    tally(&c, open, new);
-                }
-                c.append(now, open, 256 * 1024, retention).unwrap();
-                now = now.saturating_add(SimDuration::from_mins(rng.gen_range(5, 60)));
-            }
-            if day % 4 == 3 {
-                let live = c.zones_expiring_before(SimTime::MAX);
-                let (z, _) = live[rng.gen_index(live.len())];
-                if c.write_pointer(z).unwrap() > 0 {
-                    c.scrub_zone(now, z, SimDuration::from_hours(60)).unwrap();
-                }
-            }
-            let horizon = now.saturating_add(half_day);
-            for (z, _) in c.zones_expiring_before(horizon) {
-                tally(&c, z, horizon);
-                c.scrub_zone(now, z, half_day).unwrap();
-                assert_eq!(
-                    c.zones_expiring_before(SimTime::MAX),
-                    expiring_by_sort(&c, SimTime::MAX),
-                    "day {day}"
-                );
-                assert_eq!(
-                    c.zones_expiring_before(horizon),
-                    expiring_by_sort(&c, horizon)
-                );
-            }
-        }
-        let [head, tail, mid] = paths;
-        assert!(head > 0, "no re-key removed the head");
-        assert!(tail > 0, "no re-key pushed at the tail");
-        assert!(mid > 0, "no re-key inserted mid-list");
     }
 }

@@ -18,11 +18,13 @@ build both sides in checkouts whose paths have equal length.
 `--record PATH` appends one object per workload to the JSON list in PATH
 (created if missing): the two sides' labels (`--labels`, default the binary
 paths), seed, pairs, seconds, trace flag, whether the digests matched, and
-per metric each side's median and IQR, the ratio B / A and B's wins.
+per metric each side's median and IQR, the ratio B / A and B's wins. A
+metric whose two medians are both 0 is left out of the record. Label each
+side with the commit its binary was built from.
 
     python3 scripts/simbench_ab.py BASE_BIN CHANGE_BIN \\
         --workloads serve_refresh serve_steady --pairs 10 --seconds 28 --seed 1 \\
-        --labels 6377bc5 change --record BENCH_simbench.json
+        --labels 6377bc5 f75b68c --record BENCH_simbench.json
 """
 
 import argparse
@@ -128,6 +130,8 @@ def main():
             cell_b = f"{qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
             print(f"  {name:<{wide}} {cell_a:<36} {cell_b:<36} {ratio:>7.3f}"
                   f" {f'{wins}/{args.pairs}':>7} {'yes' if beyond else 'no':>8}")
+            if qa[1] == 0 and qb[1] == 0:
+                continue
             entry["metrics"][name] = {
                 "better": m["better"], "a_median": qa[1], "a_iqr": qa[2] - qa[0],
                 "b_median": qb[1], "b_iqr": qb[2] - qb[0], "ratio": ratio if qa[1] else None,
