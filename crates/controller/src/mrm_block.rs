@@ -282,9 +282,10 @@ impl MrmBlockController {
     /// The fast paths skip a search each: against a plain `binary_search`
     /// remove and `partition_point` insert they measured `soak_lifecycle`
     /// ×1.080 (10 pairs). `VecDeque` shifts the shorter side for a
-    /// mid-list entry. Inlined:
-    /// `#[inline(never)]` here measured `serve_steady` ×0.993 and
-    /// `soak_lifecycle` ×1.002 against this (6 pairs each), so no longer pays.
+    /// mid-list entry. Inlined: against `#[inline(never)]` here, the
+    /// inlined build read `soak_lifecycle` ×1.011, `serve_steady` ×1.000
+    /// and `serve_faulted` ×0.987 (10 pairs each), so out of line no
+    /// longer pays overall.
     fn rekey(&mut self, z: ZoneId, old: Option<SimTime>, new: Option<SimTime>) {
         let idx = &mut self.by_deadline;
         if let Some(d) = old {
